@@ -58,9 +58,10 @@ class RegularGraph:
             raise GraphStructureError("repeated neighbor (multi-edge) in neighbor table")
         if (nbrs == np.arange(n)[:, None]).any():
             raise GraphStructureError("self-loop in neighbor table")
-        adj = np.zeros((n, n), dtype=bool)
-        adj[np.repeat(np.arange(n), d), nbrs.ravel()] = True
-        if not (adj == adj.T).all():
+        # Symmetric iff the arc keys u*n+v (already ascending: rows in order,
+        # each row sorted) equal the sorted keys of the reversed arcs v*n+u.
+        tails = np.repeat(np.arange(n), d)
+        if not np.array_equal(tails * n + nbrs.ravel(), np.sort(nbrs.ravel() * n + tails)):
             raise GraphStructureError("adjacency is not symmetric")
         nbrs.setflags(write=False)
         self.n = n
@@ -69,27 +70,34 @@ class RegularGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "RegularGraph":
-        """Build from an iterable of 0-based (u, v) pairs.
+        """Build from a sequence (or (m, 2) array) of 0-based (u, v) pairs.
 
-        All vertices must end up with equal degree; otherwise a
-        RegularityError lists the deviant vertices (1-based).
+        The first bad pair in input order is named, 1-based: out of range,
+        self-loop, or a repeat of an earlier pair.  All vertices must end
+        up with equal degree; otherwise a RegularityError lists the
+        deviant vertices (1-based).
         """
-        lists: list[list[int]] = [[] for _ in range(n)]
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+        if n < 1:
+            raise GraphStructureError("graph must have at least one vertex")
+        pairs = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+        out_of_range = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        loops = pairs[:, 0] == pairs[:, 1]
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        repeats = np.ones(len(pairs), dtype=bool)
+        repeats[np.unique(lo * n + hi, return_index=True)[1]] = False
+        bad = np.flatnonzero(out_of_range | loops | repeats)
+        if bad.size:
+            i = bad[0]
+            u, v = pairs[i]
+            if out_of_range[i]:
                 raise GraphStructureError(f"edge ({u + 1}, {v + 1}) out of range for n={n}")
-            if u == v:
+            if loops[i]:
                 raise GraphStructureError(f"self-loop at vertex {u + 1}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphStructureError(f"duplicate edge ({key[0] + 1}, {key[1] + 1})")
-            seen.add(key)
-            lists[u].append(v)
-            lists[v].append(u)
-        degrees = np.array([len(row) for row in lists])
-        _require_uniform_degrees(degrees)
-        return cls(np.array(lists, dtype=np.int64))
+            raise GraphStructureError(f"duplicate edge ({lo[i] + 1}, {hi[i] + 1})")
+        tails = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        heads = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        d = _require_uniform_degrees(np.bincount(tails, minlength=n))
+        return cls(heads[np.lexsort((heads, tails))].reshape(n, d))
 
     @classmethod
     def from_adjacency(cls, adjacency) -> "RegularGraph":
@@ -100,12 +108,8 @@ class RegularGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as 0-based (u, v) with u < v, lexicographically sorted."""
-        out = []
-        for v in range(self.n):
-            for w in self.neighbors[v]:
-                if v < w:
-                    out.append((v, int(w)))
-        return out
+        upper = self.neighbors > np.arange(self.n)[:, None]
+        return list(zip(np.nonzero(upper)[0].tolist(), self.neighbors[upper].tolist()))
 
     def adjacency_matrix(self) -> np.ndarray:
         adj = np.zeros((self.n, self.n), dtype=bool)
@@ -139,11 +143,11 @@ def _require_uniform_degrees(degrees: np.ndarray, expected: int | None = None) -
     few low-degree vertices rather than the majority).
     """
     if expected is None:
-        values, counts = np.unique(degrees, return_counts=True)
-        expected = int(values[counts == counts.max()].max())
-    bad = [(int(v) + 1, int(deg)) for v, deg in enumerate(degrees) if deg != expected]
-    if bad:
-        raise RegularityError(bad)
+        counts = np.bincount(degrees)
+        expected = int(np.flatnonzero(counts == counts.max())[-1])
+    bad = np.flatnonzero(degrees != expected)
+    if bad.size:
+        raise RegularityError([(int(v) + 1, int(degrees[v])) for v in bad])
     return expected
 
 
@@ -216,12 +220,9 @@ def parse_graph(text: str) -> RegularGraph:
         edges.append((u - 1, v - 1))
     if n is None:
         raise FormatError("empty document: missing 'n d' header")
-    degrees = np.zeros(n, dtype=np.int64)
-    for u, v in edges:
-        degrees[u] += 1
-        degrees[v] += 1
-    _require_uniform_degrees(degrees, expected=d)
-    return RegularGraph.from_edges(n, edges)
+    pairs = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+    _require_uniform_degrees(np.bincount(pairs.ravel(), minlength=n), expected=d)
+    return RegularGraph.from_edges(n, pairs)
 
 
 def serialize_graph(graph: RegularGraph) -> str:
@@ -419,7 +420,7 @@ def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 100) ->
     for _ in range(max_tries):
         edges = attempt()
         if edges is not None:
-            return RegularGraph.from_edges(n, sorted(edges))
+            return RegularGraph.from_edges(n, list(edges))
     raise GenerationError(
         f"random-regular({n}, {d}) generation exhausted after {max_tries} attempts"
     )

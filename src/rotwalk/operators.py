@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigError
 from .rotmap import RotationMap
@@ -65,11 +64,6 @@ class ShiftOperator:
         dense[self.col_to_row, np.arange(self.dim)] = 1
         return dense
 
-    def to_sparse(self) -> sparse.csr_matrix:
-        ones = np.ones(self.dim, dtype=np.int64)
-        cols = np.arange(self.dim)
-        return sparse.csr_matrix((ones, (self.col_to_row, cols)), shape=(self.dim, self.dim))
-
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
         """S @ amplitudes.  Amplitudes landing on the same row add up
         (that only happens for inconsistent maps)."""
@@ -107,11 +101,6 @@ def build_shift(rot: RotationMap) -> ShiftOperator:
     offsets = (np.arange(d, dtype=np.int64) * n)[:, None]
     col_to_row = (rot.entries.T + offsets).reshape(-1)
     return ShiftOperator(n, d, col_to_row)
-
-
-def adjoint(shift: ShiftOperator) -> sparse.csr_matrix:
-    """Conjugate transpose; for these real 0/1 operators, the transpose."""
-    return shift.to_sparse().transpose().tocsr()
 
 
 @dataclass(frozen=True, eq=False)

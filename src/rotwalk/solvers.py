@@ -8,7 +8,8 @@ different difficulty:
   d-regular graph form a d-regular bipartite graph (left copy of V to
   right copy of V, one edge per arc), which always decomposes into d
   perfect matchings; each matching becomes one column.  Implemented by
-  the ``matching`` method with repeated Hopcroft-Karp passes.
+  the ``matching`` method, which takes each matching from SciPy's
+  Hopcroft-Karp (``maximum_bipartite_matching``) on the residual arcs.
 
 * involution criterion — every label class a perfect matching, i.e. a
   proper d-edge-coloring of a d-regular graph.  Deciding whether one
@@ -22,17 +23,17 @@ criterion on small instances (n*d bounded by a configured ceiling).  It
 is the only method allowed to claim infeasibility.
 
 Solved outcomes are always re-validated through the rotmap checkers:
-the checker, not the solver, is the source of truth.  All tie-breaking
-is by lowest vertex index then lowest label, and all randomness flows
-from the config seed, so identical (graph, config) inputs reproduce
-identical outcomes and stats (wall-clock time aside).
+the checker, not the solver, is the source of truth.  The hand-written
+searches break ties by lowest vertex index then lowest label, SciPy's
+matching is deterministic too, and all randomness flows from the
+config seed, so identical (graph, config) inputs reproduce identical
+outcomes and stats (wall-clock time aside).
 """
 
 from __future__ import annotations
 
 import random
 import time
-from collections import deque
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -85,7 +86,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverStats:
-    """iterations: matching phases / edges colored / search nodes /
+    """iterations: matchings computed (d) / edges colored / search nodes /
     local-search moves, depending on method.  conflict_trace records the
     conflict count at each local-search iteration (empty otherwise).
     best_conflicts is 0 for solved outcomes; for coloring heuristics it
@@ -155,81 +156,6 @@ def stress_run(
 # Permutation criterion: matching decomposition
 
 
-def _perfect_matching(adj: list[list[int]], n: int) -> tuple[list[int] | None, int]:
-    """Perfect matching of a balanced bipartite graph, or None.
-
-    adj[u] lists the right-vertices of left-vertex u.  Hopcroft-Karp
-    with an iterative augmenting DFS (paths can reach length ~2n).
-    Returns (match or None, BFS phases used).
-    """
-    inf = n + 2
-    match_l = [-1] * n
-    match_r = [-1] * n
-    dist = [0] * n
-    phases = 0
-
-    def bfs() -> bool:
-        queue = deque()
-        for u in range(n):
-            if match_l[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = inf
-        found = False
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                x = match_r[w]
-                if x == -1:
-                    found = True
-                elif dist[x] == inf:
-                    dist[x] = dist[u] + 1
-                    queue.append(x)
-        return found
-
-    def augment(source: int) -> bool:
-        stack = [source]
-        iters = [iter(adj[source])]
-        via: list[int] = []
-        while stack:
-            u = stack[-1]
-            descended = False
-            for w in iters[-1]:
-                x = match_r[w]
-                if x == -1:
-                    via.append(w)
-                    for left, right in zip(stack, via):
-                        match_l[left] = right
-                        match_r[right] = left
-                    return True
-                if dist[x] == dist[u] + 1:
-                    via.append(w)
-                    stack.append(x)
-                    iters.append(iter(adj[x]))
-                    descended = True
-                    break
-            if not descended:
-                dist[u] = inf
-                stack.pop()
-                iters.pop()
-                if via:
-                    via.pop()
-        return False
-
-    while bfs():
-        phases += 1
-        progress = 0
-        for source in range(n):
-            if match_l[source] == -1 and augment(source):
-                progress += 1
-        if progress == 0:
-            break
-    if any(m == -1 for m in match_l):
-        return None, phases
-    return match_l, phases
-
-
 def solve_permutation(graph: RegularGraph, config: SolverConfig | None = None) -> SolverOutcome:
     """Decompose the arc graph into d perfect matchings; always solves.
 
@@ -238,28 +164,33 @@ def solve_permutation(graph: RegularGraph, config: SolverConfig | None = None) -
     regular and keeps a perfect matching — failure would be a defect,
     not a search miss, and raises.
     """
+    # Imported here so that every other command starts without SciPy.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     if config is None:
         config = SolverConfig()
     start = time.perf_counter()
     n, d = graph.n, graph.d
-    remaining = [[int(w) for w in graph.neighbors[v]] for v in range(n)]
+    remaining = graph.neighbors.copy()
     columns = []
-    phases_total = 0
-    for _ in range(d):
-        match, phases = _perfect_matching(remaining, n)
-        phases_total += phases
-        if match is None:
+    for width in range(d, 0, -1):
+        # Row u of the residual table lists the right vertices still joined
+        # to left vertex u; every row holds `width` of them.
+        indptr = np.arange(0, n * width + 1, width)
+        arcs = csr_matrix((np.ones(n * width, dtype=np.int8), remaining.ravel(), indptr), (n, n))
+        match = maximum_bipartite_matching(arcs, perm_type="column")
+        if (match == -1).any():
             raise RotwalkError(
                 "internal defect: residual arc graph lost its perfect matching"
             )
         columns.append(match)
-        for v in range(n):
-            remaining[v].remove(match[v])
+        remaining = remaining[remaining != match[:, None]].reshape(n, width - 1)
     rot = RotationMap(np.column_stack(columns))
     if not check_permutation_consistent(rot).consistent:
         raise RotwalkError("internal defect: matching output failed the permutation checker")
     stats = SolverStats(
-        iterations=phases_total,
+        iterations=len(columns),
         restarts=0,
         wall_ms=(time.perf_counter() - start) * 1000.0,
         best_conflicts=0,
@@ -518,19 +449,22 @@ def solve_edge_coloring(graph: RegularGraph, config: SolverConfig) -> SolverOutc
     n, d = graph.n, graph.d
     coloring = greedy_coloring(graph) if config.method == "greedy-coloring" else vizing_color(graph)
     wall = lambda: (time.perf_counter() - start) * 1000.0  # noqa: E731
-    if coloring.num_colors == d:
-        rot = rotation_from_coloring(graph, coloring.labels)
-        if not check_involution_consistent(rot).consistent:
-            raise RotwalkError("internal defect: coloring output failed the involution checker")
-        stats = SolverStats(len(coloring.edges), 0, wall(), 0)
+    labels, best = coloring.labels, 0
+    if coloring.num_colors > d:
+        # A collapse with no conflict left is a proper d-coloring after all.
+        labels = _collapse_to_d(n, d, coloring.edges, labels)
+        best = _conflict_total(n, d, coloring.edges, labels)
+    if best > 0:
+        stats = SolverStats(len(coloring.edges), 0, wall(), best)
         return SolverOutcome(
-            "solved", "involution", config.method, config.seed, n, d, rot, None, stats
+            "budget-exhausted", "involution", config.method, config.seed, n, d, None, None, stats
         )
-    collapsed = _collapse_to_d(n, d, coloring.edges, coloring.labels)
-    best = _conflict_total(n, d, coloring.edges, collapsed)
-    stats = SolverStats(len(coloring.edges), 0, wall(), best)
+    rot = rotation_from_coloring(graph, labels)
+    if not check_involution_consistent(rot).consistent:
+        raise RotwalkError("internal defect: coloring output failed the involution checker")
+    stats = SolverStats(len(coloring.edges), 0, wall(), 0)
     return SolverOutcome(
-        "budget-exhausted", "involution", config.method, config.seed, n, d, None, None, stats
+        "solved", "involution", config.method, config.seed, n, d, rot, None, stats
     )
 
 
@@ -695,10 +629,12 @@ def _kempe_component(edges, edges_at, labels, e0, a, b):
 def exhaustive_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
     """Complete backtracking for either criterion on small instances.
 
-    The only method entitled to return infeasible-proven.  Symmetry
-    pruning fixes vertex 1's labels: its edges (involution) or its row
-    (permutation) can always be brought to canonical order by renaming
-    labels, so the restricted search is still complete.
+    The only method entitled to return infeasible-proven, and only for
+    the involution criterion: every regular graph has a permutation
+    labeling (solve_permutation constructs one).  Symmetry pruning fixes
+    vertex 1's labels: its edges (involution) or its row (permutation)
+    can always be brought to canonical order by renaming labels, so the
+    restricted search is still complete.
     """
     n, d = graph.n, graph.d
     if n * d > config.exhaustive_ceiling:
@@ -732,96 +668,106 @@ def exhaustive_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcom
         return SolverOutcome(
             "budget-exhausted", config.criterion, "exhaustive", config.seed, n, d, None, None, stats
         )
-    if config.criterion == "involution":
-        certificate = (
-            f"complete backtracking over {d}-label colorings of {total} edges "
-            f"(vertex 1's labels fixed by symmetry) explored {nodes} assignments; "
-            "no proper coloring exists"
-        )
-    else:
-        certificate = (
-            f"complete backtracking over neighbor orderings of {total} vertices "
-            f"(vertex 1's row fixed by symmetry) explored {nodes} assignments; "
-            "no column-wise permutation labeling exists"
-        )
+    if config.criterion == "permutation":
+        raise RotwalkError("internal defect: exhaustive search missed a permutation labeling")
+    certificate = (
+        f"complete backtracking over {d}-label colorings of {total} edges "
+        f"(vertex 1's labels fixed by symmetry) explored {nodes} assignments; "
+        "no proper coloring exists"
+    )
     return SolverOutcome(
         "infeasible-proven", config.criterion, "exhaustive", config.seed, n, d, None,
         certificate, stats,
     )
 
 
+def _backtrack(first, last, options, place, lift, config, start):
+    """Depth-first search placing one option per level first..last-1.
+
+    Runs on an explicit stack, so depth is bounded by memory rather than
+    the interpreter's recursion limit.  ``options(level)`` lazily yields
+    the level's candidates that fit the current placement, in visit
+    order; each is ``place``d in turn and the search descends, and
+    ``lift`` undoes it on the way back.  Every placed option counts as a
+    node; the time budget is checked every 4096 nodes.  Returns (found,
+    nodes, deepest level reached, timed_out).
+    """
+    nodes, deepest = 0, first
+    if first == last:
+        return True, nodes, deepest, False
+    pending = [options(first)]
+    placed = []
+    while pending:
+        level = first + len(pending) - 1
+        if len(placed) == len(pending):
+            lift(level, placed.pop())
+        option = next(pending[-1], None)
+        if option is None:
+            pending.pop()
+            continue
+        nodes += 1
+        if nodes % 4096 == 0 and time.perf_counter() - start > config.time_budget:
+            return False, nodes, deepest, True
+        place(level, option)
+        placed.append(option)
+        deepest = max(deepest, level + 1)
+        if level + 1 == last:
+            return True, nodes, deepest, False
+        pending.append(options(level + 1))
+    return False, nodes, deepest, False
+
+
 def _exhaustive_coloring(graph, config, start):
     """Backtrack proper d-edge-colorings; vertex 0's edges pinned to 0..d-1."""
     n, d = graph.n, graph.d
     edges = graph.edges()
-    m = len(edges)
     busy = [[False] * d for _ in range(n)]
-    labels = [-1] * m
+    labels = [-1] * len(edges)
+
+    def options(idx):
+        u, v = edges[idx]
+        return (c for c in range(d) if not (busy[u][c] or busy[v][c]))
+
+    def place(idx, c):
+        u, v = edges[idx]
+        labels[idx] = c
+        busy[u][c] = busy[v][c] = True
+
+    def lift(idx, c):
+        u, v = edges[idx]
+        labels[idx] = -1
+        busy[u][c] = busy[v][c] = False
+
     # Sorted edges put vertex 0's d edges first, in neighbor order.
     for c in range(d):
-        u, v = edges[c]
-        labels[c] = c
-        busy[u][c] = busy[v][c] = True
-    state = {"nodes": 0, "deepest": d, "timed_out": False}
-
-    def backtrack(idx: int) -> bool:
-        if idx > state["deepest"]:
-            state["deepest"] = idx
-        if idx == m:
-            return True
-        u, v = edges[idx]
-        for c in range(d):
-            if busy[u][c] or busy[v][c]:
-                continue
-            state["nodes"] += 1
-            if state["nodes"] % 4096 == 0 and time.perf_counter() - start > config.time_budget:
-                state["timed_out"] = True
-                return False
-            labels[idx] = c
-            busy[u][c] = busy[v][c] = True
-            if backtrack(idx + 1):
-                return True
-            labels[idx] = -1
-            busy[u][c] = busy[v][c] = False
-            if state["timed_out"]:
-                return False
-        return False
-
-    found = backtrack(d)
-    return found, labels, state["nodes"], state["deepest"], state["timed_out"]
+        place(c, c)
+    found, nodes, deepest, timed_out = _backtrack(
+        d, len(edges), options, place, lift, config, start
+    )
+    return found, labels, nodes, deepest, timed_out
 
 
 def _exhaustive_rows(graph, config, start):
     """Backtrack neighbor orderings per vertex; vertex 0's row pinned ascending."""
     n, d = graph.n, graph.d
     taken = [[False] * n for _ in range(d)]
-    rows = [list(graph.neighbors[0])] + [[0] * d for _ in range(n - 1)]
-    for j, w in enumerate(rows[0]):
-        taken[j][w] = True
-    state = {"nodes": 0, "deepest": 1, "timed_out": False}
+    rows = [[0] * d for _ in range(n)]
 
-    def backtrack(v: int) -> bool:
-        if v > state["deepest"]:
-            state["deepest"] = v
-        if v == n:
-            return True
-        for perm in permutations(graph.neighbors[v]):
-            if any(taken[j][w] for j, w in enumerate(perm)):
-                continue
-            state["nodes"] += 1
-            if state["nodes"] % 4096 == 0 and time.perf_counter() - start > config.time_budget:
-                state["timed_out"] = True
-                return False
-            rows[v] = [int(w) for w in perm]
-            for j, w in enumerate(perm):
-                taken[j][w] = True
-            if backtrack(v + 1):
-                return True
-            for j, w in enumerate(perm):
-                taken[j][w] = False
-            if state["timed_out"]:
-                return False
-        return False
+    def options(v):
+        return (
+            perm for perm in permutations(graph.neighbors[v])
+            if not any(taken[j][w] for j, w in enumerate(perm))
+        )
 
-    found = backtrack(1)
-    return found, rows, state["nodes"], state["deepest"], state["timed_out"]
+    def place(v, perm):
+        rows[v] = [int(w) for w in perm]
+        for j, w in enumerate(perm):
+            taken[j][w] = True
+
+    def lift(v, perm):
+        for j, w in enumerate(perm):
+            taken[j][w] = False
+
+    place(0, graph.neighbors[0])
+    found, nodes, deepest, timed_out = _backtrack(1, n, options, place, lift, config, start)
+    return found, rows, nodes, deepest, timed_out

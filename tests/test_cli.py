@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +173,18 @@ class TestSolve:
         assert payload["status"] == "budget-exhausted"
         assert payload["best_conflicts"] >= 1
 
+    def test_deep_exhaustive_search_exit_3(self, tmp_path, capsys):
+        # 2998 levels of backtracking: deeper than the default recursion limit.
+        edges = tmp_path / "cycle.edges"
+        assert cli.main(["gen", "cycle", "3001", "--out", str(edges)]) == 0
+        code = cli.main(["solve", str(edges), "--criterion", "involution",
+                         "--method", "exhaustive", "--exhaustive-ceiling", "1000000"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "certificate:" in captured.err
+        assert "no proper coloring exists" in captured.err
+        assert json.loads(captured.out)["status"] == "infeasible-proven"
+
     def test_bad_combo_exit_2(self, square, capsys):
         code = cli.main(["solve", square, "--criterion", "involution",
                          "--method", "matching"])
@@ -282,6 +298,14 @@ class TestTopLevel:
     def test_missing_file_exit_2(self, capsys):
         assert cli.main(["check", "/nonexistent/x.rot"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_startup_does_not_import_scipy(self):
+        # SciPy adds to every command's start-up; only solve_permutation needs it.
+        probe = "import sys, rotwalk.cli; print('scipy' in sys.modules)"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.strip() == "False"
 
     def test_pipeline_reproducible(self, tmp_path, capsys):
         def pipeline(tag):

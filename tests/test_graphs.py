@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,16 +83,44 @@ class TestConstruction:
         assert hash(cycle_graph(4)) == hash(cycle_graph(4))
 
     def test_self_loop_rejected(self):
-        with pytest.raises(GraphStructureError):
+        with pytest.raises(GraphStructureError, match=r"^self-loop at vertex 1$"):
             RegularGraph.from_edges(3, [(0, 0), (1, 2), (0, 1)])
 
     def test_duplicate_edge_rejected(self):
-        with pytest.raises(GraphStructureError):
+        with pytest.raises(GraphStructureError, match=r"^duplicate edge \(1, 2\)$"):
             RegularGraph.from_edges(3, [(0, 1), (1, 0), (1, 2), (0, 2)])
 
     def test_vertex_out_of_range_rejected(self):
-        with pytest.raises(GraphStructureError):
+        with pytest.raises(GraphStructureError, match=r"^edge \(2, 4\) out of range for n=3$"):
             RegularGraph.from_edges(3, [(0, 1), (1, 3), (0, 2)])
+
+    def test_first_bad_edge_in_input_order_is_named(self):
+        # The repeat at index 1 comes before the out-of-range pair at index 2.
+        with pytest.raises(GraphStructureError, match=r"^duplicate edge \(1, 2\)$"):
+            RegularGraph.from_edges(3, [(0, 1), (1, 0), (1, 5)])
+        with pytest.raises(GraphStructureError, match=r"^edge \(6, 6\) out of range for n=3$"):
+            RegularGraph.from_edges(3, [(5, 5)])
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(GraphStructureError):
+            RegularGraph.from_edges(0, [])
+
+    def test_asymmetric_table_rejected(self):
+        # Regular (every row one entry) but 1 -> 2 -> 3 -> 1 has no reverse arcs.
+        with pytest.raises(GraphStructureError, match="adjacency is not symmetric"):
+            RegularGraph([[1], [2], [0]])
+
+    def test_validation_memory_is_linear(self):
+        # A dense n x n check would trace n^2 bytes (400 MB here); the
+        # neighbor table itself is n*d*8 bytes (1.3 MB).
+        table = random_regular_graph(20000, 8).neighbors
+        tracemalloc.start()
+        try:
+            RegularGraph(table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_irregular_rejected(self):
         with pytest.raises(RegularityError) as exc:
