@@ -161,6 +161,8 @@ def check_regularity(adjacency) -> int:
     adj = np.asarray(adjacency)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise GraphStructureError("adjacency matrix must be square")
+    if adj.shape[0] == 0:
+        raise GraphStructureError("graph must have at least one vertex")
     if adj.dtype != bool:
         if not np.isin(adj, (0, 1)).all():
             raise GraphStructureError("adjacency entries must be boolean or 0/1")

@@ -14,6 +14,12 @@ off-diagonal products vanish), and the unitarity defect — the largest
 absolute entry of S.S^T - I — is an exact integer.  Defect 0 is
 equivalent to every rotation-map column being a permutation.
 
+Applying a shift to a state follows the same split.  When col_to_row is
+a permutation (a consistent map) the shift is one gather through the
+inverse permutation, computed once when the operator is built.  Only an
+inconsistent map, where several columns land on one row and their
+amplitudes must add up, goes through ``np.add.at``.
+
 Coins are genuinely numeric: dense complex d x d unitaries checked to a
 1e-12 max-abs tolerance.
 """
@@ -39,10 +45,11 @@ class ShiftOperator:
     """A (d*n) x (d*n) 0/1 matrix with exactly one unit entry per column.
 
     ``col_to_row[c]`` is the row of column c's unit entry.  Unitary
-    exactly when col_to_row is a permutation.
+    exactly when col_to_row is a permutation; then ``_row_to_col`` holds
+    the inverse permutation, else None.
     """
 
-    __slots__ = ("n", "d", "col_to_row")
+    __slots__ = ("n", "d", "col_to_row", "_row_to_col")
 
     def __init__(self, n: int, d: int, col_to_row: np.ndarray):
         table = np.array(col_to_row, dtype=np.int64)
@@ -54,6 +61,12 @@ class ShiftOperator:
         self.n = n
         self.d = d
         self.col_to_row = table
+        self._row_to_col = None
+        if (np.bincount(table, minlength=d * n) == 1).all():
+            inverse = np.empty_like(table)
+            inverse[table] = np.arange(d * n)
+            inverse.setflags(write=False)
+            self._row_to_col = inverse
 
     @property
     def dim(self) -> int:
@@ -65,10 +78,12 @@ class ShiftOperator:
         return dense
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """S @ amplitudes.  Amplitudes landing on the same row add up
-        (that only happens for inconsistent maps)."""
+        """S @ amplitudes.  A permutation shift is a gather; otherwise
+        amplitudes landing on the same row add up."""
         if amplitudes.shape != (self.dim,):
             raise ConfigError(f"amplitude vector must have length {self.dim}")
+        if self._row_to_col is not None:
+            return np.asarray(amplitudes, dtype=np.complex128).take(self._row_to_col)
         out = np.zeros(self.dim, dtype=np.complex128)
         np.add.at(out, self.col_to_row, amplitudes)
         return out

@@ -166,12 +166,13 @@ def validate_against_graph(rot: RotationMap, graph: RegularGraph) -> list[str]:
         raise ValidationError(
             f"dimension mismatch: map is {rot.n} x {rot.d}, graph is {graph.n} x {graph.d}"
         )
+    # Rows hold distinct entries and neighbor rows are sorted, so a row is
+    # its vertex's neighbor set exactly when the sorted row equals it.
+    bad = np.flatnonzero((np.sort(rot.entries, axis=1) != graph.neighbors).any(axis=1))
     mismatches = []
-    for v in range(rot.n):
-        row = set(int(w) for w in rot.entries[v])
-        nbrs = set(int(w) for w in graph.neighbors[v])
-        if row == nbrs:
-            continue
+    for v in bad.tolist():
+        row = set(rot.entries[v].tolist())
+        nbrs = set(graph.neighbors[v].tolist())
         parts = [f"entry {w + 1} is not a neighbor" for w in sorted(row - nbrs)]
         parts += [f"neighbor {w + 1} unused" for w in sorted(nbrs - row)]
         mismatches.append(f"vertex {v + 1}: " + ", ".join(parts))

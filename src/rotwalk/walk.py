@@ -5,6 +5,12 @@ coin index, identically at every vertex) and the shift second.  States
 are dense complex vectors of length d*n in coin-major order; see the
 operators module for the ordering convention.
 
+step() and run() share one kernel on raw amplitude vectors: the coin is
+a (d x d) @ (d x n) matrix product and the shift is a gather for a
+consistent map (``np.add.at`` only for an inconsistent one).  run()
+checks the operators once, keeps the amplitudes as a bare array between
+steps and wraps only the final state in a WalkState.
+
 A trajectory records, for steps 0..t, the per-vertex probability list
 and the squared norm.  For a consistent rotation map the squared norm
 stays at 1 (up to accumulated rounding, tolerance 1e-9 over <= 1e3
@@ -40,7 +46,7 @@ class WalkState:
 
     def norm2(self) -> float:
         """Squared norm <psi|psi>."""
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+        return _norm2(self.amplitudes)
 
     def __repr__(self) -> str:
         return f"WalkState(n={self.n}, d={self.d}, step={self.step_index})"
@@ -74,7 +80,10 @@ def init_state(n: int, d: int, support) -> WalkState:
 
 def uniform_state(n: int, d: int) -> WalkState:
     """Equal amplitude 1/sqrt(d*n) on every (label, vertex) pair."""
-    return init_state(n, d, [(j, v, 1.0) for j in range(d) for v in range(n)])
+    if n < 1 or d < 1:
+        raise ConfigError("state needs n >= 1 and d >= 1")
+    amps = np.ones(d * n, dtype=np.complex128)
+    return WalkState(n, d, amps / np.linalg.norm(amps))
 
 
 def apply(operator, state: WalkState) -> WalkState:
@@ -84,23 +93,38 @@ def apply(operator, state: WalkState) -> WalkState:
     evolution step.
     """
     if isinstance(operator, ShiftOperator):
-        if (operator.n, operator.d) != (state.n, state.d):
-            raise ConfigError(
-                f"shift is {operator.d} x {operator.n}, state is {state.d} x {state.n}"
-            )
+        _check_shift(operator, state)
         return WalkState(state.n, state.d, operator.apply(state.amplitudes), state.step_index)
     if isinstance(operator, CoinOperator):
-        if operator.d != state.d:
-            raise ConfigError(f"coin dimension {operator.d} != state coin dimension {state.d}")
-        blocks = state.amplitudes.reshape(state.d, state.n)
-        return WalkState(state.n, state.d, (operator.matrix @ blocks).reshape(-1), state.step_index)
+        _check_coin(operator, state)
+        return WalkState(state.n, state.d, _coin(operator, state.amplitudes), state.step_index)
     raise ConfigError(f"cannot apply object of type {type(operator).__name__} to a state")
+
+
+def _check_coin(coin: CoinOperator, state: WalkState) -> None:
+    if coin.d != state.d:
+        raise ConfigError(f"coin dimension {coin.d} != state coin dimension {state.d}")
+
+
+def _check_shift(shift: ShiftOperator, state: WalkState) -> None:
+    if (shift.n, shift.d) != (state.n, state.d):
+        raise ConfigError(f"shift is {shift.d} x {shift.n}, state is {state.d} x {state.n}")
+
+
+def _coin(coin: CoinOperator, amps: np.ndarray) -> np.ndarray:
+    return (coin.matrix @ amps.reshape(coin.d, -1)).reshape(-1)
+
+
+def _step(amps: np.ndarray, coin: CoinOperator, shift: ShiftOperator) -> np.ndarray:
+    """One coin-then-shift step on a bare amplitude vector (dimensions checked by the caller)."""
+    return shift.apply(_coin(coin, amps))
 
 
 def step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
     """One evolution step: coin first, then shift."""
-    after = apply(shift, apply(coin, state))
-    return WalkState(state.n, state.d, after.amplitudes, state.step_index + 1)
+    _check_coin(coin, state)
+    _check_shift(shift, state)
+    return WalkState(state.n, state.d, _step(state.amplitudes, coin, shift), state.step_index + 1)
 
 
 def inverse_step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
@@ -122,8 +146,15 @@ def distribution(state: WalkState) -> np.ndarray:
     The sum over vertices equals the squared norm of the state (1 only
     under unitary evolution).
     """
-    probs = np.abs(state.amplitudes.reshape(state.d, state.n)) ** 2
-    return probs.sum(axis=0)
+    return _probabilities(state.amplitudes, state.d)
+
+
+def _probabilities(amps: np.ndarray, d: int) -> np.ndarray:
+    return (np.abs(amps.reshape(d, -1)) ** 2).sum(axis=0)
+
+
+def _norm2(amps: np.ndarray) -> float:
+    return float(np.vdot(amps, amps).real)
 
 
 @dataclass(frozen=True)
@@ -152,9 +183,10 @@ class WalkTrajectory:
         trajectories serialize byte-for-byte identically.
         """
         lines = ["step,vertex,probability,norm2"]
+        vertices = [f",{v + 1}," for v in range(self.n)]
         for rec in self.records:
-            for v in range(self.n):
-                lines.append(f"{rec.step},{v + 1},{float(rec.probabilities[v])!r},{rec.norm2!r}")
+            head, tail = str(rec.step), f",{rec.norm2!r}"
+            lines.extend(f"{head}{v}{p!r}{tail}" for v, p in zip(vertices, rec.probabilities.tolist()))
         return "\n".join(lines) + "\n"
 
     def to_report(self) -> dict:
@@ -178,9 +210,12 @@ def run(state: WalkState, coin: CoinOperator, shift: ShiftOperator, t: int) -> W
     """Evolve t steps, recording the initial state and every step after it."""
     if t < 0:
         raise ConfigError(f"step count must be >= 0, got {t}")
-    records = [TrajectoryRecord(state.step_index, distribution(state), state.norm2())]
-    current = state
-    for _ in range(t):
-        current = step(current, coin, shift)
-        records.append(TrajectoryRecord(current.step_index, distribution(current), current.norm2()))
-    return WalkTrajectory(state.n, state.d, records, current)
+    _check_coin(coin, state)
+    _check_shift(shift, state)
+    amps, start = state.amplitudes, state.step_index
+    records = [TrajectoryRecord(start, _probabilities(amps, state.d), _norm2(amps))]
+    for k in range(1, t + 1):
+        amps = _step(amps, coin, shift)
+        records.append(TrajectoryRecord(start + k, _probabilities(amps, state.d), _norm2(amps)))
+    final = WalkState(state.n, state.d, amps, start + t) if t else state
+    return WalkTrajectory(state.n, state.d, records, final)

@@ -117,6 +117,20 @@ def brute_force_edge_coloring(n, d, edges):
     return None
 
 
+def mismatches_by_sets(entries, neighbors):
+    """Map-versus-graph mismatch lines, one vertex at a time with Python sets."""
+    lines = []
+    for v in range(len(entries)):
+        row = set(int(w) for w in entries[v])
+        nbrs = set(int(w) for w in neighbors[v])
+        if row == nbrs:
+            continue
+        parts = [f"entry {w + 1} is not a neighbor" for w in sorted(row - nbrs)]
+        parts += [f"neighbor {w + 1} unused" for w in sorted(nbrs - row)]
+        lines.append(f"vertex {v + 1}: " + ", ".join(parts))
+    return lines
+
+
 def distribution_by_loop(amplitudes, n, d):
     """Per-vertex probabilities summed label by label with plain loops."""
     probs = [0.0] * n

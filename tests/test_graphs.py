@@ -64,6 +64,10 @@ class TestConstruction:
         again = RegularGraph.from_adjacency(g.adjacency_matrix())
         assert again == g
 
+    def test_from_empty_adjacency_rejected(self):
+        with pytest.raises(GraphStructureError, match="at least one vertex"):
+            RegularGraph.from_adjacency(np.zeros((0, 0), dtype=bool))
+
     def test_adjacency_matrix_symmetric(self):
         g = hypercube_graph(3)
         a = g.adjacency_matrix()
@@ -163,6 +167,10 @@ class TestCheckRegularity:
         a[0, 1] = a[1, 0] = 2
         with pytest.raises(GraphStructureError):
             check_regularity(a)
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(GraphStructureError, match="at least one vertex"):
+            check_regularity(np.zeros((0, 0), dtype=bool))
 
 
 class TestFamilies:

@@ -5,6 +5,7 @@ import pytest
 
 from rotwalk import (
     ConfigError,
+    RegularGraph,
     RotationMap,
     build_coin,
     build_shift,
@@ -13,6 +14,7 @@ from rotwalk import (
     cycle_rotation,
     greedy_rotation,
     random_regular_graph,
+    solve_permutation,
     unitarity_defect,
 )
 
@@ -59,14 +61,21 @@ class TestShiftOperator:
         assert shift.to_dense().tolist() == [[0, 1], [1, 0]]
 
     def test_apply_matches_dense_matmul(self):
+        # Shuffled rows are mostly inconsistent (the np.add.at path); the
+        # solved map of the same graph is consistent (the gather path).
         rng = random.Random(2)
         npr = np.random.default_rng(2)
+        paths = set()
         for _ in range(30):
-            rot = random_rotation(rng, rng.choice([4, 6]), rng.choice([2, 3]))
-            shift = build_shift(rot)
-            vec = npr.normal(size=shift.dim) + 1j * npr.normal(size=shift.dim)
-            direct = shift.to_dense().astype(complex) @ vec
-            assert np.abs(shift.apply(vec) - direct).max() < 1e-12
+            shuffled = random_rotation(rng, rng.choice([4, 6]), rng.choice([2, 3]))
+            solved = solve_permutation(RegularGraph(shuffled.entries)).rotation_map
+            for rot in (shuffled, solved):
+                paths.add(check_permutation_consistent(rot).consistent)
+                shift = build_shift(rot)
+                vec = npr.normal(size=shift.dim) + 1j * npr.normal(size=shift.dim)
+                direct = shift.to_dense().astype(complex) @ vec
+                assert np.abs(shift.apply(vec) - direct).max() < 1e-12
+        assert paths == {True, False}
 
     def test_apply_adjoint_matches_transpose(self):
         rng = random.Random(3)

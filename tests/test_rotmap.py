@@ -23,6 +23,7 @@ from rotwalk import (
 
 from oracles import (
     involution_consistent_by_following,
+    mismatches_by_sets,
     permutation_consistent_by_sorting,
 )
 
@@ -161,6 +162,22 @@ class TestValidation:
         problems = validate_against_graph(rot, cycle_graph(4))
         assert problems
         assert any("vertex 1" in p and "entry 3" in p for p in problems)
+        assert problems == [
+            "vertex 1: entry 3 is not a neighbor, neighbor 4 unused",
+            "vertex 3: entry 1 is not a neighbor, neighbor 4 unused",
+            "vertex 4: entry 2 is not a neighbor, neighbor 3 unused",
+        ]
+
+    def test_matches_set_oracle(self):
+        # A map of one random graph checked against another of the same size.
+        rng = random.Random(21)
+        for _ in range(20):
+            n, d = rng.choice([(8, 3), (10, 4), (12, 5)])
+            g = random_regular_graph(n, d, seed=rng.randrange(10**6))
+            other = random_regular_graph(n, d, seed=rng.randrange(10**6))
+            rows = [rng.sample(list(map(int, row)), d) for row in other.neighbors]
+            rot = RotationMap(np.array(rows))
+            assert validate_against_graph(rot, g) == mismatches_by_sets(rot.entries, g.neighbors)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValidationError):

@@ -6,9 +6,11 @@ import pytest
 from rotwalk import (
     ConfigError,
     RotationMap,
+    WalkState,
     apply,
     build_coin,
     build_shift,
+    check_permutation_consistent,
     cycle_graph,
     cycle_rotation,
     distribution,
@@ -44,6 +46,11 @@ class TestStates:
     def test_uniform_state(self):
         state = uniform_state(4, 2)
         assert np.abs(state.amplitudes - 1 / np.sqrt(8)).max() < 1e-15
+        for n, d in [(1, 1), (5, 3), (7, 8)]:
+            support = [(j, v, 1.0) for j in range(d) for v in range(n)]
+            assert uniform_state(n, d).amplitudes.tobytes() == init_state(n, d, support).amplitudes.tobytes()
+        with pytest.raises(ConfigError):
+            uniform_state(0, 2)
 
     def test_empty_support_rejected(self):
         with pytest.raises(ConfigError):
@@ -223,6 +230,14 @@ class TestTrajectories:
             "1,2,1.0,1.0\n"
         )
 
+    def test_csv_matches_per_vertex_loop(self):
+        traj = run(uniform_state(6, 3), build_coin("dft", 3),
+                   build_shift(greedy_rotation(random_regular_graph(6, 3, seed=4))), 4)
+        expected = "step,vertex,probability,norm2\n" + "".join(
+            f"{rec.step},{v + 1},{float(rec.probabilities[v])!r},{rec.norm2!r}\n"
+            for rec in traj.records for v in range(traj.n))
+        assert traj.to_csv_text() == expected
+
     def test_csv_byte_reproducible(self):
         def make():
             traj = run(uniform_state(4, 2), build_coin("hadamard", 2),
@@ -239,3 +254,46 @@ class TestTrajectories:
         assert payload["n"] == 4 and payload["d"] == 2
         assert [s["step"] for s in payload["steps"]] == [0, 1, 2]
         assert len(payload["steps"][0]["probabilities"]) == 4
+
+
+class TestKernel:
+    """run() keeps bare arrays between steps; it must agree with step()."""
+
+    @pytest.fixture(scope="class")
+    def maps(self):
+        g = random_regular_graph(30, 4, seed=5)
+        return {"solved": solve_permutation(g).rotation_map, "greedy": greedy_rotation(g)}
+
+    @pytest.mark.parametrize("kind", ["solved", "greedy"])
+    def test_run_equals_chained_steps(self, maps, kind):
+        # The solved map takes the gather path, the greedy one np.add.at.
+        assert check_permutation_consistent(maps[kind]).consistent == (kind == "solved")
+        coin = build_coin("grover", 4)
+        shift = build_shift(maps[kind])
+        state = WalkState(30, 4, init_state(30, 4, [(1, 7, 1.0), (3, 2, 1j)]).amplitudes, 3)
+        traj = run(state, coin, shift, 12)
+        current = state
+        for k, rec in enumerate(traj.records):
+            if k:
+                current = step(current, coin, shift)
+            assert rec.step == current.step_index == 3 + k
+            assert rec.probabilities.tobytes() == distribution(current).tobytes()
+            assert rec.norm2 == current.norm2()
+        assert traj.final_state.step_index == current.step_index
+        assert traj.final_state.amplitudes.tobytes() == current.amplitudes.tobytes()
+
+    def test_input_unchanged_and_final_read_only(self, maps):
+        state = init_state(30, 4, [(0, 0, 1.0)])
+        before = state.amplitudes.copy()
+        traj = run(state, build_coin("dft", 4), build_shift(maps["solved"]), 5)
+        assert state.amplitudes.tobytes() == before.tobytes()
+        assert state.step_index == 0
+        with pytest.raises(ValueError):
+            traj.final_state.amplitudes[0] = 0.0
+
+    def test_run_rejects_mismatched_operators(self, maps):
+        state = init_state(30, 4, [(0, 0, 1.0)])
+        with pytest.raises(ConfigError):
+            run(state, build_coin("grover", 3), build_shift(maps["solved"]), 2)
+        with pytest.raises(ConfigError):
+            run(state, build_coin("grover", 4), build_shift(cycle_rotation(30)), 2)
