@@ -16,6 +16,7 @@ byte-identical outputs (wall-clock stats fields aside).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from .errors import FormatError, RotwalkError
 from .graphs import FAMILIES, FamilySpec, generate_graph, parse_graph, serialize_graph
 from .operators import PRODUCT_DIM_LIMIT, build_coin, build_shift, unitarity_defect
 from .rotmap import (
+    Violation,
     check_involution_consistent,
     check_permutation_consistent,
     greedy_rotation,
@@ -51,6 +53,27 @@ def _write(path: str | None, text: str) -> None:
 
 def _write_json(path: str | None, payload: dict) -> None:
     _write(path, json.dumps(payload, indent=2) + "\n")
+
+
+# The "violations" list of a check report, often 10^5 witnesses, is
+# written from one repeated item template, not one dict per witness, and
+# spliced in where json.dumps wrote this placeholder.
+_VIOLATIONS_MARK = "\0violations"
+_VIOLATION_ITEM = (
+    "    {\n" + ",\n".join(f'      "{field}": %d' for field in Violation._fields) + "\n    }"
+)
+
+
+def _check_report_json(payload: dict, violations) -> str:
+    """``json.dumps(payload, indent=2) + "\n"``, with ``violations`` as the
+    list of {"label", "vertex", "count"} objects in the placeholder's place."""
+    if violations:
+        items = ",\n".join([_VIOLATION_ITEM] * len(violations))
+        listing = "[\n" + items % tuple(itertools.chain.from_iterable(violations)) + "\n  ]"
+    else:
+        listing = "[]"
+    text = json.dumps(payload, indent=2)
+    return text.replace(json.dumps(_VIOLATIONS_MARK), listing, 1) + "\n"
 
 
 def cmd_gen(args) -> int:
@@ -92,7 +115,7 @@ def cmd_check(args) -> int:
         "d": rot.d,
         "consistent": report.consistent,
         "defect": unitarity.defect,
-        "violations": report.to_dict()["violations"],
+        "violations": _VIOLATIONS_MARK,
     }
     if args.emit_product:
         if unitarity.product is None:
@@ -103,7 +126,7 @@ def cmd_check(args) -> int:
             )
         else:
             payload["product"] = unitarity.product.tolist()
-    _write_json(args.out, payload)
+    _write(args.out, _check_report_json(payload, report.violations))
     return 0
 
 

@@ -12,12 +12,19 @@ Edge-list text format::
 
 with ``1 <= u < v <= n``, one edge per line, '#' starting a comment line.
 Edge order is not significant; serialization writes edges sorted.
+
+This module also holds the reader and writer shared with the
+rotation-map format (``rotmap.py``): a document is read into int64 arrays
+with array operations, each parser checks its body lines as masks, and a
+format error names the first bad line in document order.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,10 +101,8 @@ class RegularGraph:
             if loops[i]:
                 raise GraphStructureError(f"self-loop at vertex {u + 1}")
             raise GraphStructureError(f"duplicate edge ({lo[i] + 1}, {hi[i] + 1})")
-        tails = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        heads = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        d = _require_uniform_degrees(np.bincount(tails, minlength=n))
-        return cls(heads[np.lexsort((heads, tails))].reshape(n, d))
+        d = _require_uniform_degrees(np.bincount(pairs.ravel(), minlength=n))
+        return cls(_neighbor_table(n, pairs, d))
 
     @classmethod
     def from_adjacency(cls, adjacency) -> "RegularGraph":
@@ -108,8 +113,13 @@ class RegularGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as 0-based (u, v) with u < v, lexicographically sorted."""
+        u, v = self._edge_pairs().T
+        return list(zip(u.tolist(), v.tolist()))
+
+    def _edge_pairs(self) -> np.ndarray:
+        """``edges()`` as an (m, 2) array."""
         upper = self.neighbors > np.arange(self.n)[:, None]
-        return list(zip(np.nonzero(upper)[0].tolist(), self.neighbors[upper].tolist()))
+        return np.column_stack([np.nonzero(upper)[0], self.neighbors[upper]])
 
     def adjacency_matrix(self) -> np.ndarray:
         adj = np.zeros((self.n, self.n), dtype=bool)
@@ -133,6 +143,13 @@ class RegularGraph:
 
     def __repr__(self) -> str:
         return f"RegularGraph(n={self.n}, d={self.d})"
+
+
+def _neighbor_table(n: int, pairs: np.ndarray, d: int) -> np.ndarray:
+    """The (n, d) neighbor table of 0-based edge pairs in which every vertex has degree d."""
+    u, v = pairs[:, 0], pairs[:, 1]
+    # Sorted arc keys tail*n+head list each row's heads in order, rows in order.
+    return (np.sort(np.concatenate([u * n + v, v * n + u])) % n).reshape(n, d)
 
 
 def _require_uniform_degrees(degrees: np.ndarray, expected: int | None = None) -> int:
@@ -178,59 +195,185 @@ def check_regularity(adjacency) -> int:
 
 # ---------------------------------------------------------------------------
 # Text format
+#
+# Both text formats (edge lists here, rotation maps in rotmap.py) are an
+# 'n d' header line followed by lines of whitespace-separated integers.
+# ``_read_table`` reads either into arrays in one pass over the text;
+# each parser then runs its checks as masks over the body lines and words
+# a message only for the first bad line.  ``_write_table`` writes either.
+
+
+def _code_point_table(code_points) -> np.ndarray:
+    table = np.zeros(0x3002, dtype=bool)
+    table[list(code_points)] = True
+    return table
+
+
+# By code point: str.isspace(), and whether the character ends a line for
+# str.splitlines().  No code point past U+3000 is either, so larger ones
+# are looked up at the tables' last entry.  The tests check both against str.
+_IS_SPACE = _code_point_table([
+    *range(0x09, 0x0E), *range(0x1C, 0x21), 0x85, 0xA0, 0x1680, *range(0x2000, 0x200B),
+    0x2028, 0x2029, 0x202F, 0x205F, 0x3000,
+])
+_ENDS_LINE = _code_point_table([*range(0x0A, 0x0E), *range(0x1C, 0x1F), 0x85, 0x2028, 0x2029])
+
+
+class _Table(NamedTuple):
+    """A document read as its 'n d' header and a body of integer fields.
+
+    Body line i (0-based, document order, comment and blank lines left
+    out) is line ``lines[i]`` (1-based) of the document and holds
+    ``widths[i]`` fields.  ``values`` holds every body field in order, 0
+    where a field is not an integer; ``integral[i]`` says whether every
+    field of line i is one.  ``values`` is int64 when every field is an
+    int64, else an object array of Python ints, exact at any size.
+    """
+
+    n: int
+    d: int
+    header_line: int
+    lines: np.ndarray
+    widths: np.ndarray
+    integral: np.ndarray
+    values: np.ndarray
+
+    def rows(self, k: int) -> np.ndarray:
+        """The body as an (m, k) array; lines without k fields read as 0s."""
+        fit = self.widths == k
+        if fit.all():
+            return self.values.reshape(len(fit), k)
+        starts = np.cumsum(self.widths) - self.widths
+        table = np.zeros((len(fit), k), dtype=self.values.dtype)
+        table[fit] = self.values[starts[fit, None] + np.arange(k)]
+        return table
+
+
+def _read_table(text: str) -> _Table:
+    """Read a header-plus-integer-lines document.
+
+    Lines, fields, blank lines and '#' comment lines are those of
+    ``str.splitlines``, ``str.split`` and ``str.strip`` applied line by
+    line, but found with array operations over the code points.  Header
+    errors are raised here; the body is checked by the caller.
+    """
+    fields = text.split()
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    codes = np.minimum(codes, len(_IS_SPACE) - 1)
+    is_space = _IS_SPACE.take(codes)
+    ends = _ENDS_LINE.take(codes)
+    ends[1:] &= (codes[1:] != ord("\n")) | (codes[:-1] != ord("\r"))  # "\r\n" ends one line
+    starts = np.flatnonzero(np.diff(is_space, prepend=True) & ~is_space)
+    line_of = np.cumsum(ends)[starts] + 1  # 1-based line of each field
+    first = np.diff(line_of, prepend=0) != 0  # the field opens its line
+    comment = (codes[starts] == ord("#"))[first][np.cumsum(first) - 1]
+    kept = np.flatnonzero(~comment)
+    if not kept.size:
+        raise FormatError("empty document: missing 'n d' header")
+    line_of, first = line_of[kept], first[kept]
+    opens = np.flatnonzero(first)
+    lines, widths = line_of[opens], np.diff(opens, append=len(kept))
+    header_line = int(lines[0])
+    if widths[0] != 2:
+        raise FormatError("header must be 'n d'", line=header_line)
+    try:
+        n, d = int(fields[kept[0]]), int(fields[kept[1]])
+    except ValueError:
+        raise FormatError("header must be two integers", line=header_line) from None
+    if n < 1 or d < 1:
+        raise FormatError("header requires n >= 1 and d >= 1", line=header_line)
+    body = np.array(fields, dtype=object)[kept[2:]]
+    try:
+        values, ok = body.astype(np.int64), np.ones(len(body), dtype=bool)
+    except (ValueError, OverflowError):
+        values, ok = _integers_one_by_one(body)
+    line_index = np.cumsum(first[2:]) - 1  # body line of each body field
+    integral = np.bincount(line_index[~ok], minlength=len(opens) - 1) == 0
+    return _Table(n, d, header_line, lines[1:], widths[1:], integral, values)
+
+
+def _integers_one_by_one(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Python ints of ``fields`` (0 where ``int()`` fails) and where it succeeded."""
+    values = np.zeros(len(fields), dtype=object)
+    ok = np.zeros(len(fields), dtype=bool)
+    for i, field in enumerate(fields):
+        try:
+            values[i] = int(field)
+        except ValueError:
+            continue
+        ok[i] = True
+    return values, ok
+
+
+def _raise_first(lines: np.ndarray, checks) -> None:
+    """Raise a FormatError for the first body line that fails a check.
+
+    ``checks`` lists (mask, message) in the order a line is checked: the
+    mask flags failing body lines and ``message(i)`` words the failure of
+    body line i, formatted for that one line only.
+    """
+    failing = np.logical_or.reduce([mask for mask, _ in checks])
+    if failing.any():
+        i = int(failing.argmax())
+        message = next(message for mask, message in checks if mask[i])
+        raise FormatError(message(i), line=int(lines[i]))
+
+
+def _write_table(n: int, d: int, rows: np.ndarray) -> str:
+    """The 'n d' header line, then one line per row of 0-based ``rows``, 1-based."""
+    template = " ".join(["%d"] * rows.shape[1]) + "\n"
+    return f"{n} {d}\n" + (template * len(rows)) % tuple((rows + 1).ravel().tolist())
 
 
 def parse_graph(text: str) -> RegularGraph:
     """Parse an edge-list document into a RegularGraph.
 
-    Format errors carry the offending 1-based line number; a non-regular
-    edge list raises RegularityError naming each deviant vertex.
+    A format error names the first bad line (1-based) in document order.
+    A header with more than twice as many vertices as edge lines is an
+    error of the header line, raised before anything of size n exists.
+    A non-regular edge list raises RegularityError naming each deviant
+    vertex.
     """
-    n = d = None
-    edges: list[tuple[int, int]] = []
-    seen: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if n is None:
-            if len(fields) != 2:
-                raise FormatError("header must be 'n d'", line=lineno)
-            try:
-                n, d = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise FormatError("header must be two integers", line=lineno) from None
-            if n < 1 or d < 1:
-                raise FormatError("header requires n >= 1 and d >= 1", line=lineno)
-            continue
-        if len(fields) != 2:
-            raise FormatError("edge line must be 'u v'", line=lineno)
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise FormatError("edge endpoints must be integers", line=lineno) from None
-        if u == v:
-            raise FormatError(f"self-loop at vertex {u}", line=lineno)
-        if not (1 <= u < v <= n):
-            raise FormatError(f"edge ({u}, {v}) must satisfy 1 <= u < v <= n", line=lineno)
-        if (u, v) in seen:
-            raise FormatError(
-                f"duplicate edge ({u}, {v}), first seen on line {seen[(u, v)]}", line=lineno
-            )
-        seen[(u, v)] = lineno
-        edges.append((u - 1, v - 1))
-    if n is None:
-        raise FormatError("empty document: missing 'n d' header")
-    pairs = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
-    _require_uniform_degrees(np.bincount(pairs.ravel(), minlength=n), expected=d)
-    return RegularGraph.from_edges(n, pairs)
+    table = _read_table(text)
+    n, lines = table.n, table.lines
+    edges = table.rows(2)
+    u, v = edges.T
+    wrong_width = table.widths != 2
+    not_integral = ~table.integral
+    loop = u == v
+    unordered = ~((1 <= u) & (u < v) & (v <= n))
+    clean = np.flatnonzero(~(wrong_width | not_integral | loop | unordered))
+    # Pair keys u*(n+1)+v of the clean lines, exact also past int64.
+    cu, cv = u[clean], v[clean]
+    if n >= 2**31:
+        cu, cv = cu.astype(object), cv.astype(object)
+    _, first, inverse = np.unique(cu * (n + 1) + cv, return_index=True, return_inverse=True)
+    first_seen = np.arange(len(lines))
+    first_seen[clean] = clean[first[inverse]]
+    duplicate = first_seen != np.arange(len(lines))
+    _raise_first(lines, [
+        (wrong_width, lambda i: "edge line must be 'u v'"),
+        (not_integral, lambda i: "edge endpoints must be integers"),
+        (loop, lambda i: f"self-loop at vertex {u[i]}"),
+        (unordered, lambda i: f"edge ({u[i]}, {v[i]}) must satisfy 1 <= u < v <= n"),
+        (duplicate, lambda i: (
+            f"duplicate edge ({u[i]}, {v[i]}), first seen on line {lines[first_seen[i]]}"
+        )),
+    ])
+    m = len(lines)
+    if n > 2 * m:
+        raise FormatError(
+            f"header declares {n} vertices but {m} edge lines reach at most {2 * m}: "
+            "some vertex would be isolated",
+            line=table.header_line,
+        )
+    pairs = edges.astype(np.int64) - 1
+    d = _require_uniform_degrees(np.bincount(pairs.ravel(), minlength=n), expected=table.d)
+    return RegularGraph(_neighbor_table(n, pairs, d))
 
 
 def serialize_graph(graph: RegularGraph) -> str:
-    lines = [f"{graph.n} {graph.d}"]
-    lines.extend(f"{u + 1} {v + 1}" for u, v in graph.edges())
-    return "\n".join(lines) + "\n"
+    return _write_table(graph.n, graph.d, graph._edge_pairs())
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +565,8 @@ def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 100) ->
     for _ in range(max_tries):
         edges = attempt()
         if edges is not None:
-            return RegularGraph.from_edges(n, list(edges))
+            flat = np.fromiter(itertools.chain.from_iterable(edges), np.int64, 2 * len(edges))
+            return RegularGraph.from_edges(n, flat.reshape(-1, 2))
     raise GenerationError(
         f"random-regular({n}, {d}) generation exhausted after {max_tries} attempts"
     )

@@ -22,6 +22,10 @@ Rotation-map text format::
     w_1 ... w_d      (row for vertex 1)
     ...
     w_1 ... w_d      (row for vertex n)
+
+with '#' starting a comment line.  It is read and written by the same
+array-based reader and writer as the edge-list format (``graphs.py``);
+a format error names the first bad line in document order.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .graphs import RegularGraph
+from .graphs import RegularGraph, _raise_first, _read_table, _write_table
 
 
 class RotationMap:
@@ -135,24 +139,30 @@ def check_permutation_consistent(rot: RotationMap) -> ConsistencyReport:
     """Each column must be a permutation of all n vertices.
 
     Violations list every (label, vertex) whose occurrence count in that
-    column differs from one — repeated targets and missing targets alike.
+    column differs from one — repeated targets and missing targets alike —
+    label by label, vertices ascending.
     """
-    violations = []
-    for j in range(rot.d):
-        counts = np.bincount(rot.entries[:, j], minlength=rot.n)
-        for v in np.flatnonzero(counts != 1):
-            violations.append(Violation(j + 1, int(v) + 1, int(counts[v])))
-    return ConsistencyReport("permutation", not violations, tuple(violations))
+    n, d = rot.n, rot.d
+    # counts[j*n + w] is how often w occurs in column j.
+    counts = np.bincount((rot.entries + np.arange(d) * n).ravel(), minlength=n * d)
+    bad = np.flatnonzero(counts != 1)
+    return _consistency_report("permutation", bad // n, bad % n, counts[bad])
 
 
 def check_involution_consistent(rot: RotationMap) -> ConsistencyReport:
     """Each label must return: Rot(Rot(v, i), i) = v for every v, i."""
-    violations = []
-    for j in range(rot.d):
-        col = rot.entries[:, j]
-        broken = np.flatnonzero(col[col] != np.arange(rot.n))
-        violations.extend(Violation(j + 1, int(v) + 1, 0) for v in broken)
-    return ConsistencyReport("involution", not violations, tuple(violations))
+    entries = rot.entries
+    broken = entries[entries, np.arange(rot.d)] != np.arange(rot.n)[:, None]
+    labels, vertices = np.nonzero(broken.T)
+    return _consistency_report("involution", labels, vertices, np.zeros_like(labels))
+
+
+def _consistency_report(criterion: str, labels, vertices, counts) -> ConsistencyReport:
+    """A report from 0-based label and vertex arrays, already in witness order."""
+    violations = tuple(map(
+        Violation._make, zip((labels + 1).tolist(), (vertices + 1).tolist(), counts.tolist())
+    ))
+    return ConsistencyReport(criterion, not violations, violations)
 
 
 def validate_against_graph(rot: RotationMap, graph: RegularGraph) -> list[str]:
@@ -180,49 +190,39 @@ def validate_against_graph(rot: RotationMap, graph: RegularGraph) -> list[str]:
 
 
 def parse_rotation(text: str) -> RotationMap:
-    """Parse the rotation-map text format; errors carry 1-based line numbers."""
-    n = d = None
-    rows: list[list[int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if n is None:
-            if len(fields) != 2:
-                raise FormatError("header must be 'n d'", line=lineno)
-            try:
-                n, d = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise FormatError("header must be two integers", line=lineno) from None
-            if n < 1 or d < 1:
-                raise FormatError("header requires n >= 1 and d >= 1", line=lineno)
-            continue
-        if len(rows) == n:
-            raise FormatError(f"expected exactly {n} rows", line=lineno)
-        if len(fields) != d:
-            raise FormatError(f"row must have {d} entries, got {len(fields)}", line=lineno)
-        try:
-            entries = [int(f) for f in fields]
-        except ValueError:
-            raise FormatError("row entries must be integers", line=lineno) from None
-        vertex = len(rows) + 1
-        for w in entries:
-            if not (1 <= w <= n):
-                raise FormatError(f"entry {w} out of range 1..{n}", line=lineno)
-            if w == vertex:
-                raise FormatError(f"vertex {vertex} maps to itself", line=lineno)
-        if len(set(entries)) != d:
-            raise FormatError(f"row for vertex {vertex} has repeated entries", line=lineno)
-        rows.append([w - 1 for w in entries])
-    if n is None:
-        raise FormatError("empty document: missing 'n d' header")
-    if len(rows) != n:
-        raise FormatError(f"expected {n} rows, got {len(rows)}")
-    return RotationMap(np.array(rows, dtype=np.int64))
+    """Parse the rotation-map text format.
+
+    A format error names the first bad line (1-based) in document order;
+    a missing row is an error of the document as a whole.
+    """
+    table = _read_table(text)
+    n, d, lines = table.n, table.d, table.lines
+    m = len(lines)
+    wrong_width = table.widths != d
+    # When no row has d fields, d may be any size: leave the entries empty.
+    rows = table.rows(d) if not wrong_width.all() else np.zeros((m, 0), dtype=np.int64)
+    vertex = np.arange(1, m + 1)[:, None]
+    out_of_range = (rows < 1) | (rows > n)
+    stray = out_of_range | (rows == vertex)
+    repeated = (np.diff(np.sort(rows, axis=1), axis=1) == 0).any(axis=1)
+
+    def stray_entry(i):
+        j = int(np.flatnonzero(stray[i])[0])
+        if out_of_range[i, j]:
+            return f"entry {rows[i, j]} out of range 1..{n}"
+        return f"vertex {i + 1} maps to itself"
+
+    _raise_first(lines, [
+        (np.arange(m) >= n, lambda i: f"expected exactly {n} rows"),
+        (wrong_width, lambda i: f"row must have {d} entries, got {table.widths[i]}"),
+        (~table.integral, lambda i: "row entries must be integers"),
+        (stray.any(axis=1), stray_entry),
+        (repeated, lambda i: f"row for vertex {i + 1} has repeated entries"),
+    ])
+    if m != n:
+        raise FormatError(f"expected {n} rows, got {m}")
+    return RotationMap(rows.astype(np.int64) - 1)
 
 
 def serialize_rotation(rot: RotationMap) -> str:
-    lines = [f"{rot.n} {rot.d}"]
-    lines.extend(" ".join(str(int(w) + 1) for w in row) for row in rot.entries)
-    return "\n".join(lines) + "\n"
+    return _write_table(rot.n, rot.d, rot.entries)

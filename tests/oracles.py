@@ -46,6 +46,29 @@ def permutation_consistent_by_sorting(entries):
     return True
 
 
+def permutation_violations_by_counting(entries):
+    """(label, vertex, count) witnesses, 1-based, label by label with a dict
+    of occurrence counts per column."""
+    n, d = entries.shape
+    witnesses = []
+    for j in range(d):
+        counts = {}
+        for v in range(n):
+            w = int(entries[v, j])
+            counts[w] = counts.get(w, 0) + 1
+        for w in range(n):
+            if counts.get(w, 0) != 1:
+                witnesses.append((j + 1, w + 1, counts.get(w, 0)))
+    return witnesses
+
+
+def involution_violations_by_following(entries):
+    """(label, vertex, 0) witnesses, 1-based, for arcs that do not return."""
+    n, d = entries.shape
+    return [(j + 1, v + 1, 0) for j in range(d) for v in range(n)
+            if int(entries[int(entries[v, j]), j]) != v]
+
+
 def involution_consistent_by_following(entries):
     """Follow every (vertex, label) arc and check it returns home."""
     n, d = entries.shape
@@ -139,3 +162,101 @@ def distribution_by_loop(amplitudes, n, d):
             a = amplitudes[j * n + v]
             probs[v] += (a.conjugate() * a).real
     return probs
+
+
+def _reference_header(fields, lineno):
+    """(n, d) from a header line's fields, or (line, message) when malformed."""
+    if len(fields) != 2:
+        return None, (lineno, "header must be 'n d'")
+    try:
+        n, d = int(fields[0]), int(fields[1])
+    except ValueError:
+        return None, (lineno, "header must be two integers")
+    if n < 1 or d < 1:
+        return None, (lineno, "header requires n >= 1 and d >= 1")
+    return (n, d), None
+
+
+def first_graph_format_error(text):
+    """The edge-list reader, one line at a time: the (line, message) of the
+    first format error (line None when it belongs to no line), else None.
+
+    After the per-line checks, a header promising more vertices than twice
+    the number of edge lines is an error of the header line: some vertex
+    would be isolated.
+    """
+    header = header_line = None
+    seen = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if header is None:
+            header, error = _reference_header(fields, lineno)
+            if error:
+                return error
+            header_line = lineno
+            continue
+        if len(fields) != 2:
+            return lineno, "edge line must be 'u v'"
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            return lineno, "edge endpoints must be integers"
+        if u == v:
+            return lineno, f"self-loop at vertex {u}"
+        if not (1 <= u < v <= header[0]):
+            return lineno, f"edge ({u}, {v}) must satisfy 1 <= u < v <= n"
+        if (u, v) in seen:
+            return lineno, f"duplicate edge ({u}, {v}), first seen on line {seen[(u, v)]}"
+        seen[(u, v)] = lineno
+    if header is None:
+        return None, "empty document: missing 'n d' header"
+    n = header[0]
+    if n > 2 * len(seen):
+        return header_line, (
+            f"header declares {n} vertices but {len(seen)} edge lines "
+            f"reach at most {2 * len(seen)}: some vertex would be isolated"
+        )
+    return None
+
+
+def first_rotation_format_error(text):
+    """The rotation-map reader, one line at a time: the (line, message) of
+    the first format error (line None when it belongs to no line), else None."""
+    header = None
+    rows = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if header is None:
+            header, error = _reference_header(fields, lineno)
+            if error:
+                return error
+            continue
+        n, d = header
+        if rows == n:
+            return lineno, f"expected exactly {n} rows"
+        if len(fields) != d:
+            return lineno, f"row must have {d} entries, got {len(fields)}"
+        try:
+            entries = [int(f) for f in fields]
+        except ValueError:
+            return lineno, "row entries must be integers"
+        vertex = rows + 1
+        for w in entries:
+            if not (1 <= w <= n):
+                return lineno, f"entry {w} out of range 1..{n}"
+            if w == vertex:
+                return lineno, f"vertex {vertex} maps to itself"
+        if len(set(entries)) != d:
+            return lineno, f"row for vertex {vertex} has repeated entries"
+        rows += 1
+    if header is None:
+        return None, "empty document: missing 'n d' header"
+    if rows != header[0]:
+        return None, f"expected {header[0]} rows, got {rows}"
+    return None

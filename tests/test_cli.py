@@ -6,7 +6,24 @@ from pathlib import Path
 
 import pytest
 
-from rotwalk import cli, cycle_rotation, parse_graph, parse_rotation, serialize_rotation
+from rotwalk import (
+    REPORT_VERSION,
+    check_involution_consistent,
+    check_permutation_consistent,
+    cli,
+    cycle_rotation,
+    greedy_rotation,
+    parse_graph,
+    parse_rotation,
+    random_regular_graph,
+    serialize_rotation,
+    unitarity_defect,
+)
+
+HUGE_HEADER_ERROR = (
+    "error: line 1: header declares 100000000000 vertices but 0 edge lines "
+    "reach at most 0: some vertex would be isolated"
+)
 
 SQUARE_TEXT = "4 2\n1 2\n1 4\n2 3\n3 4\n"
 CANONICAL_TEXT = "4 2\n2 4\n3 1\n4 2\n1 3\n"
@@ -91,6 +108,12 @@ class TestRotmap:
     def test_from_file_requires_map(self, square, capsys):
         assert cli.main(["rotmap", square, "--mode", "from-file"]) == 2
 
+    def test_huge_header_exit_2(self, tmp_path, capsys):
+        huge = tmp_path / "huge.edges"
+        huge.write_text("100000000000 2\n")
+        assert cli.main(["rotmap", str(huge)]) == 2
+        assert HUGE_HEADER_ERROR in capsys.readouterr().err
+
     def test_mismatch_exit_2(self, square, tmp_path, capsys):
         bad = tmp_path / "bad.rot"
         bad.write_text(serialize_rotation(cycle_rotation(5)))
@@ -134,6 +157,119 @@ class TestCheck:
         bad.write_text("4\n")
         assert cli.main(["check", str(bad)]) == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_huge_header_exit_2(self, tmp_path, capsys):
+        huge = tmp_path / "huge.rot"
+        huge.write_text("100000000000 2\n")
+        assert cli.main(["check", str(huge)]) == 2
+        assert "error: expected 100000000000 rows, got 0" in capsys.readouterr().err
+
+
+def reference_check_payload(text, criterion="permutation", product=False):
+    """The check report, built from the library's report objects."""
+    rot = parse_rotation(text)
+    checker = (check_permutation_consistent if criterion == "permutation"
+               else check_involution_consistent)
+    report = checker(rot)
+    unitarity = unitarity_defect(rot)
+    payload = {
+        "version": REPORT_VERSION,
+        "criterion": criterion,
+        "n": rot.n,
+        "d": rot.d,
+        "consistent": report.consistent,
+        "defect": unitarity.defect,
+        "violations": report.to_dict()["violations"],
+    }
+    if product:
+        payload["product"] = unitarity.product.tolist()
+    return payload
+
+
+GREEDY_REPORT = """\
+{
+  "version": 1,
+  "criterion": "permutation",
+  "n": 4,
+  "d": 2,
+  "consistent": false,
+  "defect": 1,
+  "violations": [
+    {
+      "label": 1,
+      "vertex": 1,
+      "count": 2
+    },
+    {
+      "label": 1,
+      "vertex": 2,
+      "count": 2
+    },
+    {
+      "label": 1,
+      "vertex": 3,
+      "count": 0
+    },
+    {
+      "label": 1,
+      "vertex": 4,
+      "count": 0
+    },
+    {
+      "label": 2,
+      "vertex": 1,
+      "count": 0
+    },
+    {
+      "label": 2,
+      "vertex": 2,
+      "count": 0
+    },
+    {
+      "label": 2,
+      "vertex": 3,
+      "count": 2
+    },
+    {
+      "label": 2,
+      "vertex": 4,
+      "count": 2
+    }
+  ]
+}
+"""
+
+
+class TestCheckReportBytes:
+    """The report is written in bulk; its bytes must be json.dumps's."""
+
+    @pytest.mark.parametrize("text, argv, criterion, product", [
+        (CANONICAL_TEXT, [], "permutation", False),
+        (GREEDY_TEXT, [], "permutation", False),
+        (CANONICAL_TEXT, ["--criterion", "involution"], "involution", False),
+        (GREEDY_TEXT, ["--criterion", "involution"], "involution", False),
+        (GREEDY_TEXT, ["--emit-product"], "permutation", True),
+        (CANONICAL_TEXT, ["--emit-product"], "permutation", True),
+    ])
+    def test_equals_json_dumps(self, tmp_path, capsys, text, argv, criterion, product):
+        path = tmp_path / "map.rot"
+        path.write_text(text)
+        assert cli.main(["check", str(path), *argv]) == 0
+        expected = json.dumps(reference_check_payload(text, criterion, product), indent=2) + "\n"
+        assert capsys.readouterr().out == expected
+
+    def test_large_greedy_map(self, tmp_path):
+        text = serialize_rotation(greedy_rotation(random_regular_graph(300, 6, seed=2)))
+        path, out = tmp_path / "map.rot", tmp_path / "report.json"
+        path.write_text(text)
+        assert cli.main(["check", str(path), "--out", str(out)]) == 0
+        payload = reference_check_payload(text)
+        assert len(payload["violations"]) > 100
+        assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+
+    def test_greedy_square_golden(self, greedy, capsys):
+        assert cli.main(["check", greedy]) == 0
+        assert capsys.readouterr().out == GREEDY_REPORT
 
 
 class TestSolve:
@@ -190,6 +326,12 @@ class TestSolve:
                          "--method", "matching"])
         assert code == 2
         assert "permutation criterion only" in capsys.readouterr().err
+
+    def test_huge_header_exit_2(self, tmp_path, capsys):
+        huge = tmp_path / "huge.edges"
+        huge.write_text("100000000000 2\n")
+        assert cli.main(["solve", str(huge)]) == 2
+        assert HUGE_HEADER_ERROR in capsys.readouterr().err
 
     def test_seed_flag_deterministic(self, petersen, capsys):
         argv = ["solve", petersen, "--criterion", "involution", "--method",
@@ -272,6 +414,15 @@ class TestWalk:
         for spec in ["up", "0:1", "5:1", "1:9", "up:1:notanumber"]:
             assert cli.main(["walk", square, canonical, "--start", spec]) == 2
             capsys.readouterr()
+
+    def test_huge_header_exit_2(self, square, canonical, tmp_path, capsys):
+        huge_graph, huge_map = tmp_path / "huge.edges", tmp_path / "huge.rot"
+        huge_graph.write_text("100000000000 2\n")
+        huge_map.write_text("100000000000 2\n")
+        assert cli.main(["walk", str(huge_graph), canonical]) == 2
+        assert HUGE_HEADER_ERROR in capsys.readouterr().err
+        assert cli.main(["walk", square, str(huge_map)]) == 2
+        assert "error: expected 100000000000 rows, got 0" in capsys.readouterr().err
 
     def test_map_graph_mismatch_exit_2(self, square, tmp_path, capsys):
         other = tmp_path / "c5.rot"

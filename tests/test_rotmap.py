@@ -23,8 +23,10 @@ from rotwalk import (
 
 from oracles import (
     involution_consistent_by_following,
+    involution_violations_by_following,
     mismatches_by_sets,
     permutation_consistent_by_sorting,
+    permutation_violations_by_counting,
 )
 
 # 0-based rows frozen from the worked 4-cycle examples: the greedy table
@@ -132,6 +134,18 @@ class TestConsistency:
                     == permutation_consistent_by_sorting(rot.entries))
             assert (check_involution_consistent(rot).consistent
                     == involution_consistent_by_following(rot.entries))
+
+    def test_witnesses_match_loop_oracles(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            n, d = rng.choice([(6, 3), (10, 4), (31, 2), (40, 5)])
+            g = random_regular_graph(n, d, seed=rng.randrange(10**6))
+            rows = [rng.sample(list(map(int, row)), d) for row in g.neighbors]
+            for rot in (RotationMap(np.array(rows)), greedy_rotation(g)):
+                assert (list(check_permutation_consistent(rot).violations)
+                        == permutation_violations_by_counting(rot.entries))
+                assert (list(check_involution_consistent(rot).violations)
+                        == involution_violations_by_following(rot.entries))
 
     def test_involution_implies_permutation(self):
         # random row orderings of even cycles hit involution-consistent

@@ -1,0 +1,265 @@
+"""The array-based text reader against the line-by-line reference readers.
+
+Every document of a corpus of malformed edge lists and rotation maps must
+fail the same way in both: the same exception type, the same message and
+the same line number.
+"""
+
+import random
+import tracemalloc
+
+import pytest
+
+from rotwalk import (
+    FormatError,
+    RotwalkError,
+    greedy_rotation,
+    parse_graph,
+    parse_rotation,
+    random_regular_graph,
+    serialize_graph,
+    serialize_rotation,
+)
+from rotwalk.graphs import _ENDS_LINE, _IS_SPACE
+
+from oracles import first_graph_format_error, first_rotation_format_error
+
+# The 8-cycle, its edges in order, and its canonical rotation map.
+CYCLE_EDGES = [f"{v} {v + 1}" for v in range(1, 8)] + ["1 8"]
+CYCLE_ROWS = [f"{v % 8 + 1} {(v - 2) % 8 + 1}" for v in range(1, 9)]
+
+# One bad body line of each kind; ``None`` stands for a repeat of the
+# line before it.
+GRAPH_DEFECTS = {
+    "too few fields": "3",
+    "too many fields": "3 4 5",
+    "not an integer": "3 x",
+    "a float": "3 4.0",
+    "self-loop": "5 5",
+    "unordered": "6 2",
+    "zero": "0 4",
+    "negative": "-1 4",
+    "past n": "2 9",
+    "past int64": "2 99999999999999999999",
+    "duplicate": None,
+}
+ROTATION_DEFECTS = {
+    "too few entries": "2",
+    "too many entries": "2 4 6",
+    "not an integer": "2 y",
+    "zero": "0 3",
+    "past n": "2 9",
+    "past int64": "99999999999999999999 3",
+    "self-map": None,
+    "repeated": "REPEATED",
+}
+HEADER_DEFECTS = ["8", "8 2 1", "8 x", "0 2", "8 0", "8 -2"]
+
+
+def graph_document(body, header="8 2"):
+    return "\n".join([header, *body]) + "\n"
+
+
+def rotation_document(body, header="8 2"):
+    return "\n".join([header, *body]) + "\n"
+
+
+def with_graph_defect(body, at, kind):
+    body = list(body)
+    defect = GRAPH_DEFECTS[kind]
+    body[at] = body[at - 1] if defect is None else defect
+    return body
+
+
+def with_rotation_defect(body, at, kind):
+    body = list(body)
+    defect = ROTATION_DEFECTS[kind]
+    vertex = at + 1
+    if defect is None:
+        defect = f"{vertex} {vertex % 8 + 1}"
+    elif defect == "REPEATED":
+        defect = f"{vertex % 8 + 1} {vertex % 8 + 1}"
+    body[at] = defect
+    return body
+
+
+def decorate(text, rng):
+    """The same document with comments, blank lines, odd spacing or line ends."""
+    style = rng.choice(["plain", "comments", "tabs", "crlf", "unicode", "mixed"])
+    lines = text.splitlines()
+    if style in ("comments", "mixed"):
+        for _ in range(3):
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(
+                ["", "   ", "# a comment", "  # 1 2 3", "#", "\t#x"]))
+    if style in ("tabs", "mixed"):
+        lines = [" \t ".join(line.split(" ")) + rng.choice(["", "\t", "  "]) for line in lines]
+    if style == "unicode":
+        lines = ["\u3000".join(line.split(" ")) + "\x1f" for line in lines]
+    ending = {"crlf": "\r\n", "unicode": "\u2028", "mixed": "\x0c\n\x85"}.get(style, "\n")
+    return ending.join(lines) + rng.choice([ending, ""])
+
+
+def graph_corpus():
+    rng = random.Random(11)
+    docs = ["", "\n\n", "# only a comment\n", "8 2\n"]
+    docs += [graph_document(CYCLE_EDGES, header) for header in HEADER_DEFECTS]
+    docs += [graph_document(CYCLE_EDGES, header) for header in ("17 2", "16 2", "8 3")]
+    docs.append(graph_document(CYCLE_EDGES[:3], "100000000000 2"))
+    docs.append(graph_document(CYCLE_EDGES[:3] + ["1 99999999999999999999"],
+                               "99999999999999999999 2"))
+    positions = (0, len(CYCLE_EDGES) // 2, len(CYCLE_EDGES) - 1)
+    kinds = list(GRAPH_DEFECTS)
+    for kind in kinds:
+        for at in positions:
+            if kind == "duplicate":  # a repeat needs a line before it
+                at = max(at, 1)
+            docs.append(graph_document(with_graph_defect(CYCLE_EDGES, at, kind)))
+    for first_kind in kinds:
+        for second_kind in kinds:
+            if first_kind != second_kind:
+                body = with_graph_defect(CYCLE_EDGES, 2, first_kind)
+                docs.append(graph_document(with_graph_defect(body, 6, second_kind)))
+    docs.append(graph_document(["3 x"] + CYCLE_EDGES[1:], "100000000000 2"))
+    docs.append(graph_document(CYCLE_EDGES + ["1 2"]))
+    docs.append(graph_document(CYCLE_EDGES[:-1]))
+    return [decorate(doc, rng) for doc in docs] + docs
+
+
+def rotation_corpus():
+    rng = random.Random(12)
+    docs = ["", "# only a comment\n", "8 2\n", "100000000000 2\n",
+            rotation_document(CYCLE_ROWS[:2], "100000000000 2"),
+            rotation_document(CYCLE_ROWS, "8 99999999999999999999")]
+    docs += [rotation_document(CYCLE_ROWS, header) for header in HEADER_DEFECTS]
+    positions = (0, len(CYCLE_ROWS) // 2, len(CYCLE_ROWS) - 1)
+    kinds = list(ROTATION_DEFECTS)
+    for kind in kinds:
+        for at in positions:
+            docs.append(rotation_document(with_rotation_defect(CYCLE_ROWS, at, kind)))
+    for first_kind in kinds:
+        for second_kind in kinds:
+            if first_kind != second_kind:
+                body = with_rotation_defect(CYCLE_ROWS, 1, first_kind)
+                docs.append(rotation_document(with_rotation_defect(body, 5, second_kind)))
+    docs.append(rotation_document(CYCLE_ROWS + ["1 3"]))
+    docs.append(rotation_document(CYCLE_ROWS + ["1 3", "x"]))
+    docs.append(rotation_document(CYCLE_ROWS[:-1]))
+    docs.append(rotation_document(with_rotation_defect(CYCLE_ROWS[:-2], 1, "zero")))
+    return [decorate(doc, rng) for doc in docs] + docs
+
+
+def mutated(text, rng):
+    """``text`` with one or two fields replaced, dropped or added, or a line dropped."""
+    lines = text.splitlines()
+    for _ in range(rng.choice([1, 2])):
+        i = rng.randrange(len(lines))
+        fields = lines[i].split()
+        action = rng.choice(["replace", "drop field", "add field", "drop line"])
+        if action == "drop line":
+            del lines[i]
+            continue
+        j = rng.randrange(len(fields))
+        token = rng.choice(["0", "-1", "1", "3", "8", "9", "x", "+4", "٣", "1_0",
+                            "99999999999999999999", fields[j]])
+        if action == "replace":
+            fields[j] = token
+        elif action == "drop field":
+            del fields[j]
+        else:
+            fields.insert(j, token)
+        lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_failure(parse, reference, text):
+    expected = reference(text)
+    if expected is None:
+        try:
+            parse(text)
+        except FormatError as exc:  # pragma: no cover - the assertion reports it
+            pytest.fail(f"unexpected {exc!r} for {text!r}")
+        except RotwalkError:
+            pass  # well-formed text, but not a regular graph
+        return
+    line, message = expected
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert type(exc.value) is FormatError
+    assert exc.value.line == line, text
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}"), text
+
+
+def test_graph_reader_matches_reference():
+    for text in graph_corpus():
+        assert_same_failure(parse_graph, first_graph_format_error, text)
+
+
+def test_rotation_reader_matches_reference():
+    for text in rotation_corpus():
+        assert_same_failure(parse_rotation, first_rotation_format_error, text)
+
+
+def test_mutated_documents_match_reference():
+    rng = random.Random(13)
+    graph_text = graph_document(CYCLE_EDGES)
+    rotation_text = rotation_document(CYCLE_ROWS)
+    for _ in range(400):
+        assert_same_failure(parse_graph, first_graph_format_error,
+                            decorate(mutated(graph_text, rng), rng))
+        assert_same_failure(parse_rotation, first_rotation_format_error,
+                            decorate(mutated(rotation_text, rng), rng))
+
+
+def test_corpus_is_mostly_malformed():
+    # The corpus must exercise the failure paths, not well-formed text.
+    graphs = [first_graph_format_error(text) for text in graph_corpus()]
+    rotations = [first_rotation_format_error(text) for text in rotation_corpus()]
+    assert sum(e is not None for e in graphs) > 0.9 * len(graphs)
+    assert sum(e is not None for e in rotations) > 0.9 * len(rotations)
+    # The header, and the first, a middle and the last body line of the
+    # undecorated documents, each carry a first error.
+    assert {e[0] for e in graphs if e} >= {1, 2, 6, 9}
+    assert {e[0] for e in rotations if e} >= {1, 2, 6, 9}
+
+
+def test_code_point_tables_match_str():
+    for code in range(len(_IS_SPACE) - 1):
+        char = chr(code)
+        assert _IS_SPACE[code] == char.isspace()
+        assert _ENDS_LINE[code] == (f"x{char}x".splitlines() == ["x", "x"])
+    # Past the tables no code point is whitespace or a line end.
+    rest = "".join(map(chr, range(len(_IS_SPACE) - 1, 0x110000)))
+    assert not _IS_SPACE[-1] and not _ENDS_LINE[-1]
+    assert rest.split() == [rest] and rest.splitlines() == [rest]
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_graph, "100000000000 2\n",
+     "line 1: header declares 100000000000 vertices but 0 edge lines reach at most 0: "
+     "some vertex would be isolated"),
+    (parse_graph, "# big\n100000000000 2\n1 2\n3 4\n",
+     "line 2: header declares 100000000000 vertices but 2 edge lines reach at most 4: "
+     "some vertex would be isolated"),
+    (parse_rotation, "100000000000 2\n", "expected 100000000000 rows, got 0"),
+    (parse_rotation, "100000000000 2\n2 3\n3 1\n", "expected 100000000000 rows, got 2"),
+])
+def test_huge_header_refused_without_allocating(parse, text, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as exc:
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == message
+    assert peak < 1 << 20
+
+
+def test_writers_match_line_by_line_text():
+    for n, d, seed in [(10, 3, 0), (50, 4, 1), (301, 6, 2)]:
+        graph = random_regular_graph(n, d, seed=seed)
+        lines = [f"{n} {d}"] + [f"{u + 1} {v + 1}" for u, v in graph.edges()]
+        assert serialize_graph(graph) == "\n".join(lines) + "\n"
+        rot = greedy_rotation(graph)
+        lines = [f"{n} {d}"] + [" ".join(str(w + 1) for w in row) for row in rot.entries.tolist()]
+        assert serialize_rotation(rot) == "\n".join(lines) + "\n"
