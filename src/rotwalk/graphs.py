@@ -80,18 +80,22 @@ class RegularGraph:
         """Build from a sequence (or (m, 2) array) of 0-based (u, v) pairs.
 
         The first bad pair in input order is named, 1-based: out of range,
-        self-loop, or a repeat of an earlier pair.  All vertices must end
-        up with equal degree; otherwise a RegularityError lists the
-        deviant vertices (1-based).
+        self-loop, or a repeat of an earlier pair.  Then more than twice
+        as many vertices as edges is refused before anything of size n
+        exists.  All vertices must end up with equal degree; otherwise a
+        RegularityError lists the deviant vertices (1-based).
         """
         if n < 1:
             raise GraphStructureError("graph must have at least one vertex")
         pairs = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+        m = len(pairs)
         out_of_range = ((pairs < 0) | (pairs >= n)).any(axis=1)
         loops = pairs[:, 0] == pairs[:, 1]
         lo, hi = pairs.min(axis=1), pairs.max(axis=1)
-        repeats = np.ones(len(pairs), dtype=bool)
-        repeats[np.unique(lo * n + hi, return_index=True)[1]] = False
+        # Pair keys lo*n+hi, exact also past int64.
+        keys = lo * n + hi if n < 2**31 else lo.astype(object) * n + hi
+        repeats = np.ones(m, dtype=bool)
+        repeats[np.unique(keys, return_index=True)[1]] = False
         bad = np.flatnonzero(out_of_range | loops | repeats)
         if bad.size:
             i = bad[0]
@@ -101,6 +105,10 @@ class RegularGraph:
             if loops[i]:
                 raise GraphStructureError(f"self-loop at vertex {u + 1}")
             raise GraphStructureError(f"duplicate edge ({lo[i] + 1}, {hi[i] + 1})")
+        if n > 2 * m:
+            raise GraphStructureError(
+                f"{n} vertices but {m} edges reach at most {2 * m}: some vertex would be isolated"
+            )
         d = _require_uniform_degrees(np.bincount(pairs.ravel(), minlength=n))
         return cls(_neighbor_table(n, pairs, d))
 

@@ -22,25 +22,30 @@ different difficulty:
 criterion on small instances (n*d bounded by a configured ceiling).  It
 is the only method allowed to claim infeasibility.
 
-Solved outcomes are always re-validated through the rotmap checkers:
-the checker, not the solver, is the source of truth.  The hand-written
-searches break ties by lowest vertex index then lowest label, SciPy's
-matching is deterministic too, and all randomness flows from the
-config seed, so identical (graph, config) inputs reproduce identical
-outcomes and stats (wall-clock time aside).
+``solve`` is the one dispatcher from (criterion, method) to a solver,
+and every solver returns through one outcome rule: a map means
+``solved``, a certificate ``infeasible-proven``, anything else
+``budget-exhausted``.  The rule runs the rotmap checker of the config's
+criterion once on every map, and a map that fails it is an internal
+defect: the checker, not the solver, is the source of truth.
+
+The hand-written searches break ties by lowest vertex index then lowest
+label, SciPy's matching is deterministic too, and all randomness flows
+from the config seed, so identical (graph, config) inputs reproduce
+identical outcomes and stats (wall-clock time aside).
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 
 import numpy as np
 
 from .errors import ConfigError, RotwalkError, ValidationError
-from .graphs import FamilySpec, RegularGraph, generate_graph
+from .graphs import RegularGraph
 from .rotmap import (
     RotationMap,
     check_involution_consistent,
@@ -140,16 +145,31 @@ def solve(graph: RegularGraph, config: SolverConfig | None = None) -> SolverOutc
         return exhaustive_search(graph, config)
     if config.criterion != "involution":
         raise ConfigError(f"method {config.method!r} targets the involution criterion only")
-    return solve_edge_coloring(graph, config)
+    if config.method == "local-search":
+        return _local_search(graph, config)
+    return _color(graph, config)
 
 
-def stress_run(
-    spec: FamilySpec, config: SolverConfig | None = None, max_tries: int = 100
-) -> tuple[SolverOutcome, dict]:
-    """Generate the spec'd graph, solve it, and return (outcome, stats report)."""
-    graph = generate_graph(spec, max_tries=max_tries)
-    outcome = solve(graph, config)
-    return outcome, outcome.to_report()
+def _outcome(graph, config, stats, rot=None, certificate=None) -> SolverOutcome:
+    """The outcome of one solve under ``config``: a map means solved, a
+    certificate infeasible-proven, anything else budget-exhausted.  A map
+    that fails the checker of the config's criterion is a defect."""
+    if rot is not None:
+        check = (
+            check_permutation_consistent if config.criterion == "permutation"
+            else check_involution_consistent
+        )
+        if not check(rot).consistent:
+            raise RotwalkError(
+                f"internal defect: {config.method} output failed the {config.criterion} checker"
+            )
+        status = "solved"
+    else:
+        status = "infeasible-proven" if certificate is not None else "budget-exhausted"
+    return SolverOutcome(
+        status, config.criterion, config.method, config.seed, graph.n, graph.d,
+        rot, certificate, stats,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +188,7 @@ def solve_permutation(graph: RegularGraph, config: SolverConfig | None = None) -
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    if config is None:
-        config = SolverConfig()
+    config = replace(config or SolverConfig(), criterion="permutation", method="matching")
     start = time.perf_counter()
     n, d = graph.n, graph.d
     remaining = graph.neighbors.copy()
@@ -186,26 +205,8 @@ def solve_permutation(graph: RegularGraph, config: SolverConfig | None = None) -
             )
         columns.append(match)
         remaining = remaining[remaining != match[:, None]].reshape(n, width - 1)
-    rot = RotationMap(np.column_stack(columns))
-    if not check_permutation_consistent(rot).consistent:
-        raise RotwalkError("internal defect: matching output failed the permutation checker")
-    stats = SolverStats(
-        iterations=len(columns),
-        restarts=0,
-        wall_ms=(time.perf_counter() - start) * 1000.0,
-        best_conflicts=0,
-    )
-    return SolverOutcome(
-        status="solved",
-        criterion="permutation",
-        method="matching",
-        seed=config.seed,
-        n=n,
-        d=d,
-        rotation_map=rot,
-        certificate=None,
-        stats=stats,
-    )
+    stats = SolverStats(len(columns), 0, (time.perf_counter() - start) * 1000.0, 0)
+    return _outcome(graph, config, stats, RotationMap(np.column_stack(columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +226,19 @@ def rotation_from_coloring(graph: RegularGraph, labels) -> RotationMap:
     """Convert a proper d-edge-coloring (labels over graph.edges() order)
     into the rotation map whose label classes are the color classes."""
     n, d = graph.n, graph.d
+    edges = graph.edges()
+    if len(labels) != len(edges):
+        raise ValidationError(f"coloring has {len(labels)} labels for {len(edges)} edges")
     entries = np.full((n, d), -1, dtype=np.int64)
-    for (u, v), c in zip(graph.edges(), labels):
+    for (u, v), c in zip(edges, labels):
         if not (0 <= c < d):
             raise ValidationError(f"color {c} out of range 0..{d - 1}")
-        if entries[u, c] != -1 or entries[v, c] != -1:
-            raise ValidationError(f"color {c} repeats at vertex {min(u, v) + 1}")
+        for x in (u, v):
+            if entries[x, c] != -1:
+                raise ValidationError(f"color {c} repeats at vertex {x + 1}")
         entries[u, c] = v
         entries[v, c] = u
-    if (entries == -1).any():
-        raise ValidationError("coloring does not place every label at every vertex")
+    # m = n*d/2 edges placed without a repeat fill all n*d slots.
     return RotationMap(entries)
 
 
@@ -408,64 +412,45 @@ def vizing_color(graph: RegularGraph) -> EdgeColoring:
     return EdgeColoring(tuple(edges), labels, len(dense))
 
 
-def _conflict_total(n, d, edges, labels) -> int:
-    counts = np.zeros((n, d), dtype=np.int64)
+def _excess(counts_at) -> int:
+    """Conflicts at one vertex: occurrences beyond the first of each label."""
+    return sum(k - 1 for k in counts_at if k > 1)
+
+
+def _least_damage(n, d, edges, labels, order):
+    """Give every edge whose label is d or more, visited in ``order``, the
+    label in 0..d-1 used by the fewest of its endpoints (ties to the
+    lowest).  Returns the labels and the (n, d) per-vertex label counts."""
+    labels = list(labels)
+    counts = [[0] * d for _ in range(n)]
     for (u, v), c in zip(edges, labels):
-        counts[u][c] += 1
-        counts[v][c] += 1
-    return int(np.maximum(counts - 1, 0).sum())
-
-
-def _collapse_to_d(n, d, edges, labels) -> list[int]:
-    """Force labels >= d down into 0..d-1, greedily minimizing new conflicts."""
-    counts = np.zeros((n, d), dtype=np.int64)
-    collapsed = list(labels)
-    for (u, v), c in zip(edges, collapsed):
         if c < d:
             counts[u][c] += 1
             counts[v][c] += 1
-    for e, (u, v) in enumerate(edges):
-        if collapsed[e] < d:
+    for e in order:
+        if labels[e] < d:
             continue
-        deltas = [(int(counts[u][c] >= 1) + int(counts[v][c] >= 1), c) for c in range(d)]
-        _, best = min(deltas)
-        collapsed[e] = best
-        counts[u][best] += 1
-        counts[v][best] += 1
-    return collapsed
+        u, v = edges[e]
+        _, c = min((int(counts[u][c] > 0) + int(counts[v][c] > 0), c) for c in range(d))
+        labels[e] = c
+        counts[u][c] += 1
+        counts[v][c] += 1
+    return labels, counts
 
 
-def solve_edge_coloring(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
-    """Involution-criterion solving via the configured coloring method."""
-    if config.criterion != "involution":
-        raise ConfigError("solve_edge_coloring handles the involution criterion only")
-    if config.method == "exhaustive":
-        return exhaustive_search(graph, config)
-    if config.method == "local-search":
-        return _local_search(graph, config)
-    if config.method not in ("greedy-coloring", "vizing"):
-        raise ConfigError(f"method {config.method!r} is not an edge-coloring method")
+def _color(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
+    """The greedy-coloring or vizing method: color, then force the labels
+    into 0..d-1; a forced labeling with no conflict left is still solved."""
     start = time.perf_counter()
-    n, d = graph.n, graph.d
+    d = graph.d
     coloring = greedy_coloring(graph) if config.method == "greedy-coloring" else vizing_color(graph)
-    wall = lambda: (time.perf_counter() - start) * 1000.0  # noqa: E731
     labels, best = coloring.labels, 0
     if coloring.num_colors > d:
-        # A collapse with no conflict left is a proper d-coloring after all.
-        labels = _collapse_to_d(n, d, coloring.edges, labels)
-        best = _conflict_total(n, d, coloring.edges, labels)
-    if best > 0:
-        stats = SolverStats(len(coloring.edges), 0, wall(), best)
-        return SolverOutcome(
-            "budget-exhausted", "involution", config.method, config.seed, n, d, None, None, stats
-        )
-    rot = rotation_from_coloring(graph, labels)
-    if not check_involution_consistent(rot).consistent:
-        raise RotwalkError("internal defect: coloring output failed the involution checker")
-    stats = SolverStats(len(coloring.edges), 0, wall(), 0)
-    return SolverOutcome(
-        "solved", "involution", config.method, config.seed, n, d, rot, None, stats
-    )
+        labels, counts = _least_damage(graph.n, d, coloring.edges, labels, range(len(labels)))
+        best = sum(map(_excess, counts))
+    rot = rotation_from_coloring(graph, labels) if best == 0 else None
+    stats = SolverStats(len(coloring.edges), 0, (time.perf_counter() - start) * 1000.0, best)
+    return _outcome(graph, config, stats, rot)
 
 
 # ---------------------------------------------------------------------------
@@ -504,19 +489,10 @@ def _local_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
         restarts_run += 1
         rng = random.Random(config.seed * 1_000_003 + restart)
 
-        counts = [[0] * d for _ in range(n)]
-        labels = [0] * m
         order = list(range(m))
         rng.shuffle(order)
-        for e in order:
-            u, v = edges[e]
-            deltas = [(int(counts[u][c] > 0) + int(counts[v][c] > 0), c) for c in range(d)]
-            _, c = min(deltas)
-            labels[e] = c
-            counts[u][c] += 1
-            counts[v][c] += 1
-
-        score = [sum(k - 1 for k in counts[v] if k > 1) for v in range(n)]
+        labels, counts = _least_damage(n, d, edges, [d] * m, order)
+        score = [_excess(row) for row in counts]
         conflicts = sum(score)
 
         iterations = 0
@@ -554,7 +530,7 @@ def _local_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
                         counts[x][old] -= 1
                         counts[x][new] += 1
                 for x in touched:
-                    score[x] = sum(k - 1 for k in counts[x] if k > 1)
+                    score[x] = _excess(counts[x])
                 conflicts += sum(score[x] for x in touched) - before
             else:
                 deltas = []
@@ -577,7 +553,7 @@ def _local_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
                     counts[x][a] -= 1
                     counts[x][c] += 1
                 for x in {eu, ev}:
-                    score[x] = sum(k - 1 for k in counts[x] if k > 1)
+                    score[x] = _excess(counts[x])
                 conflicts += score[eu] + score[ev] - before
 
         total_iterations += iterations
@@ -589,16 +565,8 @@ def _local_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
 
     wall = (time.perf_counter() - start) * 1000.0
     stats = SolverStats(total_iterations, restarts_run, wall, best_conflicts, tuple(trace))
-    if best_conflicts == 0:
-        rot = rotation_from_coloring(graph, best_labels)
-        if not check_involution_consistent(rot).consistent:
-            raise RotwalkError("internal defect: local-search output failed the involution checker")
-        return SolverOutcome(
-            "solved", "involution", "local-search", config.seed, n, d, rot, None, stats
-        )
-    return SolverOutcome(
-        "budget-exhausted", "involution", "local-search", config.seed, n, d, None, None, stats
-    )
+    rot = rotation_from_coloring(graph, best_labels) if best_conflicts == 0 else None
+    return _outcome(graph, config, stats, rot)
 
 
 def _kempe_component(edges, edges_at, labels, e0, a, b):
@@ -636,6 +604,7 @@ def exhaustive_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcom
     can always be brought to canonical order by renaming labels, so the
     restricted search is still complete.
     """
+    config = replace(config, method="exhaustive")
     n, d = graph.n, graph.d
     if n * d > config.exhaustive_ceiling:
         raise ConfigError(
@@ -644,30 +613,14 @@ def exhaustive_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcom
         )
     start = time.perf_counter()
     if config.criterion == "involution":
-        found, labels, nodes, deepest, timed_out = _exhaustive_coloring(graph, config, start)
-        total = len(graph.edges())
+        rot, nodes, deepest, timed_out = _exhaustive_coloring(graph, config, start)
+        total = n * d // 2
     else:
-        found, rows, nodes, deepest, timed_out = _exhaustive_rows(graph, config, start)
+        rot, nodes, deepest, timed_out = _exhaustive_rows(graph, config, start)
         total = n
-    wall = (time.perf_counter() - start) * 1000.0
-    if found:
-        if config.criterion == "involution":
-            rot = rotation_from_coloring(graph, labels)
-            report = check_involution_consistent(rot)
-        else:
-            rot = RotationMap(np.array(rows, dtype=np.int64))
-            report = check_permutation_consistent(rot)
-        if not report.consistent:
-            raise RotwalkError("internal defect: exhaustive output failed the checker")
-        stats = SolverStats(nodes, 0, wall, 0)
-        return SolverOutcome(
-            "solved", config.criterion, "exhaustive", config.seed, n, d, rot, None, stats
-        )
-    stats = SolverStats(nodes, 0, wall, total - deepest)
-    if timed_out:
-        return SolverOutcome(
-            "budget-exhausted", config.criterion, "exhaustive", config.seed, n, d, None, None, stats
-        )
+    stats = SolverStats(nodes, 0, (time.perf_counter() - start) * 1000.0, total - deepest)
+    if rot is not None or timed_out:
+        return _outcome(graph, config, stats, rot)
     if config.criterion == "permutation":
         raise RotwalkError("internal defect: exhaustive search missed a permutation labeling")
     certificate = (
@@ -675,10 +628,7 @@ def exhaustive_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcom
         f"(vertex 1's labels fixed by symmetry) explored {nodes} assignments; "
         "no proper coloring exists"
     )
-    return SolverOutcome(
-        "infeasible-proven", config.criterion, "exhaustive", config.seed, n, d, None,
-        certificate, stats,
-    )
+    return _outcome(graph, config, stats, certificate=certificate)
 
 
 def _backtrack(first, last, options, place, lift, config, start):
@@ -718,7 +668,8 @@ def _backtrack(first, last, options, place, lift, config, start):
 
 
 def _exhaustive_coloring(graph, config, start):
-    """Backtrack proper d-edge-colorings; vertex 0's edges pinned to 0..d-1."""
+    """Backtrack proper d-edge-colorings; vertex 0's edges pinned to 0..d-1.
+    Returns (map or None, nodes, deepest level, timed_out)."""
     n, d = graph.n, graph.d
     edges = graph.edges()
     busy = [[False] * d for _ in range(n)]
@@ -744,11 +695,12 @@ def _exhaustive_coloring(graph, config, start):
     found, nodes, deepest, timed_out = _backtrack(
         d, len(edges), options, place, lift, config, start
     )
-    return found, labels, nodes, deepest, timed_out
+    return rotation_from_coloring(graph, labels) if found else None, nodes, deepest, timed_out
 
 
 def _exhaustive_rows(graph, config, start):
-    """Backtrack neighbor orderings per vertex; vertex 0's row pinned ascending."""
+    """Backtrack neighbor orderings per vertex; vertex 0's row pinned ascending.
+    Returns (map or None, nodes, deepest level, timed_out)."""
     n, d = graph.n, graph.d
     taken = [[False] * n for _ in range(d)]
     rows = [[0] * d for _ in range(n)]
@@ -770,4 +722,4 @@ def _exhaustive_rows(graph, config, start):
 
     place(0, graph.neighbors[0])
     found, nodes, deepest, timed_out = _backtrack(1, n, options, place, lift, config, start)
-    return found, rows, nodes, deepest, timed_out
+    return RotationMap(np.array(rows, dtype=np.int64)) if found else None, nodes, deepest, timed_out

@@ -24,13 +24,13 @@ from rotwalk import (
     check_permutation_consistent,
     cycle_graph,
     cycle_rotation,
+    generate_graph,
     greedy_rotation,
     init_state,
     random_regular_graph,
     run,
     solve,
     solve_permutation,
-    stress_run,
     unitarity_defect,
     uniform_state,
     validate_against_graph,
@@ -189,15 +189,16 @@ class TestAcceptance:
 
     def test_criterion_5_stress_instance(self):
         start = time.perf_counter()
-        spec = FamilySpec("random-regular", (80, 12), seed=0)
-        perm_outcome, perm_report = stress_run(spec, SolverConfig())
+        graph = generate_graph(FamilySpec("random-regular", (80, 12), seed=0))
+        perm_outcome = solve(graph, SolverConfig())
         perm_ok = (
             perm_outcome.status == "solved"
             and unitarity_defect(perm_outcome.rotation_map).defect == 0
         )
         inv_cfg = SolverConfig(criterion="involution", method="local-search",
                                seed=0)
-        inv_outcome, inv_report = stress_run(spec, inv_cfg)
+        inv_outcome = solve(graph, inv_cfg)
+        inv_report = inv_outcome.to_report()
         schema = {"version", "status", "criterion", "method", "seed", "n", "d",
                   "iterations", "restarts", "best_conflicts", "wall_ms"}
         inv_ok = (

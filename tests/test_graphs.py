@@ -105,6 +105,28 @@ class TestConstruction:
         with pytest.raises(GraphStructureError, match=r"^edge \(6, 6\) out of range for n=3$"):
             RegularGraph.from_edges(3, [(5, 5)])
 
+    def test_duplicate_check_exact_at_huge_n(self):
+        # Keys lo*n+hi wrap past int64 here: 2**24 * 2**40 + (2**24 + 5) is
+        # 2**24 + 5 modulo 2**64, the key of the first pair.  With the
+        # duplicate check exact, the refusal is the isolated-vertex one.
+        with pytest.raises(GraphStructureError, match="some vertex would be isolated"):
+            RegularGraph.from_edges(2**40, [(0, 2**24 + 5), (2**24, 2**24 + 5)])
+        with pytest.raises(GraphStructureError, match=r"^duplicate edge \(1, 6\)$"):
+            RegularGraph.from_edges(2**40, [(0, 5), (5, 0)])
+
+    def test_huge_n_refused_without_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphStructureError) as exc:
+                RegularGraph.from_edges(10**11, [(0, 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (
+            "100000000000 vertices but 1 edges reach at most 2: some vertex would be isolated"
+        )
+        assert peak < 1 << 20
+
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphStructureError):
             RegularGraph.from_edges(0, [])

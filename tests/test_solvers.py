@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+import rotwalk
 from rotwalk import (
     ConfigError,
     FamilySpec,
@@ -14,11 +16,11 @@ from rotwalk import (
     complete_graph,
     cycle_graph,
     exhaustive_search,
+    generate_graph,
     hypercube_graph,
     random_regular_graph,
     solve,
     solve_permutation,
-    stress_run,
     torus_graph,
     unitarity_defect,
     validate_against_graph,
@@ -104,6 +106,20 @@ class TestEdgeColoringConversion:
     def test_incomplete_coloring_rejected(self):
         with pytest.raises(ValidationError):
             rotation_from_coloring(cycle_graph(4), [0, 1, 0])
+
+    def test_extra_labels_rejected(self):
+        with pytest.raises(ValidationError, match=r"^coloring has 6 labels for 4 edges$"):
+            rotation_from_coloring(cycle_graph(4), [0, 1, 0, 1, 0, 1])
+
+    def test_repeat_names_the_vertex_holding_the_color(self):
+        # Edges (1,2) (1,3) (1,4) (2,3) (2,4) (3,4): edge (2,3) repeats
+        # color 1, which vertex 3 already holds through edge (1,3).
+        with pytest.raises(ValidationError, match=r"^color 1 repeats at vertex 3$"):
+            rotation_from_coloring(complete_graph(4), [0, 1, 2, 1, 0, 0])
+        # Edges (1,2) (1,4) (2,3) (3,4): edge (1,4) repeats color 0, which
+        # vertex 1 already holds through edge (1,2).
+        with pytest.raises(ValidationError, match=r"^color 0 repeats at vertex 1$"):
+            rotation_from_coloring(cycle_graph(4), [0, 0, 1, 1])
 
 
 class TestColoringHeuristics:
@@ -290,7 +306,8 @@ class TestConfigValidation:
 class TestStressRun:
     def test_permutation_stress(self):
         spec = FamilySpec("random-regular", (20, 4), seed=2)
-        outcome, report = stress_run(spec, SolverConfig())
+        outcome = solve(generate_graph(spec), SolverConfig())
+        report = outcome.to_report()
         assert outcome.status == "solved"
         assert set(report.keys()) == REPORT_KEYS
         assert report["n"] == 20 and report["d"] == 4
@@ -299,8 +316,71 @@ class TestStressRun:
         spec = FamilySpec("random-regular", (16, 4), seed=2)
         cfg = SolverConfig(criterion="involution", method="local-search",
                            seed=0, max_iterations=2000, max_restarts=5)
-        outcome, report = stress_run(spec, cfg)
+        outcome = solve(generate_graph(spec), cfg)
+        report = outcome.to_report()
         assert report["status"] in {"solved", "budget-exhausted"}
         assert report["status"] == outcome.status
         if outcome.status == "solved":
             assert check_involution_consistent(outcome.rotation_map).consistent
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in rotwalk.__all__ if not hasattr(rotwalk, name)]
+    assert missing == []
+
+
+# Golden outcomes: for each method, a digest of every outcome field but
+# wall_ms over a fixed corpus, so that a refactor of the solvers cannot
+# change what they return.  An instance above the exhaustive ceiling
+# contributes its ConfigError instead.
+GOLDEN_GRAPHS = {
+    "petersen": petersen,
+    "C5": lambda: cycle_graph(5),
+    "C7": lambda: cycle_graph(7),
+    "C6": lambda: cycle_graph(6),
+    "C8": lambda: cycle_graph(8),
+    "K4": lambda: complete_graph(4),
+    "K5": lambda: complete_graph(5),
+    "Q3": lambda: hypercube_graph(3),
+    "rr-10-3": lambda: random_regular_graph(10, 3, seed=1),
+    "rr-12-3": lambda: random_regular_graph(12, 3, seed=2),
+    "rr-12-4": lambda: random_regular_graph(12, 4, seed=11),
+    "rr-16-5": lambda: random_regular_graph(16, 5, seed=4),
+}
+GOLDEN_SEARCH = dict(max_iterations=300, max_restarts=3)
+GOLDEN = {
+    "matching": (SolverConfig(), "628531077e4b798b"),
+    "greedy-coloring": (SolverConfig(criterion="involution", method="greedy-coloring"),
+                        "9c331b1f0ec86a65"),
+    "vizing": (SolverConfig(criterion="involution", method="vizing"), "3016e978f589819e"),
+    "local-search-0": (SolverConfig(criterion="involution", method="local-search", seed=0,
+                                    **GOLDEN_SEARCH), "bbf3dc798cf452d0"),
+    "local-search-1": (SolverConfig(criterion="involution", method="local-search", seed=1,
+                                    **GOLDEN_SEARCH), "40af8f03b4bd3447"),
+    "exhaustive-permutation": (SolverConfig(method="exhaustive", seed=5), "0463a43b3d29bc83"),
+    "exhaustive-involution": (SolverConfig(criterion="involution", method="exhaustive"),
+                              "ca9491a4d739a75a"),
+}
+
+
+def outcome_digest(config):
+    digest = hashlib.sha256()
+    for name, build in GOLDEN_GRAPHS.items():
+        try:
+            o = solve(build(), config)
+        except ConfigError as exc:
+            fields = (name, type(exc).__name__, str(exc))
+        else:
+            s = o.stats
+            rot = None if o.rotation_map is None else o.rotation_map.entries.tolist()
+            fields = (name, o.status, o.criterion, o.method, o.seed, o.n, o.d, rot,
+                      o.certificate, s.iterations, s.restarts, s.best_conflicts,
+                      s.conflict_trace)
+        digest.update(repr(fields).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("label", list(GOLDEN))
+def test_golden_outcomes(label):
+    config, expected = GOLDEN[label]
+    assert outcome_digest(config) == expected
