@@ -52,6 +52,8 @@ class ShiftOperator:
     __slots__ = ("n", "d", "col_to_row", "_row_to_col")
 
     def __init__(self, n: int, d: int, col_to_row: np.ndarray):
+        if n < 1 or d < 1:
+            raise ConfigError("shift needs n >= 1 and d >= 1")
         table = np.array(col_to_row, dtype=np.int64)
         if table.shape != (d * n,):
             raise ConfigError(f"col_to_row must have length d*n = {d * n}")
@@ -167,8 +169,13 @@ class CoinOperator:
         mat = np.array(matrix, dtype=np.complex128)
         if mat.shape != (d, d):
             raise ConfigError(f"coin matrix must be {d} x {d}")
-        residual = np.abs(mat @ mat.conj().T - np.eye(d)).max()
-        if residual > UNITARY_TOL:
+        if not np.isfinite(mat).all():
+            raise ConfigError("coin matrix entries must be finite")
+        # Huge finite entries overflow the product; the residual is then
+        # inf or nan and the matrix is refused below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = np.abs(mat @ mat.conj().T - np.eye(d)).max()
+        if not residual <= UNITARY_TOL:
             raise ConfigError(
                 f"coin matrix is not unitary: max |C C* - I| = {residual:.3e} > {UNITARY_TOL}"
             )

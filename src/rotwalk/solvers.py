@@ -37,10 +37,11 @@ identical outcomes and stats (wall-clock time aside).
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, replace
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -83,8 +84,8 @@ class SolverConfig:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.max_iterations < 1 or self.max_restarts < 1:
             raise ConfigError("iteration and restart budgets must be positive")
-        if self.time_budget <= 0:
-            raise ConfigError("time budget must be positive")
+        if not (math.isfinite(self.time_budget) and self.time_budget > 0):
+            raise ConfigError(f"time budget must be positive and finite, got {self.time_budget}")
         if self.exhaustive_ceiling < 1:
             raise ConfigError("exhaustive ceiling must be positive")
 
@@ -330,17 +331,13 @@ def vizing_color(graph: RegularGraph) -> EdgeColoring:
         in_fan = {v}
         while True:
             last = fan[-1]
-            grown = False
             for c in range(palette):
-                if at[last][c] != -1:
-                    continue
                 w = at[u][c]
-                if w != -1 and w not in in_fan:
+                if at[last][c] == -1 and w != -1 and w not in in_fan:
                     fan.append(w)
                     in_fan.add(w)
-                    grown = True
                     break
-            if not grown:
+            else:
                 break
         cu = free(u)
         cl = free(fan[-1])
@@ -348,19 +345,12 @@ def vizing_color(graph: RegularGraph) -> EdgeColoring:
             invert(_alternating_path(at, u, cl, cu), cl, cu)
         # cl is now free at u; find the shortest fan prefix whose tip
         # also misses cl and which is still a fan after the inversion.
-        target = -1
-        for i in range(len(fan)):
-            if at[fan[i]][cl] != -1:
-                continue
-            prefix_ok = True
-            for j in range(1, i + 1):
-                if at[fan[j - 1]][color_of[key(u, fan[j])]] != -1:
-                    prefix_ok = False
-                    break
-            if prefix_ok:
-                target = i
+        for target in range(len(fan)):
+            if at[fan[target]][cl] == -1 and all(
+                at[fan[j - 1]][color_of[key(u, fan[j])]] == -1 for j in range(1, target + 1)
+            ):
                 break
-        if target == -1:
+        else:
             raise RotwalkError("internal defect: no rotatable fan prefix")
         for j in range(target):
             c = unassign(u, fan[j + 1])
@@ -386,24 +376,18 @@ def vizing_color(graph: RegularGraph) -> EdgeColoring:
             if shared != -1:
                 assign(u, v, shared)
                 continue
-            fixed = False
-            for a in [c for c in range(palette) if c != rare and at[u][c] == -1]:
-                for b in [c for c in range(palette) if c != rare and at[v][c] == -1]:
-                    if a == b:
-                        continue
-                    # b is busy at u; invert u's (b, a)-path unless it
-                    # runs into v, then b is free at both ends.
-                    path = _alternating_path(at, u, b, a)
-                    touched = {u} | {y for _, y in path}
-                    if v in touched:
-                        continue
+            # No color is free at both ends, so a != b.  b is busy at u;
+            # invert u's (b, a)-path unless it runs into v, then b is free
+            # at both ends.
+            free_u = [c for c in range(palette) if c != rare and at[u][c] == -1]
+            free_v = [c for c in range(palette) if c != rare and at[v][c] == -1]
+            for a, b in product(free_u, free_v):
+                path = _alternating_path(at, u, b, a)
+                if all(y != v for _, y in path):
                     invert(path, b, a)
                     assign(u, v, b)
-                    fixed = True
                     break
-                if fixed:
-                    break
-            if not fixed:
+            else:
                 assign(u, v, rare)
 
     raw = [color_of[key(u, v)] for u, v in edges]
@@ -417,10 +401,19 @@ def _excess(counts_at) -> int:
     return sum(k - 1 for k in counts_at if k > 1)
 
 
+def _cheapest_labels(counts_u, counts_v, candidates):
+    """The candidate labels used by the fewest endpoints of an edge whose
+    endpoints hold the label counts ``counts_u`` and ``counts_v``, in
+    candidate order."""
+    cost = [int(counts_u[c] > 0) + int(counts_v[c] > 0) for c in candidates]
+    lowest = min(cost)
+    return [c for c, k in zip(candidates, cost) if k == lowest]
+
+
 def _least_damage(n, d, edges, labels, order):
     """Give every edge whose label is d or more, visited in ``order``, the
-    label in 0..d-1 used by the fewest of its endpoints (ties to the
-    lowest).  Returns the labels and the (n, d) per-vertex label counts."""
+    cheapest label in 0..d-1 (ties to the lowest).  Returns the labels and
+    the (n, d) per-vertex label counts."""
     labels = list(labels)
     counts = [[0] * d for _ in range(n)]
     for (u, v), c in zip(edges, labels):
@@ -431,7 +424,7 @@ def _least_damage(n, d, edges, labels, order):
         if labels[e] < d:
             continue
         u, v = edges[e]
-        _, c = min((int(counts[u][c] > 0) + int(counts[v][c] > 0), c) for c in range(d))
+        c = _cheapest_labels(counts[u], counts[v], range(d))[0]
         labels[e] = c
         counts[u][c] += 1
         counts[v][c] += 1
@@ -464,7 +457,8 @@ def _local_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
     label; zero means a proper d-edge-coloring.  Moves: relabel one
     conflicted edge to a least-damage label (ties broken by the seeded
     rng), or with probability 1/4 invert a random two-label Kempe
-    component through a conflicted edge.  Fresh randomized-greedy
+    component through a conflicted edge.  Only relabels change the
+    objective: a Kempe swap is a plateau move.  Fresh randomized-greedy
     labelings per restart; the best restart wins, ties to the earliest.
     """
     start = time.perf_counter()
@@ -492,8 +486,8 @@ def _local_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
         order = list(range(m))
         rng.shuffle(order)
         labels, counts = _least_damage(n, d, edges, [d] * m, order)
-        score = [_excess(row) for row in counts]
-        conflicts = sum(score)
+        score = np.array([_excess(row) for row in counts], dtype=np.int64)
+        conflicts = int(score.sum())
 
         iterations = 0
         while conflicts > 0 and iterations < config.max_iterations:
@@ -503,58 +497,38 @@ def _local_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
             iterations += 1
             trace.append(conflicts)
 
-            hot = [v for v in range(n) if score[v] > 0]
-            v = hot[rng.randrange(len(hot))]
+            hot = np.flatnonzero(score)
+            v = int(hot[rng.randrange(len(hot))])
             over = [c for c in range(d) if counts[v][c] > 1]
             a = over[rng.randrange(len(over))]
             offenders = [e for e in edges_at[v] if labels[e] == a]
             e = offenders[rng.randrange(len(offenders))]
-            eu, ev = edges[e]
+            others = [c for c in range(d) if c != a]
 
-            if d > 1 and rng.random() < 0.25:
-                others = [c for c in range(d) if c != a]
+            if rng.random() < 0.25:
                 b = others[rng.randrange(len(others))]
                 component = _kempe_component(edges, edges_at, labels, e, a, b)
-                touched = set()
-                for ce in component:
-                    cu, cv = edges[ce]
-                    touched.add(cu)
-                    touched.add(cv)
-                before = sum(score[x] for x in touched)
-                for ce in sorted(component):
-                    cu, cv = edges[ce]
-                    old = labels[ce]
-                    new = b if old == a else a
-                    labels[ce] = new
-                    for x in (cu, cv):
-                        counts[x][old] -= 1
-                        counts[x][new] += 1
-                for x in touched:
-                    score[x] = _excess(counts[x])
-                conflicts += sum(score[x] for x in touched) - before
+                moves = [(ce, b if labels[ce] == a else a) for ce in component]
+                # The component holds every a- and b-labeled edge at each
+                # vertex it touches, so the swap exchanges those two counts
+                # there and no vertex's excess changes.
+                rescore = ()
             else:
-                deltas = []
-                for c in range(d):
-                    if c == a:
-                        continue
-                    delta = (
-                        int(counts[eu][c] > 0)
-                        + int(counts[ev][c] > 0)
-                        - int(counts[eu][a] > 1)
-                        - int(counts[ev][a] > 1)
-                    )
-                    deltas.append((delta, c))
-                lowest = min(dl for dl, _ in deltas)
-                choices = [c for dl, c in deltas if dl == lowest]
-                c = choices[rng.randrange(len(choices))]
-                before = score[eu] + (score[ev] if ev != eu else 0)
-                labels[e] = c
-                for x in (eu, ev):
-                    counts[x][a] -= 1
-                    counts[x][c] += 1
-                for x in {eu, ev}:
-                    score[x] = _excess(counts[x])
-                conflicts += score[eu] + score[ev] - before
+                # Taking label a off e lowers the cost equally for every
+                # candidate, so only the endpoints already using c count.
+                eu, ev = rescore = edges[e]
+                choices = _cheapest_labels(counts[eu], counts[ev], others)
+                moves = [(e, choices[rng.randrange(len(choices))])]
+            for ce, new in moves:
+                old = labels[ce]
+                labels[ce] = new
+                for x in edges[ce]:
+                    counts[x][old] -= 1
+                    counts[x][new] += 1
+            for x in rescore:
+                excess = _excess(counts[x])
+                conflicts += excess - int(score[x])
+                score[x] = excess
 
         total_iterations += iterations
         if best_conflicts is None or conflicts < best_conflicts:

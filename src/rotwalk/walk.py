@@ -57,7 +57,8 @@ def init_state(n: int, d: int, support) -> WalkState:
 
     Labels and vertices are 0-based here (the CLI converts from its
     1-based surface).  Duplicate (label, vertex) entries add up.  The
-    result always has squared norm 1; an empty or cancelling support is
+    result always has squared norm 1; an empty or cancelling support, a
+    non-finite amplitude and amplitudes too large to normalize are
     rejected.
     """
     if n < 1 or d < 1:
@@ -66,13 +67,20 @@ def init_state(n: int, d: int, support) -> WalkState:
     if not support:
         raise ConfigError("initial state needs at least one support entry")
     amps = np.zeros(d * n, dtype=np.complex128)
-    for label, vertex, amplitude in support:
-        if not (0 <= label < d):
-            raise ConfigError(f"coin label {label} out of range 0..{d - 1}")
-        if not (0 <= vertex < n):
-            raise ConfigError(f"vertex {vertex} out of range 0..{n - 1}")
-        amps[label * n + vertex] += amplitude
-    norm = np.linalg.norm(amps)
+    # Finite amplitudes can still overflow their sum or the norm; then the
+    # norm is inf and the state is refused below.
+    with np.errstate(over="ignore"):
+        for label, vertex, amplitude in support:
+            if not (0 <= label < d):
+                raise ConfigError(f"coin label {label} out of range 0..{d - 1}")
+            if not (0 <= vertex < n):
+                raise ConfigError(f"vertex {vertex} out of range 0..{n - 1}")
+            if not np.isfinite(amplitude):
+                raise ConfigError(f"amplitude {amplitude} is not finite")
+            amps[label * n + vertex] += amplitude
+        norm = np.linalg.norm(amps)
+    if not np.isfinite(norm):
+        raise ConfigError("initial amplitudes are too large to normalize")
     if norm == 0:
         raise ConfigError("initial amplitudes cancel to zero")
     return WalkState(n, d, amps / norm)

@@ -108,6 +108,28 @@ def is_proper_edge_coloring(edges, labels, n):
     return True
 
 
+def kempe_component_by_bfs(n, edges, labels, e0, a, b):
+    """Edge ids of the connected {a, b}-labeled subgraph containing edge e0,
+    by a breadth-first search over vertices through those edges only."""
+    two_label_edges = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        if labels[e] == a or labels[e] == b:
+            two_label_edges[u].append(e)
+            two_label_edges[v].append(e)
+    reached = set(edges[e0])
+    queue = list(edges[e0])
+    component = set()
+    while queue:
+        x = queue.pop(0)
+        for e in two_label_edges[x]:
+            component.add(e)
+            for y in edges[e]:
+                if y not in reached:
+                    reached.add(y)
+                    queue.append(y)
+    return component
+
+
 def brute_force_edge_coloring(n, d, edges):
     """Exhaustive search for a proper d-edge-coloring, no pruning tricks.
 

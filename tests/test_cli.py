@@ -438,6 +438,31 @@ class TestWalk:
         assert code == 2
 
 
+NON_FINITE_ARGS = {
+    "start-nan": ["walk", "{graph}", "{map}", "--start", "1:1:nan"],
+    "start-inf": ["walk", "{graph}", "{map}", "--start", "1:1:inf"],
+    "start-1e400": ["walk", "{graph}", "{map}", "--start", "1:1:1e400"],
+    "start-norm-overflow": ["walk", "{graph}", "{map}", "--start", "1:1:1e200"],
+    "time-budget-nan": ["solve", "{graph}", "--time-budget", "nan"],
+    "time-budget-inf": ["solve", "{graph}", "--time-budget", "inf"],
+}
+
+
+@pytest.mark.parametrize("argv", list(NON_FINITE_ARGS.values()), ids=list(NON_FINITE_ARGS))
+def test_non_finite_values_exit_2_without_warning(square, canonical, argv):
+    # A separate interpreter, so that stderr shows any warning NumPy prints.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [arg.format(graph=square, map=canonical) for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", "from rotwalk.cli import run; run()", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Warning" not in proc.stderr
+    assert proc.stdout == ""
+
+
 class TestTopLevel:
     def test_version_flag(self, capsys):
         assert cli.main(["--version"]) == 0

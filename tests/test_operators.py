@@ -7,6 +7,7 @@ from rotwalk import (
     ConfigError,
     RegularGraph,
     RotationMap,
+    ShiftOperator,
     build_coin,
     build_shift,
     check_permutation_consistent,
@@ -30,6 +31,11 @@ def random_rotation(rng, n, d):
 
 
 class TestShiftOperator:
+    def test_empty_dimension_rejected(self):
+        for n, d in [(0, 1), (1, 0), (0, 0)]:
+            with pytest.raises(ConfigError):
+                ShiftOperator(n, d, [])
+
     def test_canonical_square_dense(self):
         shift = build_shift(cycle_rotation(4))
         assert shift.dim == 8
@@ -173,6 +179,21 @@ class TestCoins:
     def test_custom_requires_unitary(self):
         with pytest.raises(ConfigError):
             build_coin("custom", 2, matrix=np.array([[1, 1], [0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_custom_requires_finite_entries(self, bad):
+        mat = np.eye(2, dtype=complex)
+        mat[0, 1] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            build_coin("custom", 2, matrix=mat)
+        with pytest.raises(ConfigError, match="finite"):
+            build_coin("custom", 2, matrix=np.full((2, 2), bad))
+
+    def test_custom_overflowing_product_rejected(self):
+        # Finite entries whose products overflow leave an inf or nan residual.
+        for mat in ([[1e200, 0], [0, 1]], [[1e200, 1e200], [1e200, -1e200]]):
+            with pytest.raises(ConfigError, match="not unitary"):
+                build_coin("custom", 2, matrix=np.array(mat))
 
     def test_custom_requires_square_of_right_size(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -25,9 +26,9 @@ from rotwalk import (
     unitarity_defect,
     validate_against_graph,
 )
-from rotwalk.solvers import greedy_coloring, rotation_from_coloring, vizing_color
+from rotwalk.solvers import _kempe_component, greedy_coloring, rotation_from_coloring, vizing_color
 
-from oracles import brute_force_edge_coloring, is_proper_edge_coloring
+from oracles import brute_force_edge_coloring, is_proper_edge_coloring, kempe_component_by_bfs
 
 PETERSEN_EDGES = [
     (0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
@@ -224,6 +225,40 @@ class TestLocalSearch:
         assert all(c >= 0 for c in trace)
 
 
+class TestKempeComponent:
+    """Local search never rescores a Kempe swap.  That is sound only if the
+    component holds every a- and b-labeled edge at each vertex it touches,
+    so that the swap exchanges the two label counts there."""
+
+    @pytest.mark.parametrize("n, d, seed", [(10, 3, 0), (16, 5, 1), (30, 4, 2), (40, 7, 3)])
+    def test_swap_keeps_every_vertex_label_multiset(self, n, d, seed):
+        g = random_regular_graph(n, d, seed=seed)
+        edges = g.edges()
+        edges_at = [[] for _ in range(n)]
+        for e, (u, v) in enumerate(edges):
+            edges_at[u].append(e)
+            edges_at[v].append(e)
+        rng = random.Random(seed)
+        for _ in range(25):
+            labels = [rng.randrange(d) for _ in edges]
+            e0 = rng.randrange(len(edges))
+            a = labels[e0]
+            b = rng.choice([c for c in range(d) if c != a])
+            component = _kempe_component(edges, edges_at, labels, e0, a, b)
+            assert component == kempe_component_by_bfs(n, edges, labels, e0, a, b)
+            touched = {x for e in component for x in edges[e]}
+            for x in touched:
+                for e in edges_at[x]:
+                    assert (labels[e] in (a, b)) == (e in component)
+            swapped = list(labels)
+            for e in component:
+                swapped[e] = b if labels[e] == a else a
+            for x in range(n):
+                before = sorted(Counter(labels[e] for e in edges_at[x]).values())
+                after = sorted(Counter(swapped[e] for e in edges_at[x]).values())
+                assert before == after
+
+
 class TestExhaustive:
     def test_square_solvable_both_criteria(self):
         for criterion in ["permutation", "involution"]:
@@ -301,6 +336,11 @@ class TestConfigValidation:
             SolverConfig(max_iterations=0)
         with pytest.raises(ConfigError):
             SolverConfig(time_budget=0.0)
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_budget_rejected(self, budget):
+        with pytest.raises(ConfigError, match="finite"):
+            SolverConfig(time_budget=budget)
 
 
 class TestStressRun:

@@ -60,6 +60,16 @@ class TestStates:
         with pytest.raises(ConfigError):
             init_state(4, 2, [(0, 0, 1.0), (0, 0, -1.0)])
 
+    @pytest.mark.parametrize("amplitude", [complex("nan"), complex("inf"), complex(0, -np.inf)])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        with pytest.raises(ConfigError, match="not finite"):
+            init_state(4, 2, [(0, 0, 1.0), (1, 2, amplitude)])
+
+    @pytest.mark.parametrize("support", [[(0, 0, 1e200)], [(0, 0, 1e308), (0, 0, 1e308)]])
+    def test_amplitudes_too_large_to_normalize_rejected(self, support):
+        with pytest.raises(ConfigError, match="too large"):
+            init_state(4, 2, support)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             init_state(4, 2, [(2, 0, 1.0)])
