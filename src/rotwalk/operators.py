@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .rotmap import RotationMap
+from .rotmap import RotationMap, _integer_table
 
 UNITARY_TOL = 1e-12
 
@@ -54,7 +54,7 @@ class ShiftOperator:
     def __init__(self, n: int, d: int, col_to_row: np.ndarray):
         if n < 1 or d < 1:
             raise ConfigError("shift needs n >= 1 and d >= 1")
-        table = np.array(col_to_row, dtype=np.int64)
+        table = _integer_table(col_to_row, ConfigError, "col_to_row")
         if table.shape != (d * n,):
             raise ConfigError(f"col_to_row must have length d*n = {d * n}")
         if table.min() < 0 or table.max() >= d * n:

@@ -8,8 +8,11 @@ different difficulty:
   d-regular graph form a d-regular bipartite graph (left copy of V to
   right copy of V, one edge per arc), which always decomposes into d
   perfect matchings; each matching becomes one column.  Implemented by
-  the ``matching`` method, which takes each matching from SciPy's
-  Hopcroft-Karp (``maximum_bipartite_matching``) on the residual arcs.
+  the ``matching`` method: an Euler partition in NumPy halves the arc
+  graph whenever its degree is even (Gabow 1976), and a graph or half of
+  odd degree first gives up one matching to SciPy's Hopcroft-Karp
+  (``maximum_bipartite_matching``), so a power-of-two d never imports
+  SciPy.
 
 * involution criterion — every label class a perfect matching, i.e. a
   proper d-edge-coloring of a d-regular graph.  Deciding whether one
@@ -30,9 +33,10 @@ criterion once on every map, and a map that fails it is an internal
 defect: the checker, not the solver, is the source of truth.
 
 The hand-written searches break ties by lowest vertex index then lowest
-label, SciPy's matching is deterministic too, and all randomness flows
-from the config seed, so identical (graph, config) inputs reproduce
-identical outcomes and stats (wall-clock time aside).
+label, the Euler split pairs arcs in table and stable-sort order, SciPy's
+matching is deterministic too, and all randomness flows from the config
+seed, so identical (graph, config) inputs reproduce identical outcomes
+and stats (wall-clock time aside).
 """
 
 from __future__ import annotations
@@ -180,34 +184,101 @@ def _outcome(graph, config, stats, rot=None, certificate=None) -> SolverOutcome:
 def solve_permutation(graph: RegularGraph, config: SolverConfig | None = None) -> SolverOutcome:
     """Decompose the arc graph into d perfect matchings; always solves.
 
-    Column k of the output is the k-th matching.  Each matching removes
-    one arc per vertex on both sides, so the residual arc graph stays
-    regular and keeps a perfect matching — failure would be a defect,
-    not a search miss, and raises.
+    Each column of the output is one matching.  An even-width arc table
+    splits into two tables of half the width along an Euler partition;
+    an odd width first gives up one perfect matching.  Every piece stays
+    a regular bipartite arc table, so it always decomposes — a failure
+    would be a defect, not a search miss, and raises.
     """
-    # Imported here so that every other command starts without SciPy.
+    config = replace(config or SolverConfig(), criterion="permutation", method="matching")
+    start = time.perf_counter()
+    columns = _matching_columns(graph.neighbors)
+    stats = SolverStats(len(columns), 0, (time.perf_counter() - start) * 1000.0, 0)
+    return _outcome(graph, config, stats, RotationMap(np.column_stack(columns)))
+
+
+def _matching_columns(table: np.ndarray) -> list[np.ndarray]:
+    """The perfect matchings of a regular bipartite arc table, one column each.
+
+    Row u of the (n, width) table lists the right vertices joined to left
+    vertex u, and every right vertex occurs ``width`` times in all.
+    """
+    n, width = table.shape
+    if width == 1:
+        return [table[:, 0]]
+    if width % 2 == 0:
+        first, second = _euler_halves(table)
+        return _matching_columns(first) + _matching_columns(second)
+    match = _perfect_matching(table)
+    return [match] + _matching_columns(table[table != match[:, None]].reshape(n, width - 1))
+
+
+def _euler_halves(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split an even-width arc table into two tables of half the width.
+
+    Pair the arcs at each left vertex (row slots 2k and 2k+1) and at each
+    right vertex (consecutive arcs in a stable sort of the heads).  The
+    pairs link the arcs into closed trails that alternate left and right
+    pairs, so each trail has even length; giving its arcs alternately to
+    the two halves leaves every vertex on both sides half its arcs in
+    each (Gabow 1976).  The alternation is whole-array: the arcs two
+    steps apart along a trail form one orbit of ``right[left]``, the two
+    orbits of a trail are each other's left partners, and pointer
+    doubling labels every orbit by its smallest arc.  An arc goes to the
+    first half when its label is below its left partner's.
+    """
+    n, width = table.shape
+    m = n * width
+    index = np.int32 if m < 2**31 else np.int64
+    heads = table.ravel()
+    arcs = np.arange(m, dtype=index)
+    left = arcs ^ 1
+    by_head = _stable_order(heads, n).astype(index, copy=False)
+    right = np.empty(m, dtype=index)
+    right[by_head[0::2]] = by_head[1::2]
+    right[by_head[1::2]] = by_head[0::2]
+    jump = right.take(left)
+    label = arcs
+    # After k rounds a label is the smallest arc within 2**k jumps; a
+    # round that changes no label leaves each orbit's minimum everywhere.
+    while True:
+        lower = np.minimum(label, label.take(jump))
+        if (lower == label).all():
+            break
+        label = lower
+        jump = jump.take(jump)
+    first = label < label.take(left)
+    return heads[first].reshape(n, width // 2), heads[~first].reshape(n, width // 2)
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative keys below
+    ``bound``, as a radix sort over 16-bit digits: NumPy sorts 16-bit
+    keys stably by counting, several times faster than a comparison sort."""
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    shift = 16
+    while bound > 1 << shift:
+        digit = ((keys.take(order) >> shift) & 0xFFFF).astype(np.uint16)
+        order = order.take(np.argsort(digit, kind="stable"))
+        shift += 16
+    return order
+
+
+def _perfect_matching(table: np.ndarray) -> np.ndarray:
+    """One perfect matching of a regular bipartite arc table, by SciPy's
+    Hopcroft-Karp: entry u is the right vertex matched to left vertex u."""
+    # Imported here so that every other command, and every even width,
+    # runs without SciPy.
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    config = replace(config or SolverConfig(), criterion="permutation", method="matching")
-    start = time.perf_counter()
-    n, d = graph.n, graph.d
-    remaining = graph.neighbors.copy()
-    columns = []
-    for width in range(d, 0, -1):
-        # Row u of the residual table lists the right vertices still joined
-        # to left vertex u; every row holds `width` of them.
-        indptr = np.arange(0, n * width + 1, width)
-        arcs = csr_matrix((np.ones(n * width, dtype=np.int8), remaining.ravel(), indptr), (n, n))
-        match = maximum_bipartite_matching(arcs, perm_type="column")
-        if (match == -1).any():
-            raise RotwalkError(
-                "internal defect: residual arc graph lost its perfect matching"
-            )
-        columns.append(match)
-        remaining = remaining[remaining != match[:, None]].reshape(n, width - 1)
-    stats = SolverStats(len(columns), 0, (time.perf_counter() - start) * 1000.0, 0)
-    return _outcome(graph, config, stats, RotationMap(np.column_stack(columns)))
+    n, width = table.shape
+    indptr = np.arange(0, n * width + 1, width)
+    arcs = csr_matrix((np.ones(n * width, dtype=np.int8), table.ravel(), indptr), (n, n))
+    match = maximum_bipartite_matching(arcs, perm_type="column")
+    if (match == -1).any():
+        raise RotwalkError("internal defect: residual arc graph lost its perfect matching")
+    return match
 
 
 # ---------------------------------------------------------------------------

@@ -483,6 +483,21 @@ class TestTopLevel:
                               check=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.stdout.strip() == "False"
 
+    def test_even_degree_solve_does_not_import_scipy(self, tmp_path):
+        # Euler partitions alone decompose a power-of-two degree; SciPy's
+        # matching is needed only at an odd width.
+        edges = tmp_path / "g.edges"
+        assert cli.main(["gen", "random-regular", "64", "8", "--seed", "3",
+                         "--out", str(edges)]) == 0
+        argv = ["solve", str(edges), "--out", str(tmp_path / "g.rot"),
+                "--stats", str(tmp_path / "g.json")]
+        probe = f"import sys, rotwalk.cli; print(rotwalk.cli.main({argv!r}), 'scipy' in sys.modules)"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.split() == ["0", "False"]
+        assert json.loads((tmp_path / "g.json").read_text())["iterations"] == 8
+
     def test_pipeline_reproducible(self, tmp_path, capsys):
         def pipeline(tag):
             edges = tmp_path / f"{tag}.edges"

@@ -36,6 +36,23 @@ class TestShiftOperator:
             with pytest.raises(ConfigError):
                 ShiftOperator(n, d, [])
 
+    @pytest.mark.parametrize("table", [
+        [0.5, 1.7],
+        [0.0, np.nan],
+        [0.0, -np.inf],
+        ["0", "1"],
+        np.array([0, 0.25], dtype=object),
+    ])
+    def test_non_integer_table_rejected(self, table):
+        with pytest.raises(ConfigError, match="col_to_row entries must be integers"):
+            ShiftOperator(1, 2, table)
+
+    @pytest.mark.parametrize("table", [[1, 0], [1.0, 0.0], np.array([1, 0], dtype=np.uint16)])
+    def test_exact_integer_table_accepted(self, table):
+        shift = ShiftOperator(1, 2, table)
+        assert shift.col_to_row.tolist() == [1, 0]
+        assert shift.col_to_row.dtype == np.int64
+
     def test_canonical_square_dense(self):
         shift = build_shift(cycle_rotation(4))
         assert shift.dim == 8

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,6 +78,40 @@ class TestConstruction:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             RotationMap(np.array([[1, 3], [0, 2], [0, 1]]))
+
+    @pytest.mark.parametrize("entries", [
+        [[1.5], [0.2]],
+        np.array([[np.nan], [0.0]]),
+        [[1.0], [np.inf]],
+        [[1.0], [1e30]],
+        [["1"], ["0"]],
+        [[Fraction(1)], [Fraction(1, 2)]],
+        [[1 + 0j], [0]],
+    ])
+    def test_non_integer_entries_rejected(self, entries):
+        with pytest.raises(ValidationError, match="entries must be integers"):
+            RotationMap(entries)
+
+    def test_integer_beyond_int64_out_of_range(self):
+        with pytest.raises(ValidationError, match="out of range"):
+            RotationMap([[2**70], [0]])
+
+    @pytest.mark.parametrize("entries", [
+        [[1], [0]],
+        [[1.0], [0.0]],
+        [[True], [False]],
+        np.array([[1], [0]], dtype=np.uint8),
+        np.array([[1], [0]], dtype=np.int32),
+        np.array([[1], [0]], dtype=object),
+        [[Fraction(1)], [np.int16(0)]],
+    ])
+    def test_exact_integers_accepted(self, entries):
+        assert RotationMap(entries).entries.tolist() == [[1], [0]]
+
+    def test_caller_array_left_writable(self):
+        entries = np.array([[1], [0]])
+        RotationMap(entries)
+        entries[0, 0] = 1
 
 
 class TestConsistency:

@@ -1,7 +1,9 @@
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import rotwalk
@@ -26,9 +28,21 @@ from rotwalk import (
     unitarity_defect,
     validate_against_graph,
 )
-from rotwalk.solvers import _kempe_component, greedy_coloring, rotation_from_coloring, vizing_color
+from rotwalk.solvers import (
+    _euler_halves,
+    _kempe_component,
+    _stable_order,
+    greedy_coloring,
+    rotation_from_coloring,
+    vizing_color,
+)
 
-from oracles import brute_force_edge_coloring, is_proper_edge_coloring, kempe_component_by_bfs
+from oracles import (
+    brute_force_edge_coloring,
+    defect_by_dense_product,
+    is_proper_edge_coloring,
+    kempe_component_by_bfs,
+)
 
 PETERSEN_EDGES = [
     (0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
@@ -84,12 +98,74 @@ class TestPermutationMatching:
         assert a.rotation_map == b.rotation_map
         assert a.stats.iterations == b.stats.iterations
 
+    @pytest.mark.parametrize("d", [1, 2, 4, 8, 16, 32, 3, 5, 6, 7, 9, 10, 12])
+    def test_every_degree(self, d):
+        # Powers of two split by Euler partitions alone; odd and mixed
+        # degrees also peel matchings at their odd widths.
+        for n in (2 * d + 2, 300):
+            g = random_regular_graph(n, d, seed=d)
+            outcome = solve_permutation(g)
+            rot = outcome.rotation_map
+            assert outcome.status == "solved"
+            assert outcome.stats.iterations == d
+            assert check_permutation_consistent(rot).consistent
+            assert validate_against_graph(rot, g) == []
+            if n * d <= 600:
+                assert defect_by_dense_product(rot.entries) == 0
+
+    def test_memory_is_linear(self):
+        # 160 000 arcs: the int32 index arrays of one split take 0.6 MB each.
+        g = random_regular_graph(20000, 8, seed=3)
+        tracemalloc.start()
+        try:
+            solve_permutation(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+    def test_golden_graph_maps_pass_every_check(self):
+        for build in GOLDEN_GRAPHS.values():
+            g = build()
+            rot = solve_permutation(g).rotation_map
+            assert check_permutation_consistent(rot).consistent
+            assert validate_against_graph(rot, g) == []
+            assert defect_by_dense_product(rot.entries) == 0
+
     def test_report_schema(self):
         report = solve_permutation(cycle_graph(4)).to_report()
         assert set(report.keys()) == REPORT_KEYS
         assert report["version"] == 1
         assert report["status"] == "solved"
         assert isinstance(report["wall_ms"], (int, float))
+
+
+class TestEulerHalves:
+    @staticmethod
+    def random_tables():
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            width = 2 * int(rng.integers(1, 6))
+            # Columns of random permutations: a regular bipartite multigraph.
+            yield np.column_stack([rng.permutation(n) for _ in range(width)])
+        for n, d, seed in [(30, 4, 1), (50, 6, 2), (64, 8, 3), (40, 10, 4)]:
+            yield random_regular_graph(n, d, seed=seed).neighbors
+
+    def test_each_vertex_keeps_half_its_arcs_on_each_side(self):
+        for table in self.random_tables():
+            n, width = table.shape
+            halves = _euler_halves(table)
+            for half in halves:
+                assert half.shape == (n, width // 2)
+                assert (np.bincount(half.ravel(), minlength=n) == width // 2).all()
+            rejoined = np.sort(np.hstack(halves), axis=1)
+            assert (rejoined == np.sort(table, axis=1)).all()
+
+    @pytest.mark.parametrize("bound", [1, 2, 2**16 - 1, 2**16, 2**16 + 1, 2**20, 2**33, 2**50])
+    def test_radix_order_is_stable_argsort(self, bound):
+        keys = np.random.default_rng(bound).integers(0, bound, 3000)
+        assert (_stable_order(keys, bound) == np.argsort(keys, kind="stable")).all()
 
 
 class TestEdgeColoringConversion:
@@ -389,7 +465,7 @@ GOLDEN_GRAPHS = {
 }
 GOLDEN_SEARCH = dict(max_iterations=300, max_restarts=3)
 GOLDEN = {
-    "matching": (SolverConfig(), "628531077e4b798b"),
+    "matching": (SolverConfig(), "b786f28471d2af8c"),
     "greedy-coloring": (SolverConfig(criterion="involution", method="greedy-coloring"),
                         "9c331b1f0ec86a65"),
     "vizing": (SolverConfig(criterion="involution", method="vizing"), "3016e978f589819e"),
