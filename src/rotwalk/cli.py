@@ -19,6 +19,7 @@ import argparse
 import itertools
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .errors import FormatError, RotwalkError
@@ -35,7 +36,7 @@ from .rotmap import (
 )
 from .solvers import CRITERIA, METHODS, SolverConfig, solve
 from .version import REPORT_VERSION, __version__
-from .walk import init_state, run as run_walk, uniform_state
+from .walk import TrajectoryRecord, _csv_chunks, _records, init_state, uniform_state
 
 COINS = ("hadamard", "grover", "dft", "identity")
 
@@ -44,42 +45,74 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, chunks: Iterable[str]) -> None:
+    """Write each chunk as soon as it exists, to ``path`` or to stdout."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    _write(path, json.dumps(payload, indent=2) + "\n")
+    _write(path, [json.dumps(payload, indent=2) + "\n"])
 
 
-# The "violations" list of a check report, often 10^5 witnesses, is
-# written from one repeated item template, not one dict per witness, and
-# spliced in where json.dumps wrote this placeholder.
-_VIOLATIONS_MARK = "\0violations"
+# A report's long list (the witnesses of a check, the steps of a walk) is
+# never held as one string: json.dumps writes the report around this
+# placeholder, and the list's items, already formatted at json.dumps's
+# indent, are streamed in its place.
+_LIST_MARK = "\0list"
+
+
+def _spliced_json(payload: dict, items: Iterable[str]) -> Iterator[str]:
+    """``json.dumps(payload, indent=2) + "\n"`` in chunks, where the one
+    top-level value ``_LIST_MARK`` of ``payload`` stands for the list whose
+    items (or runs of items joined by ",\n") ``items`` yields."""
+    head, tail = json.dumps(payload, indent=2).split(json.dumps(_LIST_MARK))
+    yield head
+    opening = "[\n"
+    for item in items:
+        yield opening
+        yield item
+        opening = ",\n"
+    yield "[]" if opening == "[\n" else "\n  ]"
+    yield tail + "\n"
+
+
+# The witnesses of a check report, often 10^5, are written from one
+# repeated item template, not one dict per witness, a fixed number at a time.
 _VIOLATION_ITEM = (
     "    {\n" + ",\n".join(f'      "{field}": %d' for field in Violation._fields) + "\n    }"
 )
+_VIOLATIONS_PER_CHUNK = 4096
 
 
-def _check_report_json(payload: dict, violations) -> str:
-    """``json.dumps(payload, indent=2) + "\n"``, with ``violations`` as the
-    list of {"label", "vertex", "count"} objects in the placeholder's place."""
-    if violations:
-        items = ",\n".join([_VIOLATION_ITEM] * len(violations))
-        listing = "[\n" + items % tuple(itertools.chain.from_iterable(violations)) + "\n  ]"
-    else:
-        listing = "[]"
-    text = json.dumps(payload, indent=2)
-    return text.replace(json.dumps(_VIOLATIONS_MARK), listing, 1) + "\n"
+def _violation_chunks(violations: tuple[Violation, ...]) -> Iterator[str]:
+    for i in range(0, len(violations), _VIOLATIONS_PER_CHUNK):
+        chunk = violations[i:i + _VIOLATIONS_PER_CHUNK]
+        yield ",\n".join([_VIOLATION_ITEM] * len(chunk)) % tuple(itertools.chain.from_iterable(chunk))
+
+
+# One walk step of the JSON trajectory, as json.dumps writes it in the
+# report of WalkTrajectory.to_report: the probabilities one per line, and
+# NaN or Infinity where a float is not finite.
+_STEP_ITEM = (
+    '    {\n      "step": %s,\n      "norm2": %s,\n      "probabilities": [\n        %s\n      ]\n    }'
+)
+_PROBABILITIES = json.JSONEncoder(separators=(",\n        ", ": "))
+
+
+def _step_items(records: Iterable[TrajectoryRecord]) -> Iterator[str]:
+    for rec in records:
+        probabilities = _PROBABILITIES.encode(rec.probabilities.tolist())[1:-1]
+        yield _STEP_ITEM % (json.dumps(rec.step), json.dumps(rec.norm2), probabilities)
 
 
 def cmd_gen(args) -> int:
     spec = FamilySpec(args.family, tuple(args.params), seed=args.seed)
     graph = generate_graph(spec, max_tries=args.max_tries)
-    _write(args.out, serialize_graph(graph))
+    _write(args.out, [serialize_graph(graph)])
     return 0
 
 
@@ -97,7 +130,7 @@ def cmd_rotmap(args) -> int:
             for line in mismatches:
                 print(f"error: {line}", file=sys.stderr)
             return 2
-    _write(args.out, serialize_rotation(rot))
+    _write(args.out, [serialize_rotation(rot)])
     return 0
 
 
@@ -115,7 +148,7 @@ def cmd_check(args) -> int:
         "d": rot.d,
         "consistent": report.consistent,
         "defect": unitarity.defect,
-        "violations": _VIOLATIONS_MARK,
+        "violations": _LIST_MARK,
     }
     if args.emit_product:
         if unitarity.product is None:
@@ -126,7 +159,7 @@ def cmd_check(args) -> int:
             )
         else:
             payload["product"] = unitarity.product.tolist()
-    _write(args.out, _check_report_json(payload, report.violations))
+    _write(args.out, _spliced_json(payload, _violation_chunks(report.violations)))
     return 0
 
 
@@ -143,7 +176,7 @@ def cmd_solve(args) -> int:
     )
     outcome = solve(graph, config)
     if outcome.status == "solved" and args.out is not None:
-        _write(args.out, serialize_rotation(outcome.rotation_map))
+        _write(args.out, [serialize_rotation(outcome.rotation_map)])
     _write_json(args.stats, outcome.to_report())
     if outcome.status != "solved":
         if outcome.certificate:
@@ -236,11 +269,13 @@ def cmd_walk(args) -> int:
     coin = build_coin(args.coin, rot.d)
     support = _parse_start(args.start, rot.n, rot.d)
     state = uniform_state(rot.n, rot.d) if support is None else init_state(rot.n, rot.d, support)
-    trajectory = run_walk(state, coin, build_shift(rot), args.steps)
+    # The walk's checks run here, before the output is opened.
+    records = _records(state, coin, build_shift(rot), args.steps)
     if args.format == "csv":
-        _write(args.out, trajectory.to_csv_text())
+        _write(args.out, _csv_chunks(rot.n, records))
     else:
-        _write_json(args.out, trajectory.to_report())
+        payload = {"version": REPORT_VERSION, "n": rot.n, "d": rot.d, "steps": _LIST_MARK}
+        _write(args.out, _spliced_json(payload, _step_items(records)))
     return 0
 
 

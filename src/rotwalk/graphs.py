@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError, GenerationError, GraphStructureError, RegularityError
+from .errors import FormatError, GenerationError, GraphStructureError, RegularityError, RotwalkError
 
 FAMILIES = (
     "cycle",
@@ -39,6 +39,33 @@ FAMILIES = (
     "circulant",
     "random-regular",
 )
+
+
+def _integer_table(values, error: type[RotwalkError], what: str) -> np.ndarray:
+    """``values`` as a new int64 array.  Raises ``error`` when the rows are
+    ragged or an entry is not an exact int64 value (a fraction, NaN, inf,
+    a huge float, a string); a Python integer beyond int64 is out of
+    range of any table."""
+    try:
+        array = np.asarray(values)
+    except ValueError:
+        raise error(f"{what} rows must all have the same length") from None
+    if array.dtype.kind in "biu":
+        return array.astype(np.int64)
+    if array.dtype.kind in "fO":
+        try:
+            # A non-finite or huge float casts to garbage, which the
+            # round-trip comparison below refuses.
+            with np.errstate(invalid="ignore"):
+                table = array.astype(np.int64)
+        except OverflowError:
+            raise error(f"{what} entry out of range") from None
+        except (TypeError, ValueError):
+            pass
+        else:
+            if (table == array).all():
+                return table
+    raise error(f"{what} entries must be integers")
 
 
 class RegularGraph:
@@ -52,7 +79,7 @@ class RegularGraph:
     __slots__ = ("n", "d", "neighbors")
 
     def __init__(self, neighbors: np.ndarray):
-        nbrs = np.array(neighbors, dtype=np.int64)
+        nbrs = _integer_table(neighbors, GraphStructureError, "neighbor table")
         if nbrs.ndim != 2:
             raise GraphStructureError("neighbor table must be 2-dimensional")
         n, d = nbrs.shape
@@ -87,7 +114,11 @@ class RegularGraph:
         """
         if n < 1:
             raise GraphStructureError("graph must have at least one vertex")
-        pairs = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+        pairs = _integer_table(edges, GraphStructureError, "edge")
+        if not pairs.size:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise GraphStructureError("edges must be (u, v) pairs")
         m = len(pairs)
         out_of_range = ((pairs < 0) | (pairs >= n)).any(axis=1)
         loops = pairs[:, 0] == pairs[:, 1]

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .rotmap import RotationMap, _integer_table
+from .graphs import _integer_table
+from .rotmap import RotationMap
 
 UNITARY_TOL = 1e-12
 

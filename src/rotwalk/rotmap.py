@@ -35,31 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError, RotwalkError, ValidationError
-from .graphs import RegularGraph, _raise_first, _read_table, _write_table
-
-
-def _integer_table(values, error: type[RotwalkError], what: str) -> np.ndarray:
-    """``values`` as a new int64 array.  Raises ``error`` when an entry is
-    not an exact int64 value (a fraction, NaN, inf, a huge float, a
-    string); a Python integer beyond int64 is out of range of any table."""
-    array = np.asarray(values)
-    if array.dtype.kind in "biu":
-        return array.astype(np.int64)
-    if array.dtype.kind in "fO":
-        try:
-            # A non-finite or huge float casts to garbage, which the
-            # round-trip comparison below refuses.
-            with np.errstate(invalid="ignore"):
-                table = array.astype(np.int64)
-        except OverflowError:
-            raise error(f"{what} entry out of range") from None
-        except (TypeError, ValueError):
-            pass
-        else:
-            if (table == array).all():
-                return table
-    raise error(f"{what} entries must be integers")
+from .errors import FormatError, ValidationError
+from .graphs import RegularGraph, _integer_table, _raise_first, _read_table, _write_table
 
 
 class RotationMap:

@@ -11,6 +11,11 @@ consistent map (``np.add.at`` only for an inconsistent one).  run()
 checks the operators once, keeps the amplitudes as a bare array between
 steps and wraps only the final state in a WalkState.
 
+run() collects the records of one private generator, the record loop;
+the CLI streams the same records to its output as they are made, so its
+memory stays O(n*d) at any step count.  Both write CSV rows with one
+per-record formatter.
+
 A trajectory records, for steps 0..t, the per-vertex probability list
 and the squared norm.  For a consistent rotation map the squared norm
 stays at 1 (up to accumulated rounding, tolerance 1e-9 over <= 1e3
@@ -20,6 +25,7 @@ output and is reported as data, never "fixed up" by renormalization.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +36,12 @@ from .version import REPORT_VERSION
 
 
 class WalkState:
-    """Amplitudes over (coin label, vertex) pairs plus a step counter."""
+    """Amplitudes over (coin label, vertex) pairs plus a step counter.
+
+    Amplitudes a caller supplies must be finite.  A state the evolution
+    produces is data and is never refused: on an inconsistent map its
+    amplitudes may grow until they overflow.
+    """
 
     __slots__ = ("n", "d", "amplitudes", "step_index")
 
@@ -38,6 +49,8 @@ class WalkState:
         amps = np.array(amplitudes, dtype=np.complex128)
         if amps.shape != (d * n,):
             raise ConfigError(f"amplitude vector must have length d*n = {d * n}")
+        if not np.isfinite(amps).all():
+            raise ConfigError("amplitudes must be finite")
         amps.setflags(write=False)
         self.n = n
         self.d = d
@@ -50,6 +63,15 @@ class WalkState:
 
     def __repr__(self) -> str:
         return f"WalkState(n={self.n}, d={self.d}, step={self.step_index})"
+
+
+def _evolved(state: WalkState, amps: np.ndarray, step_index: int) -> WalkState:
+    """A state of ``state``'s dimensions holding ``amps``, a new array the
+    evolution computed; unchecked, so that an overflow stays data."""
+    evolved = object.__new__(WalkState)
+    amps.setflags(write=False)
+    evolved.n, evolved.d, evolved.amplitudes, evolved.step_index = state.n, state.d, amps, step_index
+    return evolved
 
 
 def init_state(n: int, d: int, support) -> WalkState:
@@ -102,10 +124,10 @@ def apply(operator, state: WalkState) -> WalkState:
     """
     if isinstance(operator, ShiftOperator):
         _check_shift(operator, state)
-        return WalkState(state.n, state.d, operator.apply(state.amplitudes), state.step_index)
+        return _evolved(state, operator.apply(state.amplitudes), state.step_index)
     if isinstance(operator, CoinOperator):
         _check_coin(operator, state)
-        return WalkState(state.n, state.d, _coin(operator, state.amplitudes), state.step_index)
+        return _evolved(state, _coin(operator, state.amplitudes), state.step_index)
     raise ConfigError(f"cannot apply object of type {type(operator).__name__} to a state")
 
 
@@ -132,7 +154,7 @@ def step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkStat
     """One evolution step: coin first, then shift."""
     _check_coin(coin, state)
     _check_shift(shift, state)
-    return WalkState(state.n, state.d, _step(state.amplitudes, coin, shift), state.step_index + 1)
+    return _evolved(state, _step(state.amplitudes, coin, shift), state.step_index + 1)
 
 
 def inverse_step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
@@ -145,7 +167,7 @@ def inverse_step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> 
     amps = shift.apply_adjoint(state.amplitudes)
     blocks = amps.reshape(state.d, state.n)
     amps = (coin.matrix.conj().T @ blocks).reshape(-1)
-    return WalkState(state.n, state.d, amps, state.step_index - 1)
+    return _evolved(state, amps, state.step_index - 1)
 
 
 def distribution(state: WalkState) -> np.ndarray:
@@ -190,12 +212,7 @@ class WalkTrajectory:
         Floats are written with repr (shortest round-trip form), so equal
         trajectories serialize byte-for-byte identically.
         """
-        lines = ["step,vertex,probability,norm2"]
-        vertices = [f",{v + 1}," for v in range(self.n)]
-        for rec in self.records:
-            head, tail = str(rec.step), f",{rec.norm2!r}"
-            lines.extend(f"{head}{v}{p!r}{tail}" for v, p in zip(vertices, rec.probabilities.tolist()))
-        return "\n".join(lines) + "\n"
+        return "".join(_csv_chunks(self.n, self.records))
 
     def to_report(self) -> dict:
         """JSON-ready mirror of the trajectory."""
@@ -214,16 +231,47 @@ class WalkTrajectory:
         }
 
 
-def run(state: WalkState, coin: CoinOperator, shift: ShiftOperator, t: int) -> WalkTrajectory:
-    """Evolve t steps, recording the initial state and every step after it."""
+def _csv_chunks(n: int, records: Iterable[TrajectoryRecord]) -> Iterator[str]:
+    """The CSV header, then the rows of each record as one string."""
+    yield "step,vertex,probability,norm2\n"
+    vertices = [f",{v + 1}," for v in range(n)]
+    for rec in records:
+        head, tail = str(rec.step), f",{rec.norm2!r}\n"
+        yield "".join([f"{head}{v}{p!r}{tail}" for v, p in zip(vertices, rec.probabilities.tolist())])
+
+
+def _records(
+    state: WalkState, coin: CoinOperator, shift: ShiftOperator, t: int
+) -> Iterator[TrajectoryRecord]:
+    """The record loop: the records of steps 0..t, each yielded as soon as
+    it exists; the generator returns the final amplitude vector.
+
+    t and the operators are checked here, before the first record, so a
+    refused walk has produced nothing.
+    """
     if t < 0:
         raise ConfigError(f"step count must be >= 0, got {t}")
     _check_coin(coin, state)
     _check_shift(shift, state)
-    amps, start = state.amplitudes, state.step_index
-    records = [TrajectoryRecord(start, _probabilities(amps, state.d), _norm2(amps))]
-    for k in range(1, t + 1):
-        amps = _step(amps, coin, shift)
-        records.append(TrajectoryRecord(start + k, _probabilities(amps, state.d), _norm2(amps)))
-    final = WalkState(state.n, state.d, amps, start + t) if t else state
+
+    def loop(amps: np.ndarray, start: int, d: int):
+        yield TrajectoryRecord(start, _probabilities(amps, d), _norm2(amps))
+        for k in range(1, t + 1):
+            amps = _step(amps, coin, shift)
+            yield TrajectoryRecord(start + k, _probabilities(amps, d), _norm2(amps))
+        return amps
+
+    return loop(state.amplitudes, state.step_index, state.d)
+
+
+def run(state: WalkState, coin: CoinOperator, shift: ShiftOperator, t: int) -> WalkTrajectory:
+    """Evolve t steps, recording the initial state and every step after it."""
+    records = []
+    loop = _records(state, coin, shift, t)
+    try:
+        while True:
+            records.append(next(loop))
+    except StopIteration as end:
+        amps = end.value
+    final = _evolved(state, amps, state.step_index + t) if t else state
     return WalkTrajectory(state.n, state.d, records, final)

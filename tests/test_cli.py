@@ -2,21 +2,30 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rotwalk import (
     REPORT_VERSION,
+    build_coin,
+    build_shift,
     check_involution_consistent,
     check_permutation_consistent,
     cli,
     cycle_rotation,
     greedy_rotation,
+    init_state,
     parse_graph,
     parse_rotation,
     random_regular_graph,
+    run,
+    serialize_graph,
     serialize_rotation,
+    solve_permutation,
+    uniform_state,
     unitarity_defect,
 )
 
@@ -271,6 +280,28 @@ class TestCheckReportBytes:
         assert cli.main(["check", greedy]) == 0
         assert capsys.readouterr().out == GREEDY_REPORT
 
+    @pytest.mark.parametrize("per_chunk", [1, 3, 8, 4096])
+    def test_chunk_boundaries(self, tmp_path, capsys, monkeypatch, greedy, per_chunk):
+        # 8 witnesses on the square, 1000+ on the larger map: one chunk,
+        # several, and a last one that is full or not.
+        monkeypatch.setattr(cli, "_VIOLATIONS_PER_CHUNK", per_chunk)
+        assert cli.main(["check", greedy]) == 0
+        assert capsys.readouterr().out == GREEDY_REPORT
+        text = serialize_rotation(greedy_rotation(random_regular_graph(300, 6, seed=2)))
+        path = tmp_path / "map.rot"
+        path.write_text(text)
+        assert cli.main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == json.dumps(reference_check_payload(text), indent=2) + "\n"
+
+    def test_greedy_map_spanning_chunks(self, tmp_path):
+        text = serialize_rotation(greedy_rotation(random_regular_graph(2000, 8, seed=3)))
+        path, out = tmp_path / "map.rot", tmp_path / "report.json"
+        path.write_text(text)
+        assert cli.main(["check", str(path), "--out", str(out)]) == 0
+        payload = reference_check_payload(text)
+        assert len(payload["violations"]) > 2 * cli._VIOLATIONS_PER_CHUNK
+        assert out.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+
 
 class TestSolve:
     def test_solved_writes_map_and_stats(self, square, tmp_path, capsys):
@@ -436,6 +467,125 @@ class TestWalk:
         code = cli.main(["walk", petersen, str(rot), "--coin", "hadamard",
                          "--allow-inconsistent"])
         assert code == 2
+
+
+def reference_walk(graph_text, map_text, coin, steps, start=None):
+    """The walk's trajectory from the library, as run() collects it."""
+    rot = parse_rotation(map_text)
+    assert parse_graph(graph_text).n == rot.n
+    if start is None:
+        state = uniform_state(rot.n, rot.d)
+    else:
+        state = init_state(rot.n, rot.d, [start])
+    return run(state, build_coin(coin, rot.d), build_shift(rot), steps)
+
+
+class TestWalkStreams:
+    """The CLI streams the trajectory; its bytes must be the library's."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("streams")
+        g = random_regular_graph(30, 4, seed=5)
+        maps = {"solved": solve_permutation(g).rotation_map, "greedy": greedy_rotation(g)}
+        (root / "g.edges").write_text(serialize_graph(g))
+        for kind, rot in maps.items():
+            (root / f"{kind}.rot").write_text(serialize_rotation(rot))
+        return root
+
+    CASES = {
+        # map, extra argv, start of the reference state (0-based)
+        "localized": ("solved", ["--start", "2:7:0.6-0.8j"], (1, 6, 0.6 - 0.8j)),
+        "uniform": ("solved", ["--start", "uniform"], None),
+        "inconsistent": ("greedy", ["--start", "uniform", "--allow-inconsistent"], None),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out-file", "stdout"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_library_output(self, inputs, tmp_path, capsys, case, to_file, fmt):
+        kind, extra, start = self.CASES[case]
+        graph, rot = inputs / "g.edges", inputs / f"{kind}.rot"
+        traj = reference_walk(graph.read_text(), rot.read_text(), "grover", 12, start)
+        if fmt == "csv":
+            expected = traj.to_csv_text()
+        else:
+            expected = json.dumps(traj.to_report(), indent=2) + "\n"
+        argv = ["walk", str(graph), str(rot), "--steps", "12", "--format", fmt, *extra]
+        out = tmp_path / "walk.out"
+        assert cli.main(argv + (["--out", str(out)] if to_file else [])) == 0
+        written = out.read_bytes() if to_file else capsys.readouterr().out.encode()
+        assert written == expected.encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_walk_writes_nan_and_infinity(self, tmp_path, fmt):
+        # The Grover walk on this greedy map grows the squared norm about
+        # 2.8x a step, so the amplitudes overflow and then turn NaN.
+        g = random_regular_graph(6, 3, seed=10)
+        graph, rot = tmp_path / "g.edges", tmp_path / "g.rot"
+        graph.write_text(serialize_graph(g))
+        rot.write_text(serialize_rotation(greedy_rotation(g)))
+        out = tmp_path / "walk.out"
+        argv = ["walk", str(graph), str(rot), "--steps", "1500", "--allow-inconsistent",
+                "--format", fmt, "--out", str(out)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(argv) == 0
+            traj = reference_walk(graph.read_text(), rot.read_text(), "grover", 1500, (0, 0, 1.0))
+        if fmt == "csv":
+            expected = traj.to_csv_text()
+            assert ",inf," in expected and ",nan," in expected
+        else:
+            expected = json.dumps(traj.to_report(), indent=2) + "\n"
+            assert "Infinity" in expected and "NaN" in expected
+        assert out.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--steps", "-1"], 2),
+        (["--steps", "-1", "--format", "json"], 2),
+        (["--coin", "hadamard"], 2),
+    ])
+    def test_refused_walk_writes_no_file(self, inputs, tmp_path, capsys, argv, code):
+        out = tmp_path / "walk.out"
+        graph, rot = inputs / "g.edges", inputs / "solved.rot"
+        assert cli.main(["walk", str(graph), str(rot), *argv, "--out", str(out)]) == code
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_inconsistent_map_guard_writes_no_file(self, inputs, tmp_path, capsys):
+        out = tmp_path / "walk.out"
+        graph, rot = inputs / "g.edges", inputs / "greedy.rot"
+        assert cli.main(["walk", str(graph), str(rot), "--out", str(out)]) == 4
+        assert not out.exists()
+
+
+def traced_peak_mb(argv):
+    """The traced peak, in MB, of one in-process CLI run."""
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedMemory:
+    def test_walk_peak_does_not_grow_with_steps(self, tmp_path):
+        # A walk that kept its records and the whole CSV text grew by about
+        # 0.37 MB a step here (149 MB traced at 400 steps, 19 MB at 50).
+        g = random_regular_graph(2000, 8, seed=1)
+        graph, rot = tmp_path / "g.edges", tmp_path / "g.rot"
+        graph.write_text(serialize_graph(g))
+        rot.write_text(serialize_rotation(solve_permutation(g).rotation_map))
+        argv = ["walk", str(graph), str(rot), "--out", str(tmp_path / "walk.csv"), "--steps"]
+        short, long = traced_peak_mb(argv + ["50"]), traced_peak_mb(argv + ["400"])
+        assert long < short + 0.5
+
+    def test_greedy_check_peak_bounded(self, tmp_path):
+        # The report held as text three times over (template, formatted
+        # text, spliced copy) traced 51 MB here; streamed in chunks, 30 MB.
+        path = tmp_path / "map.rot"
+        path.write_text(serialize_rotation(greedy_rotation(random_regular_graph(20000, 8, seed=1))))
+        assert traced_peak_mb(["check", str(path), "--out", str(tmp_path / "report.json")]) < 40
 
 
 NON_FINITE_ARGS = {

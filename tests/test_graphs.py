@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -130,6 +131,46 @@ class TestConstruction:
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphStructureError):
             RegularGraph.from_edges(0, [])
+
+    @pytest.mark.parametrize("neighbors", [
+        [[1.5], [0.2]],
+        np.array([[np.nan], [0.0]]),
+        [[1.0], [np.inf]],
+        [["1"], ["0"]],
+        [[Fraction(1, 2)], [0]],
+    ])
+    def test_non_integer_entries_rejected(self, neighbors):
+        with pytest.raises(GraphStructureError, match="neighbor table entries must be integers"):
+            RegularGraph(neighbors)
+
+    @pytest.mark.parametrize("neighbors", [
+        [[1], [0]],
+        [[1.0], [0.0]],
+        [[True], [False]],
+        np.array([[1], [0]], dtype=np.uint8),
+        np.array([[1], [0]], dtype=object),
+    ])
+    def test_exact_integer_entries_accepted(self, neighbors):
+        graph = RegularGraph(neighbors)
+        assert graph.neighbors.tolist() == [[1], [0]]
+        assert graph.neighbors.dtype == np.int64
+
+    def test_ragged_table_rejected(self):
+        with pytest.raises(GraphStructureError, match="rows must all have the same length"):
+            RegularGraph([[1, 2], [0]])
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0.5, 1.0)], "edge entries must be integers"),
+        ([(0, 1), (1,)], "edge rows must all have the same length"),
+        ([(0, 1, 2)], r"edges must be \(u, v\) pairs"),
+        ([(0, 2**70)], "edge entry out of range"),
+    ])
+    def test_bad_edge_entries_rejected(self, edges, message):
+        with pytest.raises(GraphStructureError, match=message):
+            RegularGraph.from_edges(3, edges)
+
+    def test_from_edges_accepts_integral_floats(self):
+        assert RegularGraph.from_edges(2, [(0.0, 1.0)]) == RegularGraph.from_edges(2, [(0, 1)])
 
     def test_asymmetric_table_rejected(self):
         # Regular (every row one entry) but 1 -> 2 -> 3 -> 1 has no reverse arcs.

@@ -47,6 +47,10 @@ class TestShiftOperator:
         with pytest.raises(ConfigError, match="col_to_row entries must be integers"):
             ShiftOperator(1, 2, table)
 
+    def test_ragged_table_rejected(self):
+        with pytest.raises(ConfigError, match="col_to_row rows must all have the same length"):
+            ShiftOperator(1, 2, [[0], [1, 0]])
+
     @pytest.mark.parametrize("table", [[1, 0], [1.0, 0.0], np.array([1, 0], dtype=np.uint16)])
     def test_exact_integer_table_accepted(self, table):
         shift = ShiftOperator(1, 2, table)

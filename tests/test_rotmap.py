@@ -96,6 +96,10 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="out of range"):
             RotationMap([[2**70], [0]])
 
+    def test_ragged_table_rejected(self):
+        with pytest.raises(ValidationError, match="rows must all have the same length"):
+            RotationMap([[1, 2], [0]])
+
     @pytest.mark.parametrize("entries", [
         [[1], [0]],
         [[1.0], [0.0]],

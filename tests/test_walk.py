@@ -76,6 +76,27 @@ class TestStates:
         with pytest.raises(ConfigError):
             init_state(4, 2, [(0, 4, 1.0)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_state_with_non_finite_amplitude_rejected(self, bad):
+        with pytest.raises(ConfigError, match="amplitudes must be finite"):
+            WalkState(2, 2, [bad, 0, 0, 0])
+
+    def test_overflowing_evolution_reported_as_data(self):
+        # The greedy 4-cycle map doubles the mass on two vertices; from
+        # finite amplitudes near the float limit, step() and run() return
+        # the overflowed state and records instead of refusing them.
+        state = WalkState(4, 2, np.full(8, 1e308))
+        coin, shift = build_coin("identity", 2), build_shift(greedy_rotation(cycle_graph(4)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            after = step(state, coin, shift)
+            again = step(after, coin, shift)
+            traj = run(state, coin, shift, 2)
+        assert np.isinf(after.amplitudes).any()
+        assert again.step_index == traj.final_state.step_index == 2
+        assert traj.final_state.amplitudes.tobytes() == again.amplitudes.tobytes()
+        assert traj.records[0].norm2 == np.inf
+        assert not np.isfinite(traj.records[1].probabilities).all()
+
     def test_amplitudes_read_only(self):
         state = init_state(4, 2, [(0, 0, 1.0)])
         with pytest.raises(ValueError):
