@@ -8,147 +8,102 @@ operationalizes: the shift operator is unitary exactly when every
 rotation-map column is a permutation of the vertices.
 """
 
-from .errors import (
-    ConfigError,
-    FormatError,
-    GenerationError,
-    GraphStructureError,
-    RegularityError,
-    RotwalkError,
-    ValidationError,
-)
-from .graphs import (
-    FAMILIES,
-    FamilySpec,
-    RegularGraph,
-    check_regularity,
-    circulant_graph,
-    complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
-    generate_graph,
-    hypercube_graph,
-    parse_graph,
-    random_regular_graph,
-    serialize_graph,
-    torus_graph,
-)
-from .operators import (
-    COIN_KINDS,
-    PRODUCT_DIM_LIMIT,
-    UNITARY_TOL,
-    CoinOperator,
-    ShiftOperator,
-    UnitarityReport,
-    build_coin,
-    build_shift,
-    unitarity_defect,
-)
-from .rotmap import (
-    ConsistencyReport,
-    RotationMap,
-    Violation,
-    check_involution_consistent,
-    check_permutation_consistent,
-    cycle_rotation,
-    greedy_rotation,
-    parse_rotation,
-    serialize_rotation,
-    validate_against_graph,
-)
-from .solvers import (
-    CRITERIA,
-    METHODS,
-    STATUSES,
-    EdgeColoring,
-    SolverConfig,
-    SolverOutcome,
-    SolverStats,
-    exhaustive_search,
-    greedy_coloring,
-    rotation_from_coloring,
-    solve,
-    solve_permutation,
-    vizing_color,
-)
-from .version import REPORT_VERSION, __version__
-from .walk import (
-    TrajectoryRecord,
-    WalkState,
-    WalkTrajectory,
-    apply,
-    distribution,
-    init_state,
-    inverse_step,
-    run,
-    step,
-    uniform_state,
-)
+import importlib
 
-__all__ = [
-    "__version__",
-    "REPORT_VERSION",
-    "RotwalkError",
-    "FormatError",
-    "GraphStructureError",
-    "RegularityError",
-    "ValidationError",
-    "GenerationError",
-    "ConfigError",
-    "RegularGraph",
-    "FamilySpec",
-    "FAMILIES",
-    "generate_graph",
-    "parse_graph",
-    "serialize_graph",
-    "check_regularity",
-    "cycle_graph",
-    "complete_graph",
-    "complete_bipartite_graph",
-    "hypercube_graph",
-    "torus_graph",
-    "circulant_graph",
-    "random_regular_graph",
-    "RotationMap",
-    "ConsistencyReport",
-    "Violation",
-    "greedy_rotation",
-    "cycle_rotation",
-    "check_permutation_consistent",
-    "check_involution_consistent",
-    "validate_against_graph",
-    "parse_rotation",
-    "serialize_rotation",
-    "ShiftOperator",
-    "CoinOperator",
-    "UnitarityReport",
-    "build_shift",
-    "build_coin",
-    "unitarity_defect",
-    "UNITARY_TOL",
-    "PRODUCT_DIM_LIMIT",
-    "COIN_KINDS",
-    "WalkState",
-    "WalkTrajectory",
-    "TrajectoryRecord",
-    "init_state",
-    "uniform_state",
-    "apply",
-    "step",
-    "inverse_step",
-    "run",
-    "distribution",
-    "SolverConfig",
-    "SolverStats",
-    "SolverOutcome",
-    "EdgeColoring",
-    "CRITERIA",
-    "METHODS",
-    "STATUSES",
-    "solve",
-    "solve_permutation",
-    "greedy_coloring",
-    "vizing_color",
-    "rotation_from_coloring",
-    "exhaustive_search",
-]
+# Each public name, grouped under the module it is imported from.  A name
+# is imported on first access (PEP 562), so that importing the package,
+# or one command of the CLI, loads only the layers that are used.
+_EXPORTS = {
+    "version": ("__version__", "REPORT_VERSION"),
+    "errors": (
+        "RotwalkError",
+        "FormatError",
+        "GraphStructureError",
+        "RegularityError",
+        "ValidationError",
+        "GenerationError",
+        "ConfigError",
+    ),
+    "graphs": (
+        "RegularGraph",
+        "FamilySpec",
+        "FAMILIES",
+        "generate_graph",
+        "parse_graph",
+        "serialize_graph",
+        "check_regularity",
+        "cycle_graph",
+        "complete_graph",
+        "complete_bipartite_graph",
+        "hypercube_graph",
+        "torus_graph",
+        "circulant_graph",
+        "random_regular_graph",
+    ),
+    "rotmap": (
+        "RotationMap",
+        "ConsistencyReport",
+        "Violation",
+        "greedy_rotation",
+        "cycle_rotation",
+        "check_permutation_consistent",
+        "check_involution_consistent",
+        "validate_against_graph",
+        "parse_rotation",
+        "serialize_rotation",
+    ),
+    "operators": (
+        "ShiftOperator",
+        "CoinOperator",
+        "UnitarityReport",
+        "build_shift",
+        "build_coin",
+        "unitarity_defect",
+        "UNITARY_TOL",
+        "PRODUCT_DIM_LIMIT",
+        "COIN_KINDS",
+    ),
+    "walk": (
+        "WalkState",
+        "WalkTrajectory",
+        "TrajectoryRecord",
+        "init_state",
+        "uniform_state",
+        "apply",
+        "step",
+        "inverse_step",
+        "run",
+        "distribution",
+    ),
+    "solvers": (
+        "SolverConfig",
+        "SolverStats",
+        "SolverOutcome",
+        "EdgeColoring",
+        "CRITERIA",
+        "METHODS",
+        "STATUSES",
+        "solve",
+        "solve_permutation",
+        "greedy_coloring",
+        "vizing_color",
+        "rotation_from_coloring",
+        "exhaustive_search",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -16,16 +16,17 @@ byte-identical outputs (wall-clock stats fields aside).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from collections.abc import Iterable, Iterator
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import FormatError, RotwalkError
 from .graphs import FAMILIES, FamilySpec, generate_graph, parse_graph, serialize_graph
-from .operators import PRODUCT_DIM_LIMIT, build_coin, build_shift, unitarity_defect
 from .rotmap import (
+    CRITERIA,
+    METHODS,
     Violation,
     check_involution_consistent,
     check_permutation_consistent,
@@ -34,9 +35,12 @@ from .rotmap import (
     serialize_rotation,
     validate_against_graph,
 )
-from .solvers import CRITERIA, METHODS, SolverConfig, solve
 from .version import REPORT_VERSION, __version__
-from .walk import TrajectoryRecord, _csv_chunks, _records, init_state, uniform_state
+
+# The operators, solvers and walk layers are imported by the commands
+# that run them, so that a command loads only the layers it uses.
+if TYPE_CHECKING:
+    from .walk import TrajectoryRecord
 
 COINS = ("hadamard", "grover", "dft", "identity")
 
@@ -88,10 +92,11 @@ _VIOLATION_ITEM = (
 _VIOLATIONS_PER_CHUNK = 4096
 
 
-def _violation_chunks(violations: tuple[Violation, ...]) -> Iterator[str]:
-    for i in range(0, len(violations), _VIOLATIONS_PER_CHUNK):
-        chunk = violations[i:i + _VIOLATIONS_PER_CHUNK]
-        yield ",\n".join([_VIOLATION_ITEM] * len(chunk)) % tuple(itertools.chain.from_iterable(chunk))
+def _violation_chunks(witnesses) -> Iterator[str]:
+    """The items of a report's (k, 3) witness array, a chunk at a time."""
+    for i in range(0, len(witnesses), _VIOLATIONS_PER_CHUNK):
+        chunk = witnesses[i:i + _VIOLATIONS_PER_CHUNK]
+        yield ",\n".join([_VIOLATION_ITEM] * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
 # One walk step of the JSON trajectory, as json.dumps writes it in the
@@ -135,6 +140,8 @@ def cmd_rotmap(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .operators import PRODUCT_DIM_LIMIT, unitarity_defect
+
     rot = parse_rotation(_read(args.map))
     if args.criterion == "permutation":
         report = check_permutation_consistent(rot)
@@ -159,11 +166,13 @@ def cmd_check(args) -> int:
             )
         else:
             payload["product"] = unitarity.product.tolist()
-    _write(args.out, _spliced_json(payload, _violation_chunks(report.violations)))
+    _write(args.out, _spliced_json(payload, _violation_chunks(report._witnesses)))
     return 0
 
 
 def cmd_solve(args) -> int:
+    from .solvers import SolverConfig, solve
+
     graph = parse_graph(_read(args.graph))
     config = SolverConfig(
         criterion=args.criterion,
@@ -186,6 +195,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_shift(args) -> int:
+    from .operators import PRODUCT_DIM_LIMIT, build_shift
+
     rot = parse_rotation(_read(args.map))
     dim = rot.n * rot.d
     if dim > PRODUCT_DIM_LIMIT:
@@ -250,6 +261,9 @@ def _parse_start(specs: list[str] | None, n: int, d: int):
 
 
 def cmd_walk(args) -> int:
+    from .operators import build_coin, build_shift
+    from .walk import _csv_chunks, _records, init_state, uniform_state
+
     graph = parse_graph(_read(args.graph))
     rot = parse_rotation(_read(args.map))
     mismatches = validate_against_graph(rot, graph)

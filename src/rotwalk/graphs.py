@@ -21,7 +21,6 @@ format error names the first bad line in document order.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -293,42 +292,87 @@ def _read_table(text: str) -> _Table:
 
     Lines, fields, blank lines and '#' comment lines are those of
     ``str.splitlines``, ``str.split`` and ``str.strip`` applied line by
-    line, but found with array operations over the code points.  Header
-    errors are raised here; the body is checked by the caller.
+    line, but found with array operations over the characters: the
+    bytes of an ASCII text, else its code points.  Header errors are
+    raised here; the body is checked by the caller.
     """
-    fields = text.split()
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    codes = np.minimum(codes, len(_IS_SPACE) - 1)
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        codes = np.minimum(codes, len(_IS_SPACE) - 1)
     is_space = _IS_SPACE.take(codes)
     ends = _ENDS_LINE.take(codes)
     ends[1:] &= (codes[1:] != ord("\n")) | (codes[:-1] != ord("\r"))  # "\r\n" ends one line
-    starts = np.flatnonzero(np.diff(is_space, prepend=True) & ~is_space)
-    line_of = np.cumsum(ends)[starts] + 1  # 1-based line of each field
-    first = np.diff(line_of, prepend=0) != 0  # the field opens its line
-    comment = (codes[starts] == ord("#"))[first][np.cumsum(first) - 1]
+    # Fields are the runs of non-space: bounds alternate start, stop, start, ...
+    padded = np.concatenate([[True], is_space, [True]])
+    bounds = np.flatnonzero(padded[1:] != padded[:-1])
+    starts, stops = bounds[0::2], bounds[1::2]
+    # A field opens its line when it is the first one, or a line ends
+    # before it (line ends are spaces, so never inside a field).
+    breaks = np.flatnonzero(ends)
+    first = np.zeros(len(starts) + 1, dtype=bool)
+    first[np.searchsorted(starts, breaks)] = True
+    first = first[:-1]
+    first[:1] = True
+    comment = (codes[starts[first]] == ord("#"))[np.cumsum(first) - 1]
     kept = np.flatnonzero(~comment)
     if not kept.size:
         raise FormatError("empty document: missing 'n d' header")
-    line_of, first = line_of[kept], first[kept]
+    first = first[kept]
     opens = np.flatnonzero(first)
-    lines, widths = line_of[opens], np.diff(opens, append=len(kept))
+    lines = np.searchsorted(breaks, starts[kept[opens]]) + 1  # 1-based
+    widths = np.diff(opens, append=len(kept))
     header_line = int(lines[0])
     if widths[0] != 2:
         raise FormatError("header must be 'n d'", line=header_line)
     try:
-        n, d = int(fields[kept[0]]), int(fields[kept[1]])
+        n, d = (int(text[starts[k]:stops[k]]) for k in kept[:2])
     except ValueError:
         raise FormatError("header must be two integers", line=header_line) from None
     if n < 1 or d < 1:
         raise FormatError("header requires n >= 1 and d >= 1", line=header_line)
-    body = np.array(fields, dtype=object)[kept[2:]]
-    try:
-        values, ok = body.astype(np.int64), np.ones(len(body), dtype=bool)
-    except (ValueError, OverflowError):
-        values, ok = _integers_one_by_one(body)
+    body = kept[2:]
+    values = _decimal_integers(codes, is_space, starts, stops, body)
+    ok = np.ones(len(body), dtype=bool)
+    if values is None:
+        fields = np.array(text.split(), dtype=object)[body]
+        try:
+            values = fields.astype(np.int64)
+        except (ValueError, OverflowError):
+            values, ok = _integers_one_by_one(fields)
     line_index = np.cumsum(first[2:]) - 1  # body line of each body field
     integral = np.bincount(line_index[~ok], minlength=len(opens) - 1) == 0
     return _Table(n, d, header_line, lines[1:], widths[1:], integral, values)
+
+
+# A field of at most this many ASCII digits is below 10**18 < 2**63.
+_MAX_DIGITS = 18
+
+
+def _decimal_integers(codes, is_space, starts, stops, fields) -> np.ndarray | None:
+    """The int64 values of ``fields`` (indices into ``starts``/``stops``)
+    when each is a run of at most ``_MAX_DIGITS`` ASCII digits, else None.
+
+    Digit by digit, one ``values * 10 + digit`` pass per position; int()
+    reads every such field to the same value."""
+    digits = codes - ord("0")  # wraps: a non-digit reads 10 or more
+    other = np.flatnonzero((digits > 9) & ~is_space)
+    field_of_other = np.searchsorted(starts, other, side="right") - 1
+    if np.isin(field_of_other, fields).any():
+        return None
+    first, stop = starts[fields], stops[fields]
+    width = int((stop - first).max(initial=0))
+    if width > _MAX_DIGITS:
+        return None
+    values = np.zeros(len(fields), dtype=np.int64)
+    for k in range(width, 0, -1):
+        at = stop - k
+        digit = digits.take(at, mode="clip")
+        digit[at < first] = 0
+        values *= 10
+        values += digit
+    return values
 
 
 def _integers_one_by_one(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -566,6 +610,8 @@ def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 100) ->
         raise GenerationError(f"random-regular needs d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
         raise GenerationError(f"random-regular needs n*d even, got n={n}, d={d}")
+    if max_tries < 1:
+        raise GenerationError(f"random-regular needs max_tries >= 1, got {max_tries}")
     rng = random.Random(seed)
 
     def suitable(edges: set, leftovers: dict) -> bool:
@@ -577,12 +623,12 @@ def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 100) ->
             for v in nodes[: i + 1]:
                 if u == v:
                     continue
-                if (v, u) not in edges:
+                if v * n + u not in edges:
                     return True
         return False
 
     def attempt() -> set | None:
-        edges: set = set()
+        edges: set = set()  # the key u*n+v of each edge u < v
         stubs = list(range(n)) * d
         while stubs:
             leftovers: dict[int, int] = {}
@@ -591,8 +637,9 @@ def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 100) ->
             for u, v in zip(it, it):
                 if u > v:
                     u, v = v, u
-                if u != v and (u, v) not in edges:
-                    edges.add((u, v))
+                key = u * n + v
+                if u != v and key not in edges:
+                    edges.add(key)
                 else:
                     leftovers[u] = leftovers.get(u, 0) + 1
                     leftovers[v] = leftovers.get(v, 0) + 1
@@ -604,8 +651,9 @@ def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 100) ->
     for _ in range(max_tries):
         edges = attempt()
         if edges is not None:
-            flat = np.fromiter(itertools.chain.from_iterable(edges), np.int64, 2 * len(edges))
-            return RegularGraph.from_edges(n, flat.reshape(-1, 2))
+            # Keys reach n**2, past int64 from n = 2**31 on: Python ints there.
+            keys = np.fromiter(edges, np.int64 if n < 2**31 else object, len(edges))
+            return RegularGraph.from_edges(n, np.column_stack([keys // n, keys % n]))
     raise GenerationError(
         f"random-regular({n}, {d}) generation exhausted after {max_tries} attempts"
     )

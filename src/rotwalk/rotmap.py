@@ -30,13 +30,19 @@ a format error names the first bad line in document order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
 from .graphs import RegularGraph, _integer_table, _raise_first, _read_table, _write_table
+
+# The consistency criteria, and the solver methods that search for a map
+# meeting one.  They live beside the checkers so that the CLI can offer
+# them without importing the solvers.
+CRITERIA = ("permutation", "involution")
+METHODS = ("matching", "greedy-coloring", "vizing", "local-search", "exhaustive")
 
 
 class RotationMap:
@@ -98,20 +104,57 @@ class Violation(NamedTuple):
     count: int
 
 
-@dataclass(frozen=True)
 class ConsistencyReport:
-    criterion: str
-    consistent: bool
-    violations: tuple[Violation, ...]
+    """A checker's verdict and its witnesses, in report order.
+
+    The witnesses are kept as one read-only (k, 3) int64 array of 1-based
+    (label, vertex, count) rows, since a greedy map has about 10^5 of
+    them; ``violations`` is the same witnesses as a tuple of Violation,
+    built on first access.  Equality, hashing and repr are those of the
+    frozen record (criterion, consistent, violations).
+    """
+
+    __slots__ = ("criterion", "consistent", "_witnesses", "_violations")
+
+    def __init__(self, criterion: str, consistent: bool, violations):
+        witnesses = np.array(violations, dtype=np.int64).reshape(-1, 3)
+        witnesses.setflags(write=False)
+        object.__setattr__(self, "criterion", criterion)
+        object.__setattr__(self, "consistent", consistent)
+        object.__setattr__(self, "_witnesses", witnesses)
+        object.__setattr__(self, "_violations", None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @property
+    def violations(self) -> tuple[Violation, ...]:
+        if self._violations is None:
+            violations = tuple(map(Violation._make, zip(*self._witnesses.T.tolist())))
+            object.__setattr__(self, "_violations", violations)
+        return self._violations
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.criterion, self.consistent) == (other.criterion, other.consistent) and (
+            np.array_equal(self._witnesses, other._witnesses)
+        )
+
+    def __hash__(self):
+        return hash((self.criterion, self.consistent, self.violations))
+
+    def __repr__(self) -> str:
+        return (
+            f"ConsistencyReport(criterion={self.criterion!r}, consistent={self.consistent!r}, "
+            f"violations={self.violations!r})"
+        )
 
     def to_dict(self) -> dict:
         return {
             "criterion": self.criterion,
             "consistent": self.consistent,
-            "violations": [
-                {"label": w.label, "vertex": w.vertex, "count": w.count}
-                for w in self.violations
-            ],
+            "violations": [dict(zip(Violation._fields, w)) for w in self._witnesses.tolist()],
         }
 
 
@@ -159,10 +202,8 @@ def check_involution_consistent(rot: RotationMap) -> ConsistencyReport:
 
 def _consistency_report(criterion: str, labels, vertices, counts) -> ConsistencyReport:
     """A report from 0-based label and vertex arrays, already in witness order."""
-    violations = tuple(map(
-        Violation._make, zip((labels + 1).tolist(), (vertices + 1).tolist(), counts.tolist())
-    ))
-    return ConsistencyReport(criterion, not violations, violations)
+    witnesses = np.column_stack([labels + 1, vertices + 1, counts])
+    return ConsistencyReport(criterion, not len(witnesses), witnesses)
 
 
 def validate_against_graph(rot: RotationMap, graph: RegularGraph) -> list[str]:

@@ -52,14 +52,14 @@ import numpy as np
 from .errors import ConfigError, RotwalkError, ValidationError
 from .graphs import RegularGraph
 from .rotmap import (
+    CRITERIA,
+    METHODS,
     RotationMap,
     check_involution_consistent,
     check_permutation_consistent,
 )
 from .version import REPORT_VERSION
 
-CRITERIA = ("permutation", "involution")
-METHODS = ("matching", "greedy-coloring", "vizing", "local-search", "exhaustive")
 STATUSES = ("solved", "infeasible-proven", "budget-exhausted")
 
 

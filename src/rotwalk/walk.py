@@ -255,10 +255,14 @@ def _records(
     _check_shift(shift, state)
 
     def loop(amps: np.ndarray, start: int, d: int):
-        yield TrajectoryRecord(start, _probabilities(amps, d), _norm2(amps))
-        for k in range(1, t + 1):
-            amps = _step(amps, coin, shift)
-            yield TrajectoryRecord(start + k, _probabilities(amps, d), _norm2(amps))
+        for k in range(t + 1):
+            # Evolved amplitudes are data: on an inconsistent map they may
+            # overflow to inf and nan, which the records carry silently.
+            with np.errstate(over="ignore", invalid="ignore"):
+                if k:
+                    amps = _step(amps, coin, shift)
+                record = TrajectoryRecord(start + k, _probabilities(amps, d), _norm2(amps))
+            yield record
         return amps
 
     return loop(state.amplitudes, state.step_index, state.d)

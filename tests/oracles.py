@@ -199,6 +199,17 @@ def _reference_header(fields, lineno):
     return (n, d), None
 
 
+def integer_rows(text):
+    """The rows of integers of a well-formed document, header first, read
+    one line at a time with ``int``."""
+    rows = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            rows.append([int(field) for field in line.split()])
+    return rows
+
+
 def first_graph_format_error(text):
     """The edge-list reader, one line at a time: the (line, message) of the
     first format error (line None when it belongs to no line), else None.

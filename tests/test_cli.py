@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rotwalk
 from rotwalk import (
     REPORT_VERSION,
     build_coin,
@@ -102,6 +103,14 @@ class TestGen:
 
     def test_wrong_arity_exit_2(self, capsys):
         assert cli.main(["gen", "cycle", "4", "7"]) == 2
+
+    @pytest.mark.parametrize("tries", ["0", "-1"])
+    def test_bad_max_tries_exit_2(self, capsys, tries):
+        # Refused before any attempt, not as "exhausted after -1 attempts".
+        assert cli.main(["gen", "random-regular", "10", "3", "--max-tries", tries]) == 2
+        assert capsys.readouterr().err == (
+            f"error: random-regular needs max_tries >= 1, got {tries}\n"
+        )
 
 
 class TestRotmap:
@@ -580,6 +589,16 @@ class TestStreamedMemory:
         short, long = traced_peak_mb(argv + ["50"]), traced_peak_mb(argv + ["400"])
         assert long < short + 0.5
 
+    @pytest.mark.parametrize("criterion", ["permutation", "involution"])
+    def test_greedy_check_keeps_witnesses_as_arrays(self, tmp_path, criterion):
+        # About 133k witnesses here: built as Violation tuples and
+        # flattened again for the report they traced 30 MB, kept as
+        # arrays 16 MB.
+        path = tmp_path / "map.rot"
+        path.write_text(serialize_rotation(greedy_rotation(random_regular_graph(20000, 8, seed=1))))
+        argv = ["check", str(path), "--criterion", criterion, "--out", str(tmp_path / "r.json")]
+        assert traced_peak_mb(argv) < 22
+
     def test_greedy_check_peak_bounded(self, tmp_path):
         # The report held as text three times over (template, formatted
         # text, spliced copy) traced 51 MB here; streamed in chunks, 30 MB.
@@ -613,6 +632,27 @@ def test_non_finite_values_exit_2_without_warning(square, canonical, argv):
     assert proc.stdout == ""
 
 
+def run_cli_process(*argv, code="from rotwalk.cli import run; run()"):
+    """One command (or ``code``) in a fresh interpreter on this checkout's sources."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def test_overflowing_walk_prints_no_warning(tmp_path):
+    # The amplitudes of this walk overflow to inf and then nan (see
+    # TestWalkStreams); they are data, and NumPy must not warn about them.
+    g = random_regular_graph(6, 3, seed=10)
+    graph, rot, out = tmp_path / "g.edges", tmp_path / "g.rot", tmp_path / "walk.csv"
+    graph.write_text(serialize_graph(g))
+    rot.write_text(serialize_rotation(greedy_rotation(g)))
+    proc = run_cli_process("walk", str(graph), str(rot), "--steps", "1500",
+                           "--allow-inconsistent", "--out", str(out))
+    assert proc.returncode == 0
+    assert "Warning" not in proc.stderr
+    assert ",inf," in out.read_text() and ",nan," in out.read_text()
+
+
 class TestTopLevel:
     def test_version_flag(self, capsys):
         assert cli.main(["--version"]) == 0
@@ -632,6 +672,30 @@ class TestTopLevel:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               check=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.stdout.strip() == "False"
+
+    def test_commands_load_only_their_layers(self, tmp_path):
+        # A command imports the layers it runs; gen, rotmap and check never
+        # reach the solvers, and the package resolves its names on access.
+        edges, rot = tmp_path / "g.edges", tmp_path / "g.rot"
+        argvs = [["gen", "random-regular", "30", "4", "--out", str(edges)],
+                 ["rotmap", str(edges), "--out", str(rot)],
+                 ["check", str(rot), "--out", str(tmp_path / "g.json")]]
+        probe = (
+            "import sys, rotwalk.cli\n"
+            "layers = lambda: sorted(m for m in sys.modules if m.startswith('rotwalk.'))\n"
+            "print(*layers())\n"
+            f"print(*[rotwalk.cli.main(argv) for argv in {argvs!r}])\n"
+            "print(*layers())\n"
+            "import rotwalk\n"
+            "print(sum(getattr(rotwalk, name) is not None for name in rotwalk.__all__))\n"
+        )
+        proc = run_cli_process(code=probe)
+        assert proc.returncode == 0, proc.stderr
+        startup, codes, after, resolved = proc.stdout.splitlines()
+        assert startup == "rotwalk.cli rotwalk.errors rotwalk.graphs rotwalk.rotmap rotwalk.version"
+        assert codes == "0 0 0"
+        assert after == startup.replace("rotwalk.graphs", "rotwalk.graphs rotwalk.operators")
+        assert int(resolved) == len(rotwalk.__all__)
 
     def test_even_degree_solve_does_not_import_scipy(self, tmp_path):
         # Euler partitions alone decompose a power-of-two degree; SciPy's

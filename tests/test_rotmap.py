@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rotwalk import (
+    ConsistencyReport,
     FormatError,
     RotationMap,
     ValidationError,
@@ -156,6 +157,22 @@ class TestConsistency:
         assert payload["criterion"] == "permutation"
         assert payload["consistent"] is False
         assert payload["violations"][0] == {"label": 1, "vertex": 1, "count": 2}
+
+    def test_report_is_a_frozen_record(self):
+        # Witnesses are kept as an array; the report still compares,
+        # hashes and prints as the record (criterion, consistent, violations).
+        report = check_permutation_consistent(greedy_rotation(cycle_graph(4)))
+        record = ConsistencyReport("permutation", False, report.violations)
+        assert report == record and hash(report) == hash(record)
+        assert repr(report) == (
+            "ConsistencyReport(criterion='permutation', consistent=False, violations=("
+            + ", ".join(map(repr, report.violations)) + "))"
+        )
+        assert report != ConsistencyReport("permutation", False, report.violations[:-1])
+        assert report != ConsistencyReport("permutation", False, report.violations[::-1])
+        assert report != check_involution_consistent(greedy_rotation(cycle_graph(4)))
+        with pytest.raises(AttributeError):
+            report.consistent = True
 
     def test_matches_sorting_oracle(self):
         rng = random.Random(5)

@@ -12,6 +12,7 @@ import pytest
 
 from rotwalk import (
     FormatError,
+    RegularGraph,
     RotwalkError,
     greedy_rotation,
     parse_graph,
@@ -20,9 +21,10 @@ from rotwalk import (
     serialize_graph,
     serialize_rotation,
 )
+from rotwalk import graphs
 from rotwalk.graphs import _ENDS_LINE, _IS_SPACE
 
-from oracles import first_graph_format_error, first_rotation_format_error
+from oracles import first_graph_format_error, first_rotation_format_error, integer_rows
 
 # The 8-cycle, its edges in order, and its canonical rotation map.
 CYCLE_EDGES = [f"{v} {v + 1}" for v in range(1, 8)] + ["1 8"]
@@ -83,6 +85,38 @@ def with_rotation_defect(body, at, kind):
     return body
 
 
+# Ways to write an integer field that int() reads as its value: the
+# reader converts plain ASCII digit runs of up to 18 digits itself and
+# hands anything else to int().
+SPELLINGS = {
+    "leading zeros": lambda x: f"00{x}",
+    "18 digits": lambda x: f"{x:018d}",
+    "19 digits": lambda x: f"{x:019d}",
+    "plus sign": lambda x: f"+{x}",
+    "underscores": lambda x: "_".join(f"0{x}"),
+    "arabic-indic digits": lambda x: str(x).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+}
+
+
+def spelled(body, spell):
+    return [" ".join(spell(int(field)) for field in line.split()) for line in body]
+
+
+def canonical_documents(document, body, bad_body, far_line):
+    """Documents whose integers test the reader's conversion: ``body``
+    and ``bad_body`` (a body whose first error names a value) in every
+    spelling; ``far_line`` with fields of 18, 19 and 20 digits; an ASCII
+    body with one non-ASCII comment; and the header after comments."""
+    docs = []
+    for spell in SPELLINGS.values():
+        docs += [document(spelled(body, spell)), document(spelled(bad_body, spell))]
+    for digits in (18, 19, 20):
+        docs.append(document(body[:3] + [far_line("9" * digits)] + body[4:]))
+    docs.append(document(body[:3] + ["# ein Kommentar, übrigens"] + body[3:]))
+    docs.append("# a comment\n\n  # and another\n" + document(body))
+    return docs
+
+
 def decorate(text, rng):
     """The same document with comments, blank lines, odd spacing or line ends."""
     style = rng.choice(["plain", "comments", "tabs", "crlf", "unicode", "mixed"])
@@ -122,6 +156,9 @@ def graph_corpus():
     docs.append(graph_document(["3 x"] + CYCLE_EDGES[1:], "100000000000 2"))
     docs.append(graph_document(CYCLE_EDGES + ["1 2"]))
     docs.append(graph_document(CYCLE_EDGES[:-1]))
+    docs += canonical_documents(graph_document, CYCLE_EDGES,
+                                with_graph_defect(CYCLE_EDGES, 4, "past n"),
+                                lambda far: f"2 {far}")
     return [decorate(doc, rng) for doc in docs] + docs
 
 
@@ -145,6 +182,9 @@ def rotation_corpus():
     docs.append(rotation_document(CYCLE_ROWS + ["1 3", "x"]))
     docs.append(rotation_document(CYCLE_ROWS[:-1]))
     docs.append(rotation_document(with_rotation_defect(CYCLE_ROWS[:-2], 1, "zero")))
+    docs += canonical_documents(rotation_document, CYCLE_ROWS,
+                                with_rotation_defect(CYCLE_ROWS, 4, "past n"),
+                                lambda far: f"{far} 3")
     return [decorate(doc, rng) for doc in docs] + docs
 
 
@@ -208,6 +248,44 @@ def test_mutated_documents_match_reference():
                             decorate(mutated(graph_text, rng), rng))
         assert_same_failure(parse_rotation, first_rotation_format_error,
                             decorate(mutated(rotation_text, rng), rng))
+
+
+def test_well_formed_documents_read_as_int():
+    # Where the corpus is well-formed, every value is the one int() reads.
+    read = 0
+    for text in graph_corpus():
+        if first_graph_format_error(text) is None:
+            try:
+                graph = parse_graph(text)
+            except RotwalkError:
+                continue  # well-formed, but not a regular graph
+            (n, _), *edges = integer_rows(text)
+            assert graph == RegularGraph.from_edges(n, [(u - 1, v - 1) for u, v in edges]), text
+            read += 1
+    for text in rotation_corpus():
+        if first_rotation_format_error(text) is None:
+            rows = integer_rows(text)[1:]
+            assert (parse_rotation(text).entries + 1).tolist() == rows, text
+            read += 1
+    assert read >= 4 * len(SPELLINGS)
+
+
+def test_both_conversion_routes_run(monkeypatch):
+    # The corpus reaches the reader's own digit conversion and int() alike.
+    routes = []
+    convert = graphs._decimal_integers
+
+    def spy(*args):
+        values = convert(*args)
+        routes.append(values is not None)
+        return values
+
+    monkeypatch.setattr(graphs, "_decimal_integers", spy)
+    for text in graph_corpus():
+        assert_same_failure(parse_graph, first_graph_format_error, text)
+    for text in rotation_corpus():
+        assert_same_failure(parse_rotation, first_rotation_format_error, text)
+    assert routes.count(True) > 100 and routes.count(False) > 100
 
 
 def test_corpus_is_mostly_malformed():
