@@ -1,0 +1,6 @@
+"""``python -m rotwalk``: the rotwalk command line."""
+
+from .cli import run
+
+if __name__ == "__main__":
+    run()

@@ -105,12 +105,18 @@ def _violation_chunks(witnesses) -> Iterator[str]:
 _STEP_ITEM = (
     '    {\n      "step": %s,\n      "norm2": %s,\n      "probabilities": [\n        %s\n      ]\n    }'
 )
-_PROBABILITIES = json.JSONEncoder(separators=(",\n        ", ": "))
+_PROBABILITY_SEPARATOR = ",\n        "
 
 
 def _step_items(records: Iterable[TrajectoryRecord]) -> Iterator[str]:
+    """The steps' items.  The walk's float kernel writes the probabilities;
+    json.dumps spells the values it leaves over, NaN and Infinity among them."""
+    from .walk import _float_text, _joined_rows
+
     for rec in records:
-        probabilities = _PROBABILITIES.encode(rec.probabilities.tolist())[1:-1]
+        probabilities = _joined_rows(
+            [_float_text(rec.probabilities, json.dumps), _PROBABILITY_SEPARATOR]
+        )[: -len(_PROBABILITY_SEPARATOR)]
         yield _STEP_ITEM % (json.dumps(rec.step), json.dumps(rec.norm2), probabilities)
 
 
@@ -275,7 +281,7 @@ def cmd_walk(args) -> int:
     if not report.consistent and not args.allow_inconsistent:
         print(
             "error: rotation map violates the permutation criterion "
-            f"({len(report.violations)} violations); the walk would not be "
+            f"({len(report._witnesses)} violations); the walk would not be "
             "norm-preserving.  Pass --allow-inconsistent to run it anyway.",
             file=sys.stderr,
         )
@@ -378,3 +384,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -186,6 +186,15 @@ def distribution_by_loop(amplitudes, n, d):
     return probs
 
 
+def csv_by_fstring(records):
+    """The walk CSV written row by row, every float by repr in an f-string."""
+    return "step,vertex,probability,norm2\n" + "".join(
+        f"{rec.step},{v + 1},{p!r},{rec.norm2!r}\n"
+        for rec in records
+        for v, p in enumerate(rec.probabilities.tolist())
+    )
+
+
 def _reference_header(fields, lineno):
     """(n, d) from a header line's fields, or (line, message) when malformed."""
     if len(fields) != 2:

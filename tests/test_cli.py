@@ -427,6 +427,21 @@ class TestWalk:
         assert "violates the permutation criterion" in err
         assert "--allow-inconsistent" in err
 
+    def test_inconsistent_map_guard_counts_witness_rows(self, square, greedy, capsys, monkeypatch):
+        # The refusal counts the report's witness rows; it never builds the
+        # Violation tuples, which number about 10^5 on a large greedy map.
+        count = len(check_permutation_consistent(parse_rotation(GREEDY_TEXT)).violations)
+
+        def built(report):
+            raise AssertionError("the refusal built the Violation tuples")
+
+        monkeypatch.setattr("rotwalk.rotmap.ConsistencyReport.violations", property(built))
+        assert cli.main(["walk", square, greedy, "--steps", "2"]) == 4
+        assert capsys.readouterr().err == (
+            f"error: rotation map violates the permutation criterion ({count} violations); "
+            "the walk would not be norm-preserving.  Pass --allow-inconsistent to run it anyway.\n"
+        )
+
     def test_allow_inconsistent_override(self, square, greedy, capsys):
         code = cli.main(["walk", square, greedy, "--coin", "identity",
                          "--steps", "2", "--start", "uniform",
@@ -664,6 +679,15 @@ class TestTopLevel:
     def test_missing_file_exit_2(self, capsys):
         assert cli.main(["check", "/nonexistent/x.rot"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module", ["rotwalk", "rotwalk.cli"])
+    def test_module_forms_print_what_main_prints(self, capsys, module):
+        assert cli.main(["gen", "cycle", "4"]) == 0
+        expected = capsys.readouterr().out
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", module, "gen", "cycle", "4"],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
 
     def test_startup_does_not_import_scipy(self):
         # SciPy adds to every command's start-up; only solve_permutation needs it.

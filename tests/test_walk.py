@@ -1,7 +1,10 @@
+import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotwalk import (
     ConfigError,
@@ -24,7 +27,9 @@ from rotwalk import (
     uniform_state,
 )
 
-from oracles import dense_step, distribution_by_loop
+from rotwalk.walk import _float_text, _joined_rows
+
+from oracles import csv_by_fstring, dense_step, distribution_by_loop
 
 
 class TestStates:
@@ -328,3 +333,96 @@ class TestKernel:
             run(state, build_coin("grover", 3), build_shift(maps["solved"]), 2)
         with pytest.raises(ConfigError):
             run(state, build_coin("grover", 4), build_shift(cycle_rotation(30)), 2)
+
+
+def float_texts(values, fallback=repr):
+    """The kernel's text of each value, as a list of strings."""
+    return _joined_rows([_float_text(np.asarray(values, dtype=np.float64), fallback), "\n"]).split("\n")[:-1]
+
+
+def float_corpus():
+    """About 1.2 million deterministic doubles that stress every part of
+    the float kernel: its range, its layouts, its rounding and its ties."""
+    rng = np.random.default_rng(2021)
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    short = np.array([float(f"{m}e{e}") for m, e in zip(
+        rng.integers(1, 10**4, 100_000).tolist(), rng.integers(-12, 19, 100_000).tolist())])
+    edges = np.array([1e-6, 1e-5, 1e-4, 1e15, 1e16, 1e17, 0.5, 1.0])
+    # Halfway cases: odd quarters (a tie at the 17th digit) and the doubles
+    # nearest 18-digit decimals that end in 5.
+    quarters = (2 * rng.integers(2**49, 2**51, 50_000) + 1) / 4.0
+    halfway = np.array([float(f"{m}5e{e}") for m, e in zip(
+        rng.integers(10**16, 10**17, 50_000).tolist(), rng.integers(-23, 1, 50_000).tolist())])
+    parts = [
+        rng.random(300_000),
+        10.0 ** rng.uniform(-8, 17, 300_000),
+        rng.integers(1, 10**17, 50_000).astype(np.float64),
+        rng.integers(0, 2**63, 50_000, dtype=np.int64).view(np.float64),
+        quarters, halfway,
+    ]
+    for exact in (powers, short, edges):
+        parts += [exact, np.nextafter(exact, 0), np.nextafter(exact, np.inf)]
+    parts.append(-parts[1][:100_000])
+    parts.append(np.array([5e-324, 0.0, -0.0, np.inf, -np.inf, np.nan, 1000000000000000.25]))
+    return np.concatenate(parts)
+
+
+class TestFloatText:
+    """The walk CSV's float kernel writes exactly repr's bytes."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return float_corpus()
+
+    def test_corpus_equals_repr(self, corpus):
+        assert len(corpus) >= 10**6
+        assert float_texts(corpus) == [repr(x) for x in corpus.tolist()]
+
+    def test_array_route_and_fallback_both_run(self, corpus):
+        handed_back = []
+
+        def fallback(x):
+            handed_back.append(x)
+            return repr(x)
+
+        assert float_texts(corpus, fallback) == [repr(x) for x in corpus.tolist()]
+        in_range = (np.abs(corpus) > 1e-6) & (np.abs(corpus) < 1e17)
+        zero = (corpus == 0) & ~np.signbit(corpus)
+        assert len(handed_back) == np.count_nonzero(~in_range & ~zero) > 0
+        assert np.count_nonzero(in_range) > 10**6
+
+    def test_fallback_spells_non_finite_values(self):
+        values = [0.25, np.nan, np.inf, -np.inf, -0.0, 1e-300]
+        assert float_texts(values, json.dumps) == ["0.25", "NaN", "Infinity", "-Infinity", "-0.0", "1e-300"]
+
+    @settings(derandomize=True, database=None)
+    @given(st.lists(st.floats()))
+    def test_any_floats_equal_repr(self, values):
+        assert float_texts(values) == [repr(x) for x in values]
+
+    @settings(derandomize=True, database=None)
+    @given(st.lists(st.floats(min_value=-1e17, max_value=1e17), min_size=1))
+    def test_kernel_range_floats_equal_repr(self, values):
+        assert float_texts(values) == [repr(x) for x in values]
+
+
+class TestCsvOracle:
+    """The CSV writer against the row-by-row f-string writer it replaced."""
+
+    def test_hadamard_point_mass_walk(self):
+        # The front of the walk carries probabilities down to 2^-40, below
+        # the kernel's range, so both routes write this CSV.
+        traj = run(init_state(200, 2, [(0, 0, 1.0), (1, 0, 1j)]), build_coin("hadamard", 2),
+                   build_shift(cycle_rotation(200)), 40)
+        probabilities = np.concatenate([rec.probabilities for rec in traj.records])
+        assert ((probabilities > 0) & (probabilities <= 1e-6)).any()
+        assert traj.to_csv_text() == csv_by_fstring(traj.records)
+
+    def test_overflowing_walk(self):
+        g = random_regular_graph(6, 3, seed=10)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = run(init_state(6, 3, [(0, 0, 1.0)]), build_coin("grover", 3),
+                       build_shift(greedy_rotation(g)), 1500)
+        text = traj.to_csv_text()
+        assert ",inf," in text and ",nan," in text
+        assert text == csv_by_fstring(traj.records)
