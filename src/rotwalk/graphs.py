@@ -595,14 +595,30 @@ def circulant_graph(n: int, offsets) -> RegularGraph:
     return RegularGraph.from_edges(n, sorted(edges))
 
 
-def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 100) -> RegularGraph:
-    """A random d-regular simple graph via the pairing model with repair.
+# A random-regular graph's stub count n*d must stay below this.  Then a
+# stub's index fits the low 32 bits of a shuffle key, and the edge keys
+# u*n+v (u < v < n < 2**31) stay below 2**62: int64 throughout.
+RANDOM_REGULAR_MAX_STUBS = 2**31
 
-    Stubs (d copies of each vertex) are shuffled and paired; pairs that
-    would create a self-loop or multi-edge are thrown back and re-paired,
-    and an attempt is abandoned early once no suitable pair can exist.
-    Deterministic for a fixed seed; raises GenerationError when every
-    attempt within ``max_tries`` fails (likely only for very dense d).
+
+def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 100) -> RegularGraph:
+    """A random d-regular simple graph via the pairing model with repair
+    (Steger & Wormald 1999).
+
+    Stubs (d copies of each vertex) are shuffled and paired in order.  A
+    pair is kept as an edge unless it is a self-loop or repeats an edge,
+    one made earlier in the same round included (the first occurrence in
+    pair order wins).  The rest are thrown back and re-paired in the
+    next round, and an attempt is abandoned once no two leftover stubs
+    can still form a new edge.  Each round is whole-array: the shuffle
+    sorts unique keys of 32 random bits from ``random.Random(seed)``
+    above the stub's index, so the graph depends only on Python's
+    Mersenne Twister stream and is the same for a seed on every NumPy.
+
+    Deterministic for a fixed seed.  Raises GenerationError when n*d
+    reaches ``RANDOM_REGULAR_MAX_STUBS`` (2**31), before allocating, and
+    when every attempt within ``max_tries`` fails (likely only for very
+    dense d).
     """
     if n < 1 or d < 1:
         raise GenerationError("random-regular needs n >= 1 and d >= 1")
@@ -610,50 +626,71 @@ def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 100) ->
         raise GenerationError(f"random-regular needs d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
         raise GenerationError(f"random-regular needs n*d even, got n={n}, d={d}")
+    if n * d >= RANDOM_REGULAR_MAX_STUBS:
+        raise GenerationError(
+            f"random-regular needs n*d < 2**31 (the stub ceiling), got n*d={n * d}"
+        )
     if max_tries < 1:
         raise GenerationError(f"random-regular needs max_tries >= 1, got {max_tries}")
     rng = random.Random(seed)
 
-    def suitable(edges: set, leftovers: dict) -> bool:
-        # True if some pair of leftover stubs can still form a new edge.
-        if not leftovers:
-            return True
-        nodes = sorted(leftovers)
-        for i, u in enumerate(nodes):
-            for v in nodes[: i + 1]:
-                if u == v:
-                    continue
-                if v * n + u not in edges:
-                    return True
-        return False
+    def shuffled(stubs: np.ndarray) -> np.ndarray:
+        # Sorting unique keys fixes the order whatever the sort algorithm;
+        # the MT words are read as getrandbits lays them out, little-endian.
+        m = len(stubs)
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+        keys = words.astype(np.uint64) << np.uint64(32) | np.arange(m, dtype=np.uint64)
+        return stubs[(np.sort(keys) & np.uint64(2**32 - 1)).astype(np.intp)]
 
-    def attempt() -> set | None:
-        edges: set = set()  # the key u*n+v of each edge u < v
-        stubs = list(range(n)) * d
-        while stubs:
-            leftovers: dict[int, int] = {}
-            rng.shuffle(stubs)
-            it = iter(stubs)
-            for u, v in zip(it, it):
-                if u > v:
-                    u, v = v, u
-                key = u * n + v
-                if u != v and key not in edges:
-                    edges.add(key)
-                else:
-                    leftovers[u] = leftovers.get(u, 0) + 1
-                    leftovers[v] = leftovers.get(v, 0) + 1
-            if not suitable(edges, leftovers):
+    def suitable(edges: np.ndarray, stubs: np.ndarray) -> bool:
+        # True if some pair of leftover stubs can still form a new edge:
+        # surely when the leftover vertices span more pairs than there are
+        # edges, else if one of those (at most len(edges)) pairs is free.
+        nodes = np.unique(stubs)
+        k = len(nodes)
+        if k * (k - 1) // 2 > len(edges):
+            return True
+        pairs = (nodes[:, None] * n + nodes)[nodes[:, None] < nodes]
+        return not _in_sorted(edges, pairs).all()
+
+    def attempt() -> np.ndarray | None:
+        edges = np.zeros(0, np.int64)  # the ascending keys u*n+v of the edges u < v
+        stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+        while stubs.size:
+            u, v = shuffled(stubs).reshape(-1, 2).T
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            keys = lo * n + hi
+            kept = (lo != hi) & ~_in_sorted(edges, keys) & _first_occurrences(keys)
+            fresh = np.sort(keys[kept])
+            edges = np.insert(edges, np.searchsorted(edges, fresh), fresh)
+            stubs = np.sort(np.concatenate([lo[~kept], hi[~kept]]))
+            if stubs.size and not suitable(edges, stubs):
                 return None
-            stubs = [u for u, count in leftovers.items() for _ in range(count)]
         return edges
 
     for _ in range(max_tries):
         edges = attempt()
         if edges is not None:
-            # Keys reach n**2, past int64 from n = 2**31 on: Python ints there.
-            keys = np.fromiter(edges, np.int64 if n < 2**31 else object, len(edges))
-            return RegularGraph.from_edges(n, np.column_stack([keys // n, keys % n]))
+            return RegularGraph(_neighbor_table(n, np.stack(np.divmod(edges, n), axis=1), d))
     raise GenerationError(
         f"random-regular({n}, {d}) generation exhausted after {max_tries} attempts"
     )
+
+
+def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of ``keys`` is in the ascending array ``sorted_keys``."""
+    if not sorted_keys.size:
+        return np.zeros(len(keys), dtype=bool)
+    return sorted_keys.take(np.searchsorted(sorted_keys, keys), mode="clip") == keys
+
+
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Whether each key is the first of its value in ``keys``.  Repeats
+    are rare, so only the repeated values go through a stable ``unique``."""
+    ascending = np.sort(keys)
+    repeated = np.unique(ascending[1:][ascending[1:] == ascending[:-1]])
+    at = np.flatnonzero(_in_sorted(repeated, keys))
+    first = np.ones(len(keys), dtype=bool)
+    first[at] = False
+    first[at[np.unique(keys[at], return_index=True)[1]]] = True
+    return first

@@ -290,8 +290,11 @@ _POW5 = np.array([5**k for k in range(23)], dtype=np.int64)
 _DIGITS_LO, _DIGITS_HI = 10**16, 10**17
 # "0000" .. "9999" as uint32 words, to write four digits with one gather,
 # and the same without their trailing zeros, NUL-padded.
-_QUADS = np.array([b"%04d" % i for i in range(10000)]).view(np.uint32)
-_BARE_QUADS = np.array([(b"%04d" % i).rstrip(b"0") for i in range(10000)], dtype="S4").view(np.uint32)
+_QUAD_DIGITS = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+_QUADS = (_QUAD_DIGITS + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_BARE_QUADS = np.where(
+    np.logical_or.accumulate(_QUAD_DIGITS[:, ::-1] > 0, axis=1)[:, ::-1], _QUAD_DIGITS + ord("0"), 0
+).astype(np.uint8).view(np.uint32).ravel()
 
 
 def _split(a):

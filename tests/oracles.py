@@ -6,6 +6,8 @@ agreement between the two routes is meaningful evidence rather than the same
 bug observed twice.
 """
 
+import random
+
 import numpy as np
 
 
@@ -302,3 +304,61 @@ def first_rotation_format_error(text):
     if rows != header[0]:
         return None, f"expected {header[0]} rows, got {rows}"
     return None
+
+
+def random_regular_by_pairing(n, d, seed, max_tries=100):
+    """The (n, d) neighbor table, rows ascending, of the graph that the
+    per-pair pairing loop draws for ``seed``: the generator that
+    ``random_regular_graph`` ran before its rounds became whole-array,
+    copied literally.  Tests pinned to one of its graphs build it here.
+
+    ``random.shuffle`` reorders the open stubs; pairs are kept in order
+    unless they are a loop or repeat an edge; the rest are re-paired in
+    the next round, and an attempt ends when no leftover pair can form a
+    new edge.
+    """
+    rng = random.Random(seed)
+
+    def suitable(edges, leftovers):
+        if not leftovers:
+            return True
+        nodes = sorted(leftovers)
+        for i, u in enumerate(nodes):
+            for v in nodes[: i + 1]:
+                if u == v:
+                    continue
+                if v * n + u not in edges:
+                    return True
+        return False
+
+    def attempt():
+        edges = set()
+        stubs = list(range(n)) * d
+        while stubs:
+            leftovers = {}
+            rng.shuffle(stubs)
+            it = iter(stubs)
+            for u, v in zip(it, it):
+                if u > v:
+                    u, v = v, u
+                key = u * n + v
+                if u != v and key not in edges:
+                    edges.add(key)
+                else:
+                    leftovers[u] = leftovers.get(u, 0) + 1
+                    leftovers[v] = leftovers.get(v, 0) + 1
+            if not suitable(edges, leftovers):
+                return None
+            stubs = [u for u, count in leftovers.items() for _ in range(count)]
+        return edges
+
+    for _ in range(max_tries):
+        edges = attempt()
+        if edges is not None:
+            rows = [[] for _ in range(n)]
+            for key in edges:
+                u, v = divmod(key, n)
+                rows[u].append(v)
+                rows[v].append(u)
+            return [sorted(row) for row in rows]
+    raise RuntimeError(f"no {d}-regular graph on {n} vertices in {max_tries} attempts")

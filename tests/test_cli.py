@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 import rotwalk
 from rotwalk import (
     REPORT_VERSION,
+    RegularGraph,
     build_coin,
     build_shift,
     check_involution_consistent,
@@ -29,6 +31,8 @@ from rotwalk import (
     uniform_state,
     unitarity_defect,
 )
+
+from oracles import random_regular_by_pairing
 
 HUGE_HEADER_ERROR = (
     "error: line 1: header declares 100000000000 vertices but 0 edge lines "
@@ -111,6 +115,29 @@ class TestGen:
         assert capsys.readouterr().err == (
             f"error: random-regular needs max_tries >= 1, got {tries}\n"
         )
+
+    def test_random_regular_past_stub_ceiling_exit_2(self, capsys):
+        # Refused from its parameters, before any stub array exists.
+        start = time.perf_counter()
+        assert cli.main(["gen", "random-regular", "3000000000", "8"]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err == (
+            "error: random-regular needs n*d < 2**31 (the stub ceiling), got n*d=24000000000\n"
+        )
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**70)])
+    def test_random_regular_any_integer_seed(self, capsys, seed):
+        assert cli.main(["gen", "random-regular", "20", "3", "--seed", seed]) == 0
+        assert parse_graph(capsys.readouterr().out) == random_regular_graph(20, 3, seed=int(seed))
+
+    def test_random_regular_independent_of_hash_seed(self):
+        outputs = {
+            hash_seed: run_cli_process("gen", "random-regular", "2000", "8", "--seed", "3",
+                                       env={"PYTHONHASHSEED": hash_seed})
+            for hash_seed in ("0", "12345")
+        }
+        assert [proc.returncode for proc in outputs.values()] == [0, 0]
+        assert outputs["0"].stdout == outputs["12345"].stdout
 
 
 class TestRotmap:
@@ -545,7 +572,7 @@ class TestWalkStreams:
     def test_overflowing_walk_writes_nan_and_infinity(self, tmp_path, fmt):
         # The Grover walk on this greedy map grows the squared norm about
         # 2.8x a step, so the amplitudes overflow and then turn NaN.
-        g = random_regular_graph(6, 3, seed=10)
+        g = RegularGraph(random_regular_by_pairing(6, 3, seed=10))
         graph, rot = tmp_path / "g.edges", tmp_path / "g.rot"
         graph.write_text(serialize_graph(g))
         rot.write_text(serialize_rotation(greedy_rotation(g)))
@@ -647,17 +674,18 @@ def test_non_finite_values_exit_2_without_warning(square, canonical, argv):
     assert proc.stdout == ""
 
 
-def run_cli_process(*argv, code="from rotwalk.cli import run; run()"):
-    """One command (or ``code``) in a fresh interpreter on this checkout's sources."""
+def run_cli_process(*argv, code="from rotwalk.cli import run; run()", env=None):
+    """One command (or ``code``) in a fresh interpreter on this checkout's
+    sources, with ``env`` added to the environment."""
     src = str(Path(cli.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={**os.environ, **(env or {}), "PYTHONPATH": src})
 
 
 def test_overflowing_walk_prints_no_warning(tmp_path):
     # The amplitudes of this walk overflow to inf and then nan (see
     # TestWalkStreams); they are data, and NumPy must not warn about them.
-    g = random_regular_graph(6, 3, seed=10)
+    g = RegularGraph(random_regular_by_pairing(6, 3, seed=10))
     graph, rot, out = tmp_path / "g.edges", tmp_path / "g.rot", tmp_path / "walk.csv"
     graph.write_text(serialize_graph(g))
     rot.write_text(serialize_rotation(greedy_rotation(g)))
@@ -720,6 +748,21 @@ class TestTopLevel:
         assert codes == "0 0 0"
         assert after == startup.replace("rotwalk.graphs", "rotwalk.graphs rotwalk.operators")
         assert int(resolved) == len(rotwalk.__all__)
+
+    def test_gen_does_not_load_numpy_random(self):
+        # The random-regular shuffle draws from random.Random; numpy.random
+        # would add to gen's start-up and memory.  (An old NumPy loads it
+        # with numpy itself, so only what gen adds is checked.)
+        probe = (
+            "import sys, numpy, rotwalk.cli\n"
+            "before = 'numpy.random' in sys.modules\n"
+            "code = rotwalk.cli.main(['gen', 'random-regular', '30', '4', '--out', sys.argv[1]])\n"
+            "print(code, before, 'numpy.random' in sys.modules)\n"
+        )
+        proc = run_cli_process(os.devnull, code=probe)
+        assert proc.returncode == 0, proc.stderr
+        code, before, after = proc.stdout.split()
+        assert (code, after) == ("0", before)
 
     def test_even_degree_solve_does_not_import_scipy(self, tmp_path):
         # Euler partitions alone decompose a power-of-two degree; SciPy's

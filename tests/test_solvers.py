@@ -42,6 +42,7 @@ from oracles import (
     defect_by_dense_product,
     is_proper_edge_coloring,
     kempe_component_by_bfs,
+    random_regular_by_pairing,
 )
 
 PETERSEN_EDGES = [
@@ -244,7 +245,7 @@ class TestColoringHeuristics:
         # vizing leaves a d+1 coloring here whose collapse to d labels has
         # no conflict left, which is a proper d-coloring.
         cfg = SolverConfig(criterion="involution", method="vizing")
-        g = random_regular_graph(12, 4, seed=11)
+        g = RegularGraph(random_regular_by_pairing(12, 4, seed=11))
         assert vizing_color(g).num_colors == 5
         outcome = solve(g, cfg)
         assert outcome.status == "solved"
@@ -458,10 +459,10 @@ GOLDEN_GRAPHS = {
     "K4": lambda: complete_graph(4),
     "K5": lambda: complete_graph(5),
     "Q3": lambda: hypercube_graph(3),
-    "rr-10-3": lambda: random_regular_graph(10, 3, seed=1),
-    "rr-12-3": lambda: random_regular_graph(12, 3, seed=2),
-    "rr-12-4": lambda: random_regular_graph(12, 4, seed=11),
-    "rr-16-5": lambda: random_regular_graph(16, 5, seed=4),
+    "rr-10-3": lambda: RegularGraph(random_regular_by_pairing(10, 3, seed=1)),
+    "rr-12-3": lambda: RegularGraph(random_regular_by_pairing(12, 3, seed=2)),
+    "rr-12-4": lambda: RegularGraph(random_regular_by_pairing(12, 4, seed=11)),
+    "rr-16-5": lambda: RegularGraph(random_regular_by_pairing(16, 5, seed=4)),
 }
 GOLDEN_SEARCH = dict(max_iterations=300, max_restarts=3)
 GOLDEN = {

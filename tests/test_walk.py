@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rotwalk import (
     ConfigError,
+    RegularGraph,
     RotationMap,
     WalkState,
     apply,
@@ -27,9 +28,9 @@ from rotwalk import (
     uniform_state,
 )
 
-from rotwalk.walk import _float_text, _joined_rows
+from rotwalk.walk import _BARE_QUADS, _QUADS, _float_text, _joined_rows
 
-from oracles import csv_by_fstring, dense_step, distribution_by_loop
+from oracles import csv_by_fstring, dense_step, distribution_by_loop, random_regular_by_pairing
 
 
 class TestStates:
@@ -391,6 +392,12 @@ class TestFloatText:
         assert len(handed_back) == np.count_nonzero(~in_range & ~zero) > 0
         assert np.count_nonzero(in_range) > 10**6
 
+    def test_digit_tables_equal_formatted_quads(self):
+        quads = [b"%04d" % i for i in range(10000)]
+        assert np.array_equal(_QUADS, np.array(quads).view(np.uint32))
+        bare = np.array([quad.rstrip(b"0") for quad in quads], dtype="S4").view(np.uint32)
+        assert np.array_equal(_BARE_QUADS, bare)
+
     def test_fallback_spells_non_finite_values(self):
         values = [0.25, np.nan, np.inf, -np.inf, -0.0, 1e-300]
         assert float_texts(values, json.dumps) == ["0.25", "NaN", "Infinity", "-Infinity", "-0.0", "1e-300"]
@@ -419,7 +426,7 @@ class TestCsvOracle:
         assert traj.to_csv_text() == csv_by_fstring(traj.records)
 
     def test_overflowing_walk(self):
-        g = random_regular_graph(6, 3, seed=10)
+        g = RegularGraph(random_regular_by_pairing(6, 3, seed=10))
         with np.errstate(over="ignore", invalid="ignore"):
             traj = run(init_state(6, 3, [(0, 0, 1.0)]), build_coin("grover", 3),
                        build_shift(greedy_rotation(g)), 1500)
