@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -28,6 +29,7 @@ from rotwalk import (
     serialize_graph,
     torus_graph,
 )
+from rotwalk.graphs import _first_occurrences, _shuffled_order
 
 from oracles import degrees_from_edges, random_regular_by_pairing
 
@@ -298,6 +300,20 @@ class TestFamilies:
             generate_graph(FamilySpec("moebius", (6,)))
 
 
+class FixedWords(random.Random):
+    """A ``random.Random`` whose draw of all the shuffle keys' bits at once
+    returns ``words``; smaller draws, as ``shuffle`` makes, stay random."""
+
+    def __init__(self, seed, words):
+        super().__init__(seed)
+        self.words = np.array(words, dtype="<u4")
+
+    def getrandbits(self, k):
+        if k == 32 * len(self.words):
+            return int.from_bytes(self.words.tobytes(), "little")
+        return super().getrandbits(k)
+
+
 class TestRandomRegular:
     def test_reproducible(self):
         a = random_regular_graph(30, 4, seed=7)
@@ -347,7 +363,7 @@ class TestRandomRegular:
     # The neighbor table's bytes for a seed depend only on Python's Mersenne
     # Twister stream, not on NumPy's version or sort algorithm.
     @pytest.mark.parametrize("n, d, seed, digest", [
-        (20000, 8, 0, "eaca3e19d056ac1a5b28e006910b79425005fc4de0de5a7fffa580f350bc4ca3"),
+        (20000, 8, 0, "05888f9fc7aad6eaffb36c76ce7d9289ae87ef399243de7392a758acc23666b0"),
         (30, 4, 7, "e3fafd94e5c83f282c580052ef1e4a8700d8d95348a6cc9629a6dc589ae6eb01"),
         (10, 3, 1, "50637eef48ac3bda7bc3b653604ad352a064f4fccd9221f498bc88cf7ae571a0"),
     ])
@@ -371,6 +387,40 @@ class TestRandomRegular:
         old = Counter(shape(random_regular_by_pairing(6, 3, s)) for s in seeds)
         for name in ("K3,3", "prism"):
             assert abs(new[name] - old[name]) / len(seeds) < 0.05
+
+    def test_tied_random_words_are_ordered_by_shuffle(self):
+        # Words 5, 2, 5, 9, 2, 2, 1 for indices 0..6: index 6 comes first and
+        # 3 last, while the runs {1, 4, 5} and {0, 2} tie and must each take
+        # every order over the seeds (6 * 2 combinations, 120 seeds).
+        seen = set()
+        for seed in range(120):
+            order = _shuffled_order(7, FixedWords(seed, [5, 2, 5, 9, 2, 2, 1])).tolist()
+            assert order[0] == 6 and order[6] == 3
+            assert sorted(order[1:4]) == [1, 4, 5] and sorted(order[4:6]) == [0, 2]
+            seen.add(tuple(order))
+        assert len(seen) == 12
+
+    def test_all_tied_words_give_uniform_orders(self):
+        orders = Counter(tuple(_shuffled_order(4, FixedWords(s, [0] * 4)).tolist()) for s in range(2400))
+        assert len(orders) == 24  # 100 expected each, standard deviation about 10
+        assert min(orders.values()) > 50 and max(orders.values()) < 150
+
+    def test_first_occurrences_match_unique(self):
+        rng = np.random.default_rng(5)
+        for size, values in [(0, 1), (1, 1), (50, 3), (200, 150), (1000, 10**12)]:
+            keys = rng.integers(0, values, size)
+            expected = np.zeros(size, dtype=bool)
+            expected[np.unique(keys, return_index=True)[1]] = True
+            assert (_first_occurrences(keys) == expected).all()
+
+    def test_tiny_graphs_stay_cheap(self):
+        # A pairing round is a few dozen NumPy calls whatever the size, so a
+        # graph at (6, 3) costs about 0.4 ms (the per-pair loop: 0.09 ms).
+        # 5 ms a graph bounds that cost with room for a much slower host.
+        start = time.perf_counter()
+        for seed in range(1000):
+            random_regular_graph(6, 3, seed=seed)
+        assert time.perf_counter() - start < 5.0
 
     def test_stub_ceiling_refused_before_allocating(self):
         with pytest.raises(GenerationError, match=r"n\*d < 2\*\*31"):
