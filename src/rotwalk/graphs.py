@@ -21,6 +21,7 @@ format error names the first bad line in document order.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,16 +29,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError, GenerationError, GraphStructureError, RegularityError, RotwalkError
-
-FAMILIES = (
-    "cycle",
-    "complete",
-    "complete-bipartite",
-    "hypercube",
-    "torus",
-    "circulant",
-    "random-regular",
-)
 
 
 def _integer_table(values, error: type[RotwalkError], what: str) -> np.ndarray:
@@ -144,10 +135,10 @@ class RegularGraph:
 
     @classmethod
     def from_adjacency(cls, adjacency) -> "RegularGraph":
-        check_regularity(adjacency)
+        d = check_regularity(adjacency)
         adj = np.asarray(adjacency).astype(bool)
-        rows = [np.flatnonzero(adj[v]) for v in range(adj.shape[0])]
-        return cls(np.array(rows, dtype=np.int64))
+        # Row-major nonzeros: each row's d columns in order, rows in order.
+        return cls(np.nonzero(adj)[1].reshape(adj.shape[0], d))
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as 0-based (u, v) with u < v, lexicographically sorted."""
@@ -471,6 +462,9 @@ class FamilySpec:
     complete-bipartite (m, giving K_{m,m}), hypercube (k, giving 2^k
     vertices), torus (rows, cols), circulant (n, offset...), and
     random-regular (n, d).  ``seed`` only matters for random-regular.
+    Each parameter must be an integer (an ``operator.index`` value, so
+    not a float such as 5.0), and the graph's n*d must stay below
+    ``MAX_STUBS``.
     """
 
     family: str
@@ -485,86 +479,94 @@ def generate_graph(spec: FamilySpec, max_tries: int = 100) -> RegularGraph:
     Invalid parameters raise GenerationError with a diagnostic.
     """
     family = spec.family
-    params = tuple(int(p) for p in spec.params)
-    arity = {
-        "cycle": 1,
-        "complete": 1,
-        "complete-bipartite": 1,
-        "hypercube": 1,
-        "torus": 2,
-        "random-regular": 2,
-    }
-    if family not in FAMILIES:
+    if family not in _FAMILY_BUILDERS:
         raise GenerationError(
             f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}"
         )
-    if family == "circulant":
-        if len(params) < 2:
-            raise GenerationError("circulant needs parameters: n offset...")
-    elif len(params) != arity[family]:
-        raise GenerationError(
-            f"family {family!r} needs exactly {arity[family]} parameter(s), got {len(params)}"
-        )
-    if family == "cycle":
-        return cycle_graph(params[0])
-    if family == "complete":
-        return complete_graph(params[0])
-    if family == "complete-bipartite":
-        return complete_bipartite_graph(params[0])
-    if family == "hypercube":
-        return hypercube_graph(params[0])
-    if family == "torus":
-        return torus_graph(params[0], params[1])
-    if family == "circulant":
-        return circulant_graph(params[0], params[1:])
-    return random_regular_graph(params[0], params[1], seed=spec.seed, max_tries=max_tries)
+    try:
+        params = tuple(operator.index(p) for p in spec.params)
+    except TypeError:
+        raise GenerationError(f"{family} parameters must be integers, got {spec.params!r}") from None
+    usage, build = _FAMILY_BUILDERS[family]
+    count = len(usage.split())
+    if len(params) < count or (len(params) > count and not usage.endswith("...")):
+        raise GenerationError(f"{family} needs parameters: {usage}; got {len(params)}")
+    return build(params, spec.seed, max_tries)
+
+
+# A graph's stub (half-edge) count n*d, the entries of its neighbor
+# table, must stay below this.  Then vertex ids and stub indices fit in
+# 32 bits, and the keys u*n+v of its arcs stay below 2**62: int64 throughout.
+MAX_STUBS = 2**31
+
+
+def _require_below_ceiling(family: str, n: int, d: int) -> None:
+    """Refuse an n-vertex, d-regular ``family`` graph whose n*d reaches
+    ``MAX_STUBS``, before anything of size n exists."""
+    if n * d >= MAX_STUBS:
+        raise GenerationError(f"{family} needs n*d < 2**31 (the stub ceiling), got n*d={n * d}")
+
+
+def _circulant(n: int, offsets) -> RegularGraph:
+    """The graph v ~ v+s (mod n) for each of ``offsets`` (distinct, nonzero
+    and closed under negation mod n), from its table of rows v + offsets."""
+    return RegularGraph((np.arange(n)[:, None] + np.asarray(offsets, dtype=np.int64)) % n)
 
 
 def cycle_graph(n: int) -> RegularGraph:
-    """The n-cycle (2-regular); n >= 3."""
+    """The n-cycle (2-regular); n >= 3.  The circulant with offsets 1, -1."""
     if n < 3:
         raise GenerationError(f"cycle needs n >= 3, got {n}")
-    return RegularGraph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    _require_below_ceiling("cycle", n, 2)
+    return _circulant(n, (1, -1))
 
 
 def complete_graph(n: int) -> RegularGraph:
-    """K_n, (n-1)-regular; n >= 2."""
+    """K_n, (n-1)-regular; n >= 2.  The circulant with offsets 1..n-1."""
     if n < 2:
         raise GenerationError(f"complete needs n >= 2, got {n}")
-    return RegularGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    _require_below_ceiling("complete", n, n - 1)
+    return _circulant(n, np.arange(1, n))
 
 
 def complete_bipartite_graph(m: int) -> RegularGraph:
     """K_{m,m} on 2m vertices, m-regular; vertices 0..m-1 vs m..2m-1."""
     if m < 1:
         raise GenerationError(f"complete-bipartite needs m >= 1, got {m}")
-    return RegularGraph.from_edges(2 * m, [(u, m + v) for u in range(m) for v in range(m)])
+    _require_below_ceiling("complete-bipartite", 2 * m, m)
+    left, right = np.arange(m), np.arange(m, 2 * m)
+    return RegularGraph(np.concatenate([np.broadcast_to(right, (m, m)), np.broadcast_to(left, (m, m))]))
 
 
 def hypercube_graph(k: int) -> RegularGraph:
-    """The k-dimensional hypercube: 2^k vertices, k-regular."""
+    """The k-dimensional hypercube: 2^k vertices, k-regular; x ~ x ^ 2^b
+    for each bit b < k."""
     if k < 1:
         raise GenerationError(f"hypercube needs k >= 1, got {k}")
+    if k >= 31:  # 2^k vertices alone reach the ceiling; 2^k is never formed
+        raise GenerationError(f"hypercube needs n*d < 2**31 (the stub ceiling), got n=2**{k}")
     n = 1 << k
-    edges = [(x, x ^ (1 << b)) for x in range(n) for b in range(k) if x < x ^ (1 << b)]
-    return RegularGraph.from_edges(n, edges)
+    _require_below_ceiling("hypercube", n, k)
+    return RegularGraph(np.arange(n)[:, None] ^ (1 << np.arange(k)))
 
 
 def torus_graph(rows: int, cols: int) -> RegularGraph:
     """The rows x cols grid with wraparound (4-regular); both sides >= 3.
 
-    Side length 2 would wrap v+1 and v-1 onto the same neighbor (a
-    multi-edge), so it is rejected.
+    Vertex r*cols + c neighbors the vertices one row up and down and one
+    column left and right, wrapping around.  Side length 2 would wrap
+    v+1 and v-1 onto the same neighbor (a multi-edge), so it is rejected.
     """
     if rows < 3 or cols < 3:
         raise GenerationError(f"torus needs both sides >= 3, got {rows} x {cols}")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            edges.append((v, ((r + 1) % rows) * cols + c))
-            edges.append((v, r * cols + (c + 1) % cols))
-    return RegularGraph.from_edges(rows * cols, [(min(e), max(e)) for e in edges])
+    _require_below_ceiling("torus", rows * cols, 4)
+    r, c = divmod(np.arange(rows * cols), cols)
+    return RegularGraph(np.stack([
+        (r + 1) % rows * cols + c,
+        (r - 1) % rows * cols + c,
+        r * cols + (c + 1) % cols,
+        r * cols + (c - 1) % cols,
+    ], axis=1))
 
 
 def circulant_graph(n: int, offsets) -> RegularGraph:
@@ -577,28 +579,19 @@ def circulant_graph(n: int, offsets) -> RegularGraph:
     if n < 3:
         raise GenerationError(f"circulant needs n >= 3, got {n}")
     reduced = [s % n for s in offsets]
-    if any(s == 0 for s in reduced):
+    present = set(reduced)
+    if 0 in present:
         raise GenerationError("circulant offsets must be nonzero mod n")
-    if len(set(reduced)) != len(reduced):
+    if len(present) != len(reduced):
         raise GenerationError("circulant offsets must be distinct mod n")
-    missing = sorted({s for s in reduced if (n - s) % n not in reduced})
+    missing = sorted(s for s in present if n - s not in present)
     if missing:
         raise GenerationError(
             "circulant offsets must be closed under negation mod n; "
-            f"missing {', '.join(str((n - s) % n) for s in missing)}"
+            f"missing {', '.join(str(n - s) for s in missing)}"
         )
-    edges = set()
-    for v in range(n):
-        for s in reduced:
-            w = (v + s) % n
-            edges.add((min(v, w), max(v, w)))
-    return RegularGraph.from_edges(n, sorted(edges))
-
-
-# A random-regular graph's stub count n*d must stay below this.  Then a
-# stub's index fits the low 32 bits of a shuffle key, and the edge keys
-# u*n+v (u < v < n < 2**31) stay below 2**62: int64 throughout.
-RANDOM_REGULAR_MAX_STUBS = 2**31
+    _require_below_ceiling("circulant", n, len(reduced))
+    return _circulant(n, reduced)
 
 
 def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 100) -> RegularGraph:
@@ -616,7 +609,7 @@ def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 100) ->
     Mersenne Twister stream and is the same for a seed on every NumPy.
 
     Deterministic for a fixed seed.  Raises GenerationError when n*d
-    reaches ``RANDOM_REGULAR_MAX_STUBS`` (2**31), before allocating, and
+    reaches ``MAX_STUBS`` (2**31), before allocating, and
     when every attempt within ``max_tries`` fails (likely only for very
     dense d).
     """
@@ -626,10 +619,7 @@ def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 100) ->
         raise GenerationError(f"random-regular needs d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
         raise GenerationError(f"random-regular needs n*d even, got n={n}, d={d}")
-    if n * d >= RANDOM_REGULAR_MAX_STUBS:
-        raise GenerationError(
-            f"random-regular needs n*d < 2**31 (the stub ceiling), got n*d={n * d}"
-        )
+    _require_below_ceiling("random-regular", n, d)
     if max_tries < 1:
         raise GenerationError(f"random-regular needs max_tries >= 1, got {max_tries}")
     rng = random.Random(seed)
@@ -709,3 +699,18 @@ def _first_occurrences(keys: np.ndarray) -> np.ndarray:
     first[at] = False
     first[at[np.unique(keys[at], return_index=True)[1]]] = True
     return first
+
+
+# Each family's parameters, as ``gen`` takes them ('...': one or more of
+# the last), and its builder, called with the parameters, the seed and
+# max_tries (the last two used by random-regular alone).
+_FAMILY_BUILDERS = {
+    "cycle": ("n", lambda p, seed, tries: cycle_graph(*p)),
+    "complete": ("n", lambda p, seed, tries: complete_graph(*p)),
+    "complete-bipartite": ("m", lambda p, seed, tries: complete_bipartite_graph(*p)),
+    "hypercube": ("k", lambda p, seed, tries: hypercube_graph(*p)),
+    "torus": ("rows cols", lambda p, seed, tries: torus_graph(*p)),
+    "circulant": ("n offset...", lambda p, seed, tries: circulant_graph(p[0], p[1:])),
+    "random-regular": ("n d", lambda p, seed, tries: random_regular_graph(*p, seed=seed, max_tries=tries)),
+}
+FAMILIES = tuple(_FAMILY_BUILDERS)

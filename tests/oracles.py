@@ -362,3 +362,93 @@ def random_regular_by_pairing(n, d, seed, max_tries=100):
                 rows[v].append(u)
             return [sorted(row) for row in rows]
     raise RuntimeError(f"no {d}-regular graph on {n} vertices in {max_tries} attempts")
+
+
+# The family constructors as they were written before each family built
+# its neighbor table directly: a Python list of 0-based edge tuples per
+# family, copied literally, plus the parameter rules each one enforced.
+
+
+def cycle_edges(n):
+    return [(v, (v + 1) % n) for v in range(n)]
+
+
+def complete_edges(n):
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def complete_bipartite_edges(m):
+    return [(u, m + v) for u in range(m) for v in range(m)]
+
+
+def hypercube_edges(k):
+    n = 1 << k
+    return [(x, x ^ (1 << b)) for x in range(n) for b in range(k) if x < x ^ (1 << b)]
+
+
+def torus_edges(rows, cols):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            edges.append((v, ((r + 1) % rows) * cols + c))
+            edges.append((v, r * cols + (c + 1) % cols))
+    return [(min(e), max(e)) for e in edges]
+
+
+def circulant_edges(n, offsets):
+    edges = set()
+    for v in range(n):
+        for s in offsets:
+            w = (v + s) % n
+            edges.add((min(v, w), max(v, w)))
+    return sorted(edges)
+
+
+def family_by_edges(family, params):
+    """(n, edges) of a deterministic family, or None when ``params`` break
+    its rules: cycle n >= 3, complete n >= 2, complete-bipartite m >= 1,
+    hypercube k >= 1, torus both sides >= 3, circulant n >= 3 with
+    offsets nonzero, distinct and closed under negation mod n."""
+    if family == "cycle":
+        (n,) = params
+        return (n, cycle_edges(n)) if n >= 3 else None
+    if family == "complete":
+        (n,) = params
+        return (n, complete_edges(n)) if n >= 2 else None
+    if family == "complete-bipartite":
+        (m,) = params
+        return (2 * m, complete_bipartite_edges(m)) if m >= 1 else None
+    if family == "hypercube":
+        (k,) = params
+        return (1 << k, hypercube_edges(k)) if k >= 1 else None
+    if family == "torus":
+        rows, cols = params
+        return (rows * cols, torus_edges(rows, cols)) if rows >= 3 and cols >= 3 else None
+    if family == "circulant":
+        n, offsets = params[0], params[1:]
+        if n < 3:
+            return None
+        reduced = [s % n for s in offsets]
+        if 0 in reduced or len(set(reduced)) != len(reduced):
+            return None
+        if any((n - s) % n not in reduced for s in reduced):
+            return None
+        return n, circulant_edges(n, offsets)
+    raise ValueError(f"no edge-list oracle for {family!r}")
+
+
+def table_from_edges(n, edges):
+    """The int64 (n, d) neighbor table of an edge list, each row ascending."""
+    rows = [[] for _ in range(n)]
+    for u, v in edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    return np.array([sorted(row) for row in rows], dtype=np.int64)
+
+
+def edge_list_text(n, edges):
+    """The edge-list document of ``edges``: header, then 1-based 'u v' lines sorted."""
+    d = 2 * len(edges) // n
+    lines = [f"{n} {d}\n"] + [f"{u + 1} {v + 1}\n" for u, v in sorted((min(e), max(e)) for e in edges)]
+    return "".join(lines)

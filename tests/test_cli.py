@@ -32,7 +32,7 @@ from rotwalk import (
     unitarity_defect,
 )
 
-from oracles import random_regular_by_pairing
+from oracles import edge_list_text, family_by_edges, random_regular_by_pairing
 
 HUGE_HEADER_ERROR = (
     "error: line 1: header declares 100000000000 vertices but 0 edge lines "
@@ -124,6 +124,33 @@ class TestGen:
         assert capsys.readouterr().err == (
             "error: random-regular needs n*d < 2**31 (the stub ceiling), got n*d=24000000000\n"
         )
+
+    @pytest.mark.parametrize("argv", [
+        ["hypercube", "64"],
+        ["hypercube", "1000000000000000000"],
+        ["complete", "1000000"],
+        ["torus", "100000", "100000"],
+        ["cycle", "100000000000000000000"],
+        ["circulant", "1000000000000000000000", "1", "-1"],
+    ])
+    def test_family_past_stub_ceiling_exit_2(self, capsys, argv):
+        # Refused from its parameters, before anything of size n exists.
+        start = time.perf_counter()
+        assert cli.main(["gen", *argv]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {argv[0]} needs n*d < 2**31 (the stub ceiling), got n")
+        assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["cycle", "7"], ["complete", "6"], ["complete-bipartite", "3"], ["hypercube", "4"],
+        ["torus", "3", "5"], ["circulant", "10", "1", "-1", "5"],
+    ])
+    def test_family_output_matches_edge_list_oracle(self, capsys, argv):
+        assert cli.main(["gen", *argv]) == 0
+        n, edges = family_by_edges(argv[0], tuple(int(p) for p in argv[1:]))
+        assert capsys.readouterr().out == edge_list_text(n, edges)
 
     @pytest.mark.parametrize("seed", ["-1", str(2**70)])
     def test_random_regular_any_integer_seed(self, capsys, seed):

@@ -31,7 +31,13 @@ from rotwalk import (
 )
 from rotwalk.graphs import _first_occurrences, _shuffled_order
 
-from oracles import degrees_from_edges, random_regular_by_pairing
+from oracles import (
+    degrees_from_edges,
+    edge_list_text,
+    family_by_edges,
+    random_regular_by_pairing,
+    table_from_edges,
+)
 
 SQUARE_EDGES = [(0, 1), (1, 2), (2, 3), (0, 3)]
 
@@ -298,6 +304,115 @@ class TestFamilies:
             generate_graph(FamilySpec("cycle", (6, 7)))
         with pytest.raises(GenerationError):
             generate_graph(FamilySpec("moebius", (6,)))
+
+
+# Every deterministic family on a grid of sizes, including a circulant
+# with an n/2 offset (a perfect matching alongside the other offsets).
+FAMILY_GRID = (
+    [FamilySpec("cycle", (n,)) for n in range(3, 41)]
+    + [FamilySpec("complete", (n,)) for n in range(2, 41)]
+    + [FamilySpec("complete-bipartite", (m,)) for m in range(1, 21)]
+    + [FamilySpec("hypercube", (k,)) for k in range(1, 13)]
+    + [FamilySpec("torus", (r, c)) for r in range(3, 13) for c in range(3, 13)]
+    + [FamilySpec("circulant", params) for params in [
+        (8, 1, 7, 4), (12, 1, 11, 6), (10, 5), (9, 1, -1, 3, -3), (7, 1, 2, 3, 4, 5, 6),
+        (12, 13, -13, 5, 7), (20, 1, 19, 4, 16, 10), (31, 2, 29, 15, 16), (40, 20, 3, 37),
+    ]]
+)
+
+
+def _digest(table):
+    assert table.dtype == np.int64
+    return hashlib.sha256(np.ascontiguousarray(table).tobytes()).hexdigest()
+
+
+class TestFamilyTables:
+    @pytest.mark.parametrize("family", sorted({spec.family for spec in FAMILY_GRID}))
+    def test_tables_match_edge_list_oracle(self, family):
+        for spec in FAMILY_GRID:
+            if spec.family != family:
+                continue
+            n, edges = family_by_edges(spec.family, spec.params)
+            graph = generate_graph(spec)
+            assert _digest(graph.neighbors) == _digest(table_from_edges(n, edges)), spec
+            assert serialize_graph(graph) == edge_list_text(n, edges), spec
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_families_match_oracle_or_refuse(self, data):
+        family = data.draw(st.sampled_from(
+            ["cycle", "complete", "complete-bipartite", "hypercube", "torus", "circulant"]
+        ), label="family")
+        small = st.integers(-3, 14)
+        if family == "torus":
+            params = (data.draw(small, label="rows"), data.draw(small, label="cols"))
+        elif family == "circulant":
+            n = data.draw(small, label="n")
+            offsets = data.draw(st.lists(st.integers(-20, 20), min_size=1, max_size=4), label="offsets")
+            if n >= 3 and data.draw(st.booleans(), label="closed"):
+                # Nonzero residues closed under negation, each written as
+                # some representative mod n.
+                residues = {s % n for s in offsets} - {0}
+                residues |= {n - s for s in residues}
+                shifts = st.integers(-1, 1)
+                offsets = [s + n * data.draw(shifts) for s in sorted(residues)] or offsets
+            params = (n, *offsets)
+        else:
+            params = (data.draw(small, label="parameter"),)
+        spec = FamilySpec(family, params)
+        expected = family_by_edges(family, params)
+        if expected is None:
+            with pytest.raises(GenerationError):
+                generate_graph(spec)
+            return
+        n, edges = expected
+        graph = generate_graph(spec)
+        adj = graph.adjacency_matrix()
+        assert (adj == adj.T).all() and (adj.sum(axis=1) == graph.d).all()
+        assert graph == RegularGraph.from_edges(n, edges)
+        assert generate_graph(spec) == graph
+
+    @pytest.mark.parametrize("spec, message", [
+        (FamilySpec("cycle", (2**30,)), r"^cycle needs n\*d < 2\*\*31 \(the stub ceiling\), got n\*d=2147483648$"),
+        (FamilySpec("cycle", (10**20,)), r"^cycle needs .*, got n\*d=200000000000000000000$"),
+        (FamilySpec("complete", (46342,)), r"^complete needs .*, got n\*d=2147534622$"),
+        (FamilySpec("complete", (10**6,)), r"^complete needs n\*d < 2\*\*31"),
+        (FamilySpec("complete-bipartite", (2**15,)), r"^complete-bipartite needs .*, got n\*d=2147483648$"),
+        (FamilySpec("hypercube", (27,)), r"^hypercube needs .*, got n\*d=3623878656$"),
+        (FamilySpec("hypercube", (64,)), r"^hypercube needs n\*d < 2\*\*31 \(the stub ceiling\), got n=2\*\*64$"),
+        (FamilySpec("hypercube", (10**18,)), r"^hypercube needs n\*d < 2\*\*31"),
+        (FamilySpec("torus", (2**14, 2**15)), r"^torus needs .*, got n\*d=2147483648$"),
+        (FamilySpec("circulant", (2**30, 1, -1)), r"^circulant needs .*, got n\*d=2147483648$"),
+        (FamilySpec("random-regular", (2**30, 2)), r"^random-regular needs .*, got n\*d=2147483648$"),
+    ])
+    def test_stub_ceiling_refused_before_allocating(self, spec, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GenerationError, match=message):
+                generate_graph(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("params", [(5.9,), (5.0,), ("x",), ("5",), (None,), (np.float64(6),)])
+    def test_non_integer_parameters_refused(self, params):
+        with pytest.raises(GenerationError, match=r"^cycle parameters must be integers"):
+            generate_graph(FamilySpec("cycle", params))
+
+    def test_integer_like_parameters_accepted(self):
+        assert generate_graph(FamilySpec("cycle", (np.int64(5),))) == cycle_graph(5)
+        assert generate_graph(FamilySpec("torus", (np.uint8(3), 4))) == torus_graph(3, 4)
+
+    @pytest.mark.parametrize("spec, message", [
+        (FamilySpec("cycle", ()), r"^cycle needs parameters: n; got 0$"),
+        (FamilySpec("torus", (3, 4, 5)), r"^torus needs parameters: rows cols; got 3$"),
+        (FamilySpec("circulant", (8,)), r"^circulant needs parameters: n offset\.\.\.; got 1$"),
+        (FamilySpec("random-regular", (8,)), r"^random-regular needs parameters: n d; got 1$"),
+    ])
+    def test_parameter_count_refused(self, spec, message):
+        with pytest.raises(GenerationError, match=message):
+            generate_graph(spec)
 
 
 class FixedWords(random.Random):
