@@ -3,7 +3,8 @@
 Exit codes are a stable scripting contract:
 
 * 0 — success
-* 2 — usage, format, or validation error
+* 2 — usage, format, or validation error, or an allocation the machine
+  cannot hold
 * 3 — solver finished without solving (budget exhausted or proven infeasible)
 * 4 — walk refused an inconsistent rotation map (no --allow-inconsistent)
 
@@ -374,11 +375,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except RotwalkError as exc:
+    except (RotwalkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        # Sizes under every ceiling can still ask for more memory than the
+        # machine has: gen complete 46341 wants a 17 GB neighbor table.
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -22,8 +22,10 @@ different difficulty:
   and ``local-search`` (Kempe-chain moves with random restarts).
 
 ``exhaustive`` backtracking is the ground-truth oracle for either
-criterion on small instances (n*d bounded by a configured ceiling).  It
-is the only method allowed to claim infeasibility.
+criterion on small instances (n*d bounded by a configured ceiling).  The
+two criteria are one search: a proper d-edge-coloring of the graph
+(involution) or of its bipartite double cover, whose edges are the arcs
+(permutation).  It is the only method allowed to claim infeasibility.
 
 ``solve`` is the one dispatcher from (criterion, method) to a solver,
 and every solver returns through one outcome rule: a map means
@@ -45,7 +47,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, replace
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 
@@ -96,12 +98,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverStats:
-    """iterations: matchings computed (d) / edges colored / search nodes /
-    local-search moves, depending on method.  conflict_trace records the
-    conflict count at each local-search iteration (empty otherwise).
-    best_conflicts is 0 for solved outcomes; for coloring heuristics it
-    is the conflict count of the best labeling found, and for exhaustive
-    outcomes the fewest unassigned slots over all partial assignments."""
+    """iterations: matchings computed (d) / edges colored / labels placed
+    by the exhaustive search, for either criterion / local-search moves,
+    depending on method.  conflict_trace records the conflict count at
+    each local-search iteration (empty otherwise).  best_conflicts is 0
+    for solved outcomes; for coloring heuristics it is the conflict count
+    of the best labeling found, and for exhaustive outcomes the fewest
+    edges (involution) or arcs (permutation) left unlabeled over all
+    partial assignments."""
 
     iterations: int
     restarts: int
@@ -359,19 +363,16 @@ def vizing_color(graph: RegularGraph) -> EdgeColoring:
     n, d = graph.n, graph.d
     edges = graph.edges()
     palette = d + 1
+    # at[x][c] is the neighbor joined to x by color c (-1 if none); the
+    # color of edge (a, b) is at[a].index(b).
     at = [[-1] * palette for _ in range(n)]
-    color_of: dict[tuple[int, int], int] = {}
-
-    def key(a, b):
-        return (a, b) if a < b else (b, a)
 
     def assign(a, b, c):
         at[a][c] = b
         at[b][c] = a
-        color_of[key(a, b)] = c
 
     def unassign(a, b):
-        c = color_of.pop(key(a, b))
+        c = at[a].index(b)
         at[a][c] = -1
         at[b][c] = -1
         return c
@@ -418,7 +419,7 @@ def vizing_color(graph: RegularGraph) -> EdgeColoring:
         # also misses cl and which is still a fan after the inversion.
         for target in range(len(fan)):
             if at[fan[target]][cl] == -1 and all(
-                at[fan[j - 1]][color_of[key(u, fan[j])]] == -1 for j in range(1, target + 1)
+                at[fan[j - 1]][at[u].index(fan[j])] == -1 for j in range(1, target + 1)
             ):
                 break
         else:
@@ -429,11 +430,11 @@ def vizing_color(graph: RegularGraph) -> EdgeColoring:
         assign(u, fan[target], cl)
 
     # Drain pass: try to empty the rarest color class.
-    used, counts = np.unique([color_of[key(u, v)] for u, v in edges], return_counts=True)
+    used, counts = np.unique([at[u].index(v) for u, v in edges], return_counts=True)
     if len(used) > d:
         rare = int(used[counts == counts.min()].max())
         for u, v in edges:
-            if color_of.get(key(u, v)) != rare:
+            if at[u][rare] != v:
                 continue
             unassign(u, v)
             shared = next(
@@ -461,7 +462,7 @@ def vizing_color(graph: RegularGraph) -> EdgeColoring:
             else:
                 assign(u, v, rare)
 
-    raw = [color_of[key(u, v)] for u, v in edges]
+    raw = [at[u].index(v) for u, v in edges]
     dense = {c: i for i, c in enumerate(sorted(set(raw)))}
     labels = tuple(dense[c] for c in raw)
     return EdgeColoring(tuple(edges), labels, len(dense))
@@ -642,12 +643,15 @@ def _kempe_component(edges, edges_at, labels, e0, a, b):
 def exhaustive_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
     """Complete backtracking for either criterion on small instances.
 
-    The only method entitled to return infeasible-proven, and only for
-    the involution criterion: every regular graph has a permutation
-    labeling (solve_permutation constructs one).  Symmetry pruning fixes
-    vertex 1's labels: its edges (involution) or its row (permutation)
-    can always be brought to canonical order by renaming labels, so the
-    restricted search is still complete.
+    Both criteria ask for a proper d-edge-coloring, searched by one
+    backtrack: of the graph's edges for the involution criterion, and of
+    its arcs (v, w), each joining v to a second copy of w, for the
+    permutation criterion.  The arcs form the bipartite double cover,
+    which always has one (König 1916), so only the involution criterion
+    can end infeasible-proven.  Symmetry pruning fixes vertex 1's labels:
+    its edges or arcs come first in either list and can always be brought
+    to canonical order by renaming labels, so the restricted search is
+    still complete.
     """
     config = replace(config, method="exhaustive")
     n, d = graph.n, graph.d
@@ -658,11 +662,19 @@ def exhaustive_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcom
         )
     start = time.perf_counter()
     if config.criterion == "involution":
-        rot, nodes, deepest, timed_out = _exhaustive_coloring(graph, config, start)
-        total = n * d // 2
+        ends, vertices = graph.edges(), n
     else:
-        rot, nodes, deepest, timed_out = _exhaustive_rows(graph, config, start)
-        total = n
+        tails, heads = np.repeat(np.arange(n), d), graph.neighbors.ravel()
+        ends, vertices = list(zip(tails.tolist(), (heads + n).tolist())), 2 * n
+    labels, nodes, deepest, timed_out = _proper_coloring(ends, vertices, d, config, start)
+    rot = None
+    if labels is not None and config.criterion == "involution":
+        rot = rotation_from_coloring(graph, labels)
+    elif labels is not None:
+        entries = np.empty((n, d), dtype=np.int64)
+        entries[tails, labels] = heads
+        rot = RotationMap(entries)
+    total = len(ends)
     stats = SolverStats(nodes, 0, (time.perf_counter() - start) * 1000.0, total - deepest)
     if rot is not None or timed_out:
         return _outcome(graph, config, stats, rot)
@@ -676,95 +688,41 @@ def exhaustive_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcom
     return _outcome(graph, config, stats, certificate=certificate)
 
 
-def _backtrack(first, last, options, place, lift, config, start):
-    """Depth-first search placing one option per level first..last-1.
+def _proper_coloring(ends, vertices, d, config, start):
+    """Depth-first search for a proper d-coloring of the edges ``ends``
+    (pairs of ids below ``vertices``), with edge i < d pinned to label i.
 
-    Runs on an explicit stack, so depth is bounded by memory rather than
-    the interpreter's recursion limit.  ``options(level)`` lazily yields
-    the level's candidates that fit the current placement, in visit
-    order; each is ``place``d in turn and the search descends, and
-    ``lift`` undoes it on the way back.  Every placed option counts as a
-    node; the time budget is checked every 4096 nodes.  Returns (found,
-    nodes, deepest level reached, timed_out).
+    Every later edge tries its free labels in ascending order, on an
+    explicit stack, so depth is bounded by memory rather than the
+    interpreter's recursion limit.  Every placed label counts as a node;
+    the time budget is checked every 4096 nodes.  Returns (labels or
+    None, nodes, deepest number of edges labeled, timed_out).
     """
-    nodes, deepest = 0, first
-    if first == last:
-        return True, nodes, deepest, False
-    pending = [options(first)]
-    placed = []
-    while pending:
-        level = first + len(pending) - 1
-        if len(placed) == len(pending):
-            lift(level, placed.pop())
-        option = next(pending[-1], None)
-        if option is None:
-            pending.pop()
-            continue
-        nodes += 1
-        if nodes % 4096 == 0 and time.perf_counter() - start > config.time_budget:
-            return False, nodes, deepest, True
-        place(level, option)
-        placed.append(option)
-        deepest = max(deepest, level + 1)
-        if level + 1 == last:
-            return True, nodes, deepest, False
-        pending.append(options(level + 1))
-    return False, nodes, deepest, False
-
-
-def _exhaustive_coloring(graph, config, start):
-    """Backtrack proper d-edge-colorings; vertex 0's edges pinned to 0..d-1.
-    Returns (map or None, nodes, deepest level, timed_out)."""
-    n, d = graph.n, graph.d
-    edges = graph.edges()
-    busy = [[False] * d for _ in range(n)]
-    labels = [-1] * len(edges)
-
-    def options(idx):
-        u, v = edges[idx]
-        return (c for c in range(d) if not (busy[u][c] or busy[v][c]))
-
-    def place(idx, c):
-        u, v = edges[idx]
-        labels[idx] = c
+    m = len(ends)
+    busy = [[False] * d for _ in range(vertices)]
+    labels = list(range(d)) + [-1] * (m - d)
+    for c, (u, v) in enumerate(ends[:d]):
         busy[u][c] = busy[v][c] = True
-
-    def lift(idx, c):
-        u, v = edges[idx]
-        labels[idx] = -1
-        busy[u][c] = busy[v][c] = False
-
-    # Sorted edges put vertex 0's d edges first, in neighbor order.
-    for c in range(d):
-        place(c, c)
-    found, nodes, deepest, timed_out = _backtrack(
-        d, len(edges), options, place, lift, config, start
-    )
-    return rotation_from_coloring(graph, labels) if found else None, nodes, deepest, timed_out
-
-
-def _exhaustive_rows(graph, config, start):
-    """Backtrack neighbor orderings per vertex; vertex 0's row pinned ascending.
-    Returns (map or None, nodes, deepest level, timed_out)."""
-    n, d = graph.n, graph.d
-    taken = [[False] * n for _ in range(d)]
-    rows = [[0] * d for _ in range(n)]
-
-    def options(v):
-        return (
-            perm for perm in permutations(graph.neighbors[v])
-            if not any(taken[j][w] for j, w in enumerate(perm))
-        )
-
-    def place(v, perm):
-        rows[v] = [int(w) for w in perm]
-        for j, w in enumerate(perm):
-            taken[j][w] = True
-
-    def lift(v, perm):
-        for j, w in enumerate(perm):
-            taken[j][w] = False
-
-    place(0, graph.neighbors[0])
-    found, nodes, deepest, timed_out = _backtrack(1, n, options, place, lift, config, start)
-    return RotationMap(np.array(rows, dtype=np.int64)) if found else None, nodes, deepest, timed_out
+    nodes, deepest, level, c = 0, d, d, 0
+    while d <= level < m:
+        at_u, at_v = busy[ends[level][0]], busy[ends[level][1]]
+        while c < d and (at_u[c] or at_v[c]):
+            c += 1
+        if c < d:
+            nodes += 1
+            if nodes % 4096 == 0 and time.perf_counter() - start > config.time_budget:
+                return None, nodes, deepest, True
+            labels[level] = c
+            at_u[c] = at_v[c] = True
+            level += 1
+            deepest = max(deepest, level)
+            c = 0
+            continue
+        # Every label failed here: lift the previous edge's, try its next.
+        level -= 1
+        if level >= d:
+            u, v = ends[level]
+            c = labels[level]
+            busy[u][c] = busy[v][c] = False
+            c += 1
+    return (labels if level == m else None), nodes, deepest, False

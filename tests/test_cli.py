@@ -143,6 +143,19 @@ class TestGen:
         assert captured.err.startswith(f"error: {argv[0]} needs n*d < 2**31 (the stub ceiling), got n")
         assert "Traceback" not in captured.err and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 17.0 GiB for an array", ""])
+    def test_memory_error_exit_2(self, capsys, monkeypatch, message):
+        # n*d = 2,147,441,940 passes the stub ceiling; the builder is replaced
+        # so that no large allocation is ever attempted.
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate_graph", exhausted)
+        assert cli.main(["gen", "complete", "46341"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: out of memory: {message or 'an allocation failed'}\n"
+
     @pytest.mark.parametrize("argv", [
         ["cycle", "7"], ["complete", "6"], ["complete-bipartite", "3"], ["hypercube", "4"],
         ["torus", "3", "5"], ["circulant", "10", "1", "-1", "5"],

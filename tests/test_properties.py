@@ -6,11 +6,20 @@ reproducible) and cross-checks against the literal reference
 implementations in oracles.py where a second route exists.
 """
 
+import contextlib
+import io
+import json
 import random
+import tempfile
+from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
+from hypothesis import given, settings
 
 from rotwalk import (
+    CRITERIA,
+    METHODS,
     FamilySpec,
     RotationMap,
     SolverConfig,
@@ -19,6 +28,7 @@ from rotwalk import (
     check_involution_consistent,
     check_permutation_consistent,
     check_regularity,
+    cli,
     cycle_graph,
     generate_graph,
     greedy_rotation,
@@ -228,3 +238,48 @@ class TestDeterminism:
     def test_family_generation_deterministic(self):
         spec = FamilySpec("random-regular", (30, 5), seed=12)
         assert generate_graph(spec) == generate_graph(spec)
+
+
+def _supports(criterion, method):
+    """Whether ``solve`` accepts the pair: matching is for the permutation
+    criterion, exhaustive for either, every other method for involution."""
+    if method == "exhaustive":
+        return True
+    return (criterion == "permutation") == (method == "matching")
+
+
+class TestSolveCommand:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(st.data())
+    def test_exit_codes_and_maps(self, data):
+        n = data.draw(st.integers(2, 16), label="n")
+        d = data.draw(st.integers(1, n - 1), label="d")
+        n += (n * d) % 2
+        seed = data.draw(st.integers(0, 10**6), label="seed")
+        criterion = data.draw(st.sampled_from(CRITERIA), label="criterion")
+        method = data.draw(st.sampled_from(METHODS), label="method")
+        graph = random_regular_graph(n, d, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            edges, out, stats = (Path(tmp, name) for name in ("g.edges", "g.rot", "g.json"))
+            edges.write_text(serialize_graph(graph))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["solve", str(edges), "--criterion", criterion,
+                                 "--method", method, "--max-iterations", "50",
+                                 "--max-restarts", "1", "--out", str(out),
+                                 "--stats", str(stats)])
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            refused = not _supports(criterion, method) or (method == "exhaustive" and n * d > 40)
+            assert (code == 2) == refused
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+                return
+            status = json.loads(stats.read_text())["status"]
+            assert (status == "solved") == (code == 0) == out.exists()
+            if code == 0:
+                rot = parse_rotation(out.read_text())
+                check = (check_permutation_consistent if criterion == "permutation"
+                         else check_involution_consistent)
+                assert check(rot).consistent
+                assert validate_against_graph(rot, graph) == []

@@ -15,6 +15,7 @@ from rotwalk import (
     ValidationError,
     check_involution_consistent,
     check_permutation_consistent,
+    circulant_graph,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -59,6 +60,25 @@ REPORT_KEYS = {
 
 def petersen():
     return RegularGraph.from_edges(10, PETERSEN_EDGES)
+
+
+def small_regular_graphs():
+    """Regular graphs with n*d <= 40: cycles, complete graphs, K_{m,m}
+    (K_{3,3} among them), hypercubes, the 3x3 torus, two circulants,
+    Petersen, and three random-regular seeds per (n, d)."""
+    graphs = [cycle_graph(n) for n in range(3, 21)]
+    graphs += [complete_graph(n) for n in range(2, 7)]
+    graphs += [complete_bipartite_graph(m) for m in range(1, 5)]
+    graphs += [hypercube_graph(k) for k in range(1, 4)]
+    graphs += [torus_graph(3, 3), circulant_graph(10, [1, -1, 5]),
+               circulant_graph(8, [1, -1, 2, -2, 4])]
+    graphs += [petersen()]
+    graphs += [
+        random_regular_graph(n, d, seed=seed)
+        for n in range(2, 41) for d in range(1, n) if n * d <= 40 and n * d % 2 == 0
+        for seed in range(3)
+    ]
+    return graphs
 
 
 class TestPermutationMatching:
@@ -376,6 +396,34 @@ class TestExhaustive:
             seen[outcome.status] += 1
         assert seen["solved"] > 0 and seen["infeasible-proven"] > 0
 
+    def test_permutation_solves_every_small_regular_graph(self):
+        # The arcs form the bipartite double cover, which always has a
+        # proper d-edge-coloring (König 1916): the search never misses.
+        cfg = SolverConfig(method="exhaustive")
+        graphs = small_regular_graphs()
+        assert len(graphs) > 100
+        for g in graphs:
+            outcome = solve(g, cfg)
+            assert outcome.status == "solved", (g.n, g.d)
+            assert check_permutation_consistent(outcome.rotation_map).consistent
+            assert validate_against_graph(outcome.rotation_map, g) == []
+            assert outcome.stats.best_conflicts == 0
+            assert outcome.stats.iterations >= g.n * g.d - g.d
+
+    @pytest.mark.parametrize("build, ceiling, status, nodes, best", [
+        (petersen, 40, "infeasible-proven", 36, 3),
+        (lambda: complete_graph(5), 40, "infeasible-proven", 9, 2),
+        (lambda: cycle_graph(7), 40, "infeasible-proven", 4, 1),
+        (lambda: cycle_graph(3001), 10**6, "infeasible-proven", 2998, 1),
+    ])
+    def test_involution_search_pins(self, build, ceiling, status, nodes, best):
+        # Labels placed and the fewest edges left unlabeled: the count of
+        # the search itself, not only its verdict.
+        cfg = SolverConfig(criterion="involution", method="exhaustive",
+                           exhaustive_ceiling=ceiling)
+        s = solve(build(), cfg)
+        assert (s.status, s.stats.iterations, s.stats.best_conflicts) == (status, nodes, best)
+
     def test_ceiling_enforced(self):
         cfg = SolverConfig(criterion="involution", method="exhaustive")
         with pytest.raises(ConfigError):
@@ -474,7 +522,7 @@ GOLDEN = {
                                     **GOLDEN_SEARCH), "bbf3dc798cf452d0"),
     "local-search-1": (SolverConfig(criterion="involution", method="local-search", seed=1,
                                     **GOLDEN_SEARCH), "40af8f03b4bd3447"),
-    "exhaustive-permutation": (SolverConfig(method="exhaustive", seed=5), "0463a43b3d29bc83"),
+    "exhaustive-permutation": (SolverConfig(method="exhaustive", seed=5), "79e6f9d121aac37d"),
     "exhaustive-involution": (SolverConfig(criterion="involution", method="exhaustive"),
                               "ca9491a4d739a75a"),
 }
