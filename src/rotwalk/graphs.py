@@ -58,15 +58,60 @@ def _integer_table(values, error: type[RotwalkError], what: str) -> np.ndarray:
     raise error(f"{what} entries must be integers")
 
 
-class RegularGraph:
+class _FrozenTable:
+    """Graphs, rotation maps and shifts: n, d and the read-only table named
+    by ``_TABLE``, equal when the type, n, d and table are."""
+
+    __slots__ = ("n", "d")
+    _TABLE: str
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.n == other.n and self.d == other.d and np.array_equal(
+            getattr(self, self._TABLE), getattr(other, self._TABLE)
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.d, getattr(self, self._TABLE).tobytes()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n}, d={self.d})"
+
+
+def _row_rules(rows: np.ndarray, n: int, ascending: bool = False) -> list:
+    """The (mask over rows, message) rules of an n-vertex table of 0-based
+    ``rows``: each entry a vertex other than its row's (the first stray
+    entry is named), none repeated in a row (``ascending``: rows sorted)."""
+    stray = (rows < 0) | (rows >= n) | (rows == np.arange(len(rows))[:, None])
+    ordered = rows if ascending else np.sort(rows, axis=1)
+    repeated = ordered[:, 1:] == ordered[:, :-1]
+    if not (stray.any() or repeated.any()):
+        return []  # a valid table: one whole-table test spares the per-row ones
+
+    def stray_entry(i):
+        w = rows[i, stray[i].argmax()]
+        if 0 <= w < n:
+            return f"vertex {i + 1} maps to itself"
+        return f"entry {w + 1} out of range 1..{n}"
+
+    return [
+        (stray.any(axis=1), stray_entry),
+        (repeated.any(axis=1), lambda i: f"row for vertex {i + 1} has repeated entries"),
+    ]
+
+
+class RegularGraph(_FrozenTable):
     """A simple d-regular graph on n vertices.
 
     The canonical representation is ``neighbors``: an (n, d) integer array
-    whose row v lists the neighbors of v in ascending order.  The array is
-    read-only; a RegularGraph never changes after construction.
+    whose row v lists the neighbors of v in ascending order: each entry a
+    vertex, row v holding neither v nor an entry twice, and the table
+    symmetric.  An error names the first bad row.  The array is read-only.
     """
 
-    __slots__ = ("n", "d", "neighbors")
+    __slots__ = ("neighbors",)
+    _TABLE = "neighbors"
 
     def __init__(self, neighbors: np.ndarray):
         nbrs = _integer_table(neighbors, GraphStructureError, "neighbor table")
@@ -75,22 +120,15 @@ class RegularGraph:
         n, d = nbrs.shape
         if n < 1 or d < 1:
             raise GraphStructureError("graph must have at least one vertex and degree >= 1")
-        if nbrs.min() < 0 or nbrs.max() >= n:
-            raise GraphStructureError("neighbor entry out of range")
         nbrs.sort(axis=1)
-        if d > 1 and (np.diff(nbrs, axis=1) == 0).any():
-            raise GraphStructureError("repeated neighbor (multi-edge) in neighbor table")
-        if (nbrs == np.arange(n)[:, None]).any():
-            raise GraphStructureError("self-loop in neighbor table")
+        _raise_first(_row_rules(nbrs, n, ascending=True), GraphStructureError)
         # Symmetric iff the arc keys u*n+v (already ascending: rows in order,
         # each row sorted) equal the sorted keys of the reversed arcs v*n+u.
         tails = np.repeat(np.arange(n), d)
         if not np.array_equal(tails * n + nbrs.ravel(), np.sort(nbrs.ravel() * n + tails)):
             raise GraphStructureError("adjacency is not symmetric")
         nbrs.setflags(write=False)
-        self.n = n
-        self.d = d
-        self.neighbors = nbrs
+        self.n, self.d, self.neighbors = n, d, nbrs
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "RegularGraph":
@@ -110,22 +148,17 @@ class RegularGraph:
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise GraphStructureError("edges must be (u, v) pairs")
         m = len(pairs)
-        out_of_range = ((pairs < 0) | (pairs >= n)).any(axis=1)
-        loops = pairs[:, 0] == pairs[:, 1]
         lo, hi = pairs.min(axis=1), pairs.max(axis=1)
         # Pair keys lo*n+hi, exact also past int64.
         keys = lo * n + hi if n < 2**31 else lo.astype(object) * n + hi
         repeats = np.ones(m, dtype=bool)
         repeats[np.unique(keys, return_index=True)[1]] = False
-        bad = np.flatnonzero(out_of_range | loops | repeats)
-        if bad.size:
-            i = bad[0]
-            u, v = pairs[i]
-            if out_of_range[i]:
-                raise GraphStructureError(f"edge ({u + 1}, {v + 1}) out of range for n={n}")
-            if loops[i]:
-                raise GraphStructureError(f"self-loop at vertex {u + 1}")
-            raise GraphStructureError(f"duplicate edge ({lo[i] + 1}, {hi[i] + 1})")
+        _raise_first([
+            (((pairs < 0) | (pairs >= n)).any(axis=1),
+             lambda i: f"edge ({pairs[i, 0] + 1}, {pairs[i, 1] + 1}) out of range for n={n}"),
+            (lo == hi, lambda i: f"self-loop at vertex {lo[i] + 1}"),
+            (repeats, lambda i: f"duplicate edge ({lo[i] + 1}, {hi[i] + 1})"),
+        ], GraphStructureError)
         if n > 2 * m:
             raise GraphStructureError(
                 f"{n} vertices but {m} edges reach at most {2 * m}: some vertex would be isolated"
@@ -159,19 +192,6 @@ class RegularGraph:
         row = self.neighbors[u]
         i = int(np.searchsorted(row, v))
         return i < self.d and row[i] == v
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RegularGraph):
-            return NotImplemented
-        return self.n == other.n and self.d == other.d and bool(
-            (self.neighbors == other.neighbors).all()
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.d, self.neighbors.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"RegularGraph(n={self.n}, d={self.d})"
 
 
 def _neighbor_table(n: int, pairs: np.ndarray, d: int) -> np.ndarray:
@@ -379,18 +399,21 @@ def _integers_one_by_one(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, ok
 
 
-def _raise_first(lines: np.ndarray, checks) -> None:
-    """Raise a FormatError for the first body line that fails a check.
+def _raise_first(checks, error: type[RotwalkError] = FormatError, lines=None) -> None:
+    """Raise ``error`` for the first row that fails a check.
 
-    ``checks`` lists (mask, message) in the order a line is checked: the
-    mask flags failing body lines and ``message(i)`` words the failure of
-    body line i, formatted for that one line only.
+    ``checks`` lists (mask, message) in the order a row is checked: the
+    mask flags failing rows and ``message(i)`` words the failure of row
+    i, formatted for that one row only.  When ``lines`` is given, row i
+    is line ``lines[i]`` of a document, and the FormatError names it.
     """
     failing = np.logical_or.reduce([mask for mask, _ in checks])
     if failing.any():
         i = int(failing.argmax())
         message = next(message for mask, message in checks if mask[i])
-        raise FormatError(message(i), line=int(lines[i]))
+        if lines is None:
+            raise error(message(i))
+        raise error(message(i), line=int(lines[i]))
 
 
 def _write_table(n: int, d: int, rows: np.ndarray) -> str:
@@ -425,7 +448,7 @@ def parse_graph(text: str) -> RegularGraph:
     first_seen = np.arange(len(lines))
     first_seen[clean] = clean[first[inverse]]
     duplicate = first_seen != np.arange(len(lines))
-    _raise_first(lines, [
+    _raise_first([
         (wrong_width, lambda i: "edge line must be 'u v'"),
         (not_integral, lambda i: "edge endpoints must be integers"),
         (loop, lambda i: f"self-loop at vertex {u[i]}"),
@@ -433,7 +456,7 @@ def parse_graph(text: str) -> RegularGraph:
         (duplicate, lambda i: (
             f"duplicate edge ({u[i]}, {v[i]}), first seen on line {lines[first_seen[i]]}"
         )),
-    ])
+    ], lines=lines)
     m = len(lines)
     if n > 2 * m:
         raise FormatError(

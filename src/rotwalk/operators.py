@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import _integer_table
+from .graphs import _FrozenTable, _integer_table
 from .rotmap import RotationMap
 
 UNITARY_TOL = 1e-12
@@ -42,7 +42,7 @@ PRODUCT_DIM_LIMIT = 64
 COIN_KINDS = ("hadamard", "grover", "dft", "identity", "custom")
 
 
-class ShiftOperator:
+class ShiftOperator(_FrozenTable):
     """A (d*n) x (d*n) 0/1 matrix with exactly one unit entry per column.
 
     ``col_to_row[c]`` is the row of column c's unit entry.  Unitary
@@ -50,7 +50,8 @@ class ShiftOperator:
     the inverse permutation, else None.
     """
 
-    __slots__ = ("n", "d", "col_to_row", "_row_to_col")
+    __slots__ = ("col_to_row", "_row_to_col")
+    _TABLE = "col_to_row"
 
     def __init__(self, n: int, d: int, col_to_row: np.ndarray):
         if n < 1 or d < 1:
@@ -61,9 +62,7 @@ class ShiftOperator:
         if table.min() < 0 or table.max() >= d * n:
             raise ConfigError("col_to_row entry out of range")
         table.setflags(write=False)
-        self.n = n
-        self.d = d
-        self.col_to_row = table
+        self.n, self.d, self.col_to_row = n, d, table
         self._row_to_col = None
         if (np.bincount(table, minlength=d * n) == 1).all():
             inverse = np.empty_like(table)
@@ -96,19 +95,6 @@ class ShiftOperator:
         if amplitudes.shape != (self.dim,):
             raise ConfigError(f"amplitude vector must have length {self.dim}")
         return np.asarray(amplitudes, dtype=np.complex128)[self.col_to_row]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ShiftOperator):
-            return NotImplemented
-        return self.n == other.n and self.d == other.d and bool(
-            (self.col_to_row == other.col_to_row).all()
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.d, self.col_to_row.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"ShiftOperator(n={self.n}, d={self.d})"
 
 
 def build_shift(rot: RotationMap) -> ShiftOperator:

@@ -36,7 +36,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .graphs import RegularGraph, _integer_table, _raise_first, _read_table, _write_table
+from .graphs import (
+    RegularGraph, _FrozenTable, _integer_table, _raise_first, _read_table, _row_rules, _write_table,
+)
 
 # The consistency criteria, and the solver methods that search for a map
 # meeting one.  They live beside the checkers so that the CLI can offer
@@ -45,14 +47,16 @@ CRITERIA = ("permutation", "involution")
 METHODS = ("matching", "greedy-coloring", "vizing", "local-search", "exhaustive")
 
 
-class RotationMap:
+class RotationMap(_FrozenTable):
     """An (n, d) integer table; entry (v, i) = vertex reached from v on label i.
 
-    Rows must be self-loop-free and pairwise distinct (each neighbor used
-    once per vertex).  The table is read-only after construction.
+    Each entry is a vertex, and row v holds neither v nor an entry twice
+    (each neighbor used once per vertex).  An error names the first bad
+    row.  The table is read-only after construction.
     """
 
-    __slots__ = ("n", "d", "entries")
+    __slots__ = ("entries",)
+    _TABLE = "entries"
 
     def __init__(self, entries: np.ndarray):
         table = _integer_table(entries, ValidationError, "rotation map")
@@ -61,33 +65,9 @@ class RotationMap:
         n, d = table.shape
         if n < 1 or d < 1:
             raise ValidationError("rotation map needs n >= 1 and d >= 1")
-        if table.min() < 0 or table.max() >= n:
-            raise ValidationError("rotation map entry out of range")
-        if (table == np.arange(n)[:, None]).any():
-            v = int(np.argwhere(table == np.arange(n)[:, None])[0][0])
-            raise ValidationError(f"vertex {v + 1} maps to itself")
-        if d > 1:
-            rows_sorted = np.sort(table, axis=1)
-            if (np.diff(rows_sorted, axis=1) == 0).any():
-                v = int(np.flatnonzero((np.diff(rows_sorted, axis=1) == 0).any(axis=1))[0])
-                raise ValidationError(f"vertex {v + 1} row has repeated entries")
+        _raise_first(_row_rules(table, n), ValidationError)
         table.setflags(write=False)
-        self.n = n
-        self.d = d
-        self.entries = table
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RotationMap):
-            return NotImplemented
-        return self.n == other.n and self.d == other.d and bool(
-            (self.entries == other.entries).all()
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.d, self.entries.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"RotationMap(n={self.n}, d={self.d})"
+        self.n, self.d, self.entries = n, d, table
 
 
 class Violation(NamedTuple):
@@ -241,28 +221,16 @@ def parse_rotation(text: str) -> RotationMap:
     m = len(lines)
     wrong_width = table.widths != d
     # When no row has d fields, d may be any size: leave the entries empty.
-    rows = table.rows(d) if not wrong_width.all() else np.zeros((m, 0), dtype=np.int64)
-    vertex = np.arange(1, m + 1)[:, None]
-    out_of_range = (rows < 1) | (rows > n)
-    stray = out_of_range | (rows == vertex)
-    repeated = (np.diff(np.sort(rows, axis=1), axis=1) == 0).any(axis=1)
-
-    def stray_entry(i):
-        j = int(np.flatnonzero(stray[i])[0])
-        if out_of_range[i, j]:
-            return f"entry {rows[i, j]} out of range 1..{n}"
-        return f"vertex {i + 1} maps to itself"
-
-    _raise_first(lines, [
+    rows = (table.rows(d) if not wrong_width.all() else np.zeros((m, 0), dtype=np.int64)) - 1
+    _raise_first([
         (np.arange(m) >= n, lambda i: f"expected exactly {n} rows"),
         (wrong_width, lambda i: f"row must have {d} entries, got {table.widths[i]}"),
         (~table.integral, lambda i: "row entries must be integers"),
-        (stray.any(axis=1), stray_entry),
-        (repeated, lambda i: f"row for vertex {i + 1} has repeated entries"),
-    ])
+        *_row_rules(rows, n),
+    ], lines=lines)
     if m != n:
         raise FormatError(f"expected {n} rows, got {m}")
-    return RotationMap(rows.astype(np.int64) - 1)
+    return RotationMap(rows)
 
 
 def serialize_rotation(rot: RotationMap) -> str:

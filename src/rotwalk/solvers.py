@@ -52,7 +52,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError, RotwalkError, ValidationError
-from .graphs import RegularGraph
+from .graphs import RegularGraph, _first_occurrences, _integer_table, _raise_first
 from .rotmap import (
     CRITERIA,
     METHODS,
@@ -300,22 +300,27 @@ class EdgeColoring:
 
 def rotation_from_coloring(graph: RegularGraph, labels) -> RotationMap:
     """Convert a proper d-edge-coloring (labels over graph.edges() order)
-    into the rotation map whose label classes are the color classes."""
+    into the rotation map whose label classes are the color classes.  Edge
+    (u, v) of color c takes the slots (u, c) and (v, c); an error names the
+    first edge whose color is out of range or whose slot is taken."""
     n, d = graph.n, graph.d
-    edges = graph.edges()
-    if len(labels) != len(edges):
-        raise ValidationError(f"coloring has {len(labels)} labels for {len(edges)} edges")
-    entries = np.full((n, d), -1, dtype=np.int64)
-    for (u, v), c in zip(edges, labels):
-        if not (0 <= c < d):
-            raise ValidationError(f"color {c} out of range 0..{d - 1}")
-        for x in (u, v):
-            if entries[x, c] != -1:
-                raise ValidationError(f"color {c} repeats at vertex {x + 1}")
-        entries[u, c] = v
-        entries[v, c] = u
+    pairs = graph._edge_pairs()
+    if len(labels) != len(pairs):
+        raise ValidationError(f"coloring has {len(labels)} labels for {len(pairs)} edges")
+    colors = _integer_table(labels, ValidationError, "coloring")
+    bad_color = (colors < 0) | (colors >= d)
+    # A color out of range takes no slot: -1, which no edge in range takes.
+    slots = np.where(bad_color[:, None], -1, pairs * d + colors[:, None])
+    taken = ~_first_occurrences(slots.ravel()).reshape(-1, 2)
+    _raise_first([
+        (bad_color, lambda i: f"color {colors[i]} out of range 0..{d - 1}"),
+        (taken[:, 0], lambda i: f"color {colors[i]} repeats at vertex {pairs[i, 0] + 1}"),
+        (taken[:, 1], lambda i: f"color {colors[i]} repeats at vertex {pairs[i, 1] + 1}"),
+    ], ValidationError)
     # m = n*d/2 edges placed without a repeat fill all n*d slots.
-    return RotationMap(entries)
+    entries = np.empty(n * d, dtype=np.int64)
+    entries[slots] = pairs[:, ::-1]
+    return RotationMap(entries.reshape(n, d))
 
 
 def greedy_coloring(graph: RegularGraph) -> EdgeColoring:
