@@ -164,6 +164,22 @@ def brute_force_edge_coloring(n, d, edges):
     return None
 
 
+def rotation_from_coloring_by_loop(n, d, edges, labels):
+    """The (n, d) table of a d-edge-coloring, one edge at a time, or the
+    message of the first bad edge: a color out of 0..d-1, or a color
+    that an endpoint (the lower one first) already holds."""
+    entries = np.full((n, d), -1, dtype=np.int64)
+    for (u, v), c in zip(edges, labels):
+        if not (0 <= c < d):
+            return f"color {c} out of range 0..{d - 1}"
+        for x in (u, v):
+            if entries[x, c] != -1:
+                return f"color {c} repeats at vertex {x + 1}"
+        entries[u, c] = v
+        entries[v, c] = u
+    return entries
+
+
 def mismatches_by_sets(entries, neighbors):
     """Map-versus-graph mismatch lines, one vertex at a time with Python sets."""
     lines = []

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -183,6 +184,17 @@ class TestConstruction:
 
     def test_from_edges_accepts_integral_floats(self):
         assert RegularGraph.from_edges(2, [(0.0, 1.0)]) == RegularGraph.from_edges(2, [(0, 1)])
+
+    @pytest.mark.parametrize("neighbors, message", [
+        ([[1], [2], [5]], "entry 6 out of range 1..3"),
+        ([[1], [1], [0]], "vertex 2 maps to itself"),
+        ([[1, 2], [0, 2], [1, 1]], "row for vertex 3 has repeated entries"),
+        # The first bad row is named, whichever rule it breaks.
+        ([[1, 1], [0, 1], [7, 1]], "row for vertex 1 has repeated entries"),
+    ])
+    def test_first_bad_row_named(self, neighbors, message):
+        with pytest.raises(GraphStructureError, match=f"^{re.escape(message)}$"):
+            RegularGraph(neighbors)
 
     def test_asymmetric_table_rejected(self):
         # Regular (every row one entry) but 1 -> 2 -> 3 -> 1 has no reverse arcs.

@@ -1,13 +1,18 @@
 import random
+import re
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from rotwalk import (
     ConsistencyReport,
     FormatError,
+    RegularGraph,
     RotationMap,
+    ShiftOperator,
     ValidationError,
     Violation,
     check_involution_consistent,
@@ -17,6 +22,7 @@ from rotwalk import (
     cycle_rotation,
     greedy_rotation,
     hypercube_graph,
+    build_shift,
     parse_rotation,
     random_regular_graph,
     serialize_rotation,
@@ -66,6 +72,53 @@ class TestConstruction:
         assert cycle_rotation(4) == RotationMap(np.array(CANONICAL_SQUARE))
         assert cycle_rotation(4) != cycle_rotation(5)
         assert hash(cycle_rotation(4)) == hash(cycle_rotation(4))
+
+    def test_tables_compare_by_type_and_value(self):
+        table = np.array(GREEDY_SQUARE)
+        graph, rot = RegularGraph(table), RotationMap(table)
+        assert graph != rot and rot != graph
+        shift = build_shift(rot)
+        for value, again in [(graph, RegularGraph(table)), (rot, greedy_rotation(graph)),
+                             (shift, build_shift(greedy_rotation(graph)))]:
+            assert value == again and hash(value) == hash(again)
+        assert hash(rot) == hash((4, 2, table.astype(np.int64).tobytes()))
+        assert hash(shift) == hash((4, 2, shift.col_to_row.tobytes()))
+        # Equal tables, but n and d swapped.
+        assert ShiftOperator(2, 3, np.arange(6)) != ShiftOperator(3, 2, np.arange(6))
+        assert [repr(graph), repr(rot), repr(shift)] == [
+            "RegularGraph(n=4, d=2)", "RotationMap(n=4, d=2)", "ShiftOperator(n=4, d=2)",
+        ]
+
+    @pytest.mark.parametrize("entries, message", [
+        # Row 1 repeats an entry; row 2's entry 8 is past n.
+        ([[1, 1], [0, 7], [0, 1]], "row for vertex 1 has repeated entries"),
+        ([[1, 2], [0, 7], [0, 1]], "entry 8 out of range 1..3"),
+        ([[1, 2], [-1, 1], [0, 1]], "entry 0 out of range 1..3"),
+        # Within a row the first stray entry is named.
+        ([[1, 2], [1, 9], [0, 1]], "vertex 2 maps to itself"),
+    ])
+    def test_first_bad_row_named(self, entries, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RotationMap(entries)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_constructor_and_parser_agree(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        d = data.draw(st.integers(1, 4), label="d")
+        table = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, n - 1), min_size=d, max_size=d), min_size=n, max_size=n,
+        ), label="table"))
+        # At least one entry breaks a rule: out of range, or its row's vertex.
+        for _ in range(data.draw(st.integers(1, 3), label="bad entries")):
+            v, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))
+            table[v, j] = data.draw(st.sampled_from([-2, -1, v, n, n + 3]), label="bad entry")
+        text = f"{n} {d}\n" + "".join(" ".join(map(str, row)) + "\n" for row in (table + 1).tolist())
+        with pytest.raises(ValidationError) as built:
+            RotationMap(table)
+        with pytest.raises(FormatError) as parsed:
+            parse_rotation(text)
+        assert re.sub(r"^line \d+: ", "", str(parsed.value)) == str(built.value)
 
     def test_self_map_rejected(self):
         with pytest.raises(ValidationError) as exc:

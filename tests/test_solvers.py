@@ -44,6 +44,7 @@ from oracles import (
     is_proper_edge_coloring,
     kempe_component_by_bfs,
     random_regular_by_pairing,
+    rotation_from_coloring_by_loop,
 )
 
 PETERSEN_EDGES = [
@@ -208,6 +209,28 @@ class TestEdgeColoringConversion:
     def test_extra_labels_rejected(self):
         with pytest.raises(ValidationError, match=r"^coloring has 6 labels for 4 edges$"):
             rotation_from_coloring(cycle_graph(4), [0, 1, 0, 1, 0, 1])
+
+    def test_scatter_matches_loop_oracle(self):
+        rng = random.Random(15)
+        kinds = Counter()
+        for _ in range(400):
+            g = random_regular_graph(2 * rng.randrange(2, 9), rng.randrange(1, 4), seed=rng.randrange(99))
+            labels = list(vizing_color(g).labels)
+            kind = rng.choice(["valid", "out of range", "repeated"])
+            for _ in range(rng.randrange(1, 3) if kind != "valid" else 0):
+                e = rng.randrange(len(labels))
+                labels[e] = rng.choice([-1, g.d, g.d + 5]) if kind == "out of range" else rng.randrange(g.d)
+            expected = rotation_from_coloring_by_loop(g.n, g.d, g.edges(), labels)
+            if isinstance(expected, str):
+                kinds[expected.split()[2]] += 1
+                with pytest.raises(ValidationError) as exc:
+                    rotation_from_coloring(g, labels)
+                assert str(exc.value) == expected
+            else:
+                kinds["valid"] += 1
+                assert (rotation_from_coloring(g, labels).entries == expected).all()
+        # Every branch is exercised: maps, out-of-range colors and repeats.
+        assert set(kinds) == {"valid", "out", "repeats"}, kinds
 
     def test_repeat_names_the_vertex_holding_the_color(self):
         # Edges (1,2) (1,3) (1,4) (2,3) (2,4) (3,4): edge (2,3) repeats
