@@ -129,13 +129,16 @@ def cmd_gen(args) -> int:
 
 
 def cmd_rotmap(args) -> int:
+    if args.mode == "from-file" and args.map is None:
+        print("error: --mode from-file requires --map", file=sys.stderr)
+        return 2
+    if args.mode == "greedy" and args.map is not None:
+        print("error: --map requires --mode from-file", file=sys.stderr)
+        return 2
     graph = parse_graph(_read(args.graph))
     if args.mode == "greedy":
         rot = greedy_rotation(graph)
     else:
-        if args.map is None:
-            print("error: --mode from-file requires --map", file=sys.stderr)
-            return 2
         rot = parse_rotation(_read(args.map))
         mismatches = validate_against_graph(rot, graph)
         if mismatches:

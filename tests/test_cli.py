@@ -190,8 +190,17 @@ class TestRotmap:
         assert code == 0
         assert capsys.readouterr().out == CANONICAL_TEXT
 
-    def test_from_file_requires_map(self, square, capsys):
-        assert cli.main(["rotmap", square, "--mode", "from-file"]) == 2
+    @pytest.mark.parametrize("options, error", [
+        (["--mode", "from-file"], "error: --mode from-file requires --map\n"),
+        (["--map", "MAP"], "error: --map requires --mode from-file\n"),
+        (["--mode", "greedy", "--map", "MAP"], "error: --map requires --mode from-file\n"),
+    ])
+    def test_map_and_from_file_go_together(self, square, canonical, tmp_path, capsys, options, error):
+        out = tmp_path / "out.rot"
+        options = [canonical if option == "MAP" else option for option in options]
+        assert cli.main(["rotmap", square, *options, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == error
+        assert not out.exists()
 
     def test_huge_header_exit_2(self, tmp_path, capsys):
         huge = tmp_path / "huge.edges"
