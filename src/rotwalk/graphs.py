@@ -506,15 +506,21 @@ def generate_graph(spec: FamilySpec, max_tries: int = 100) -> RegularGraph:
         raise GenerationError(
             f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}"
         )
-    try:
-        params = tuple(operator.index(p) for p in spec.params)
-    except TypeError:
-        raise GenerationError(f"{family} parameters must be integers, got {spec.params!r}") from None
+    params = _integers(GenerationError, f"{family} parameters", spec.params)
     usage, build = _FAMILY_BUILDERS[family]
     count = len(usage.split())
     if len(params) < count or (len(params) > count and not usage.endswith("...")):
         raise GenerationError(f"{family} needs parameters: {usage}; got {len(params)}")
     return build(params, spec.seed, max_tries)
+
+
+def _integers(error: type[RotwalkError], what: str, values) -> tuple[int, ...]:
+    """``values`` as ``operator.index`` reads them: integers, never a float
+    such as 5.0.  Raises ``error`` naming ``what`` otherwise."""
+    try:
+        return tuple(operator.index(value) for value in values)
+    except TypeError:
+        raise error(f"{what} must be integers, got {values!r}") from None
 
 
 # A graph's stub (half-edge) count n*d, the entries of its neighbor
@@ -538,6 +544,7 @@ def _circulant(n: int, offsets) -> RegularGraph:
 
 def cycle_graph(n: int) -> RegularGraph:
     """The n-cycle (2-regular); n >= 3.  The circulant with offsets 1, -1."""
+    (n,) = _integers(GenerationError, "cycle parameters", (n,))
     if n < 3:
         raise GenerationError(f"cycle needs n >= 3, got {n}")
     _require_below_ceiling("cycle", n, 2)
@@ -546,6 +553,7 @@ def cycle_graph(n: int) -> RegularGraph:
 
 def complete_graph(n: int) -> RegularGraph:
     """K_n, (n-1)-regular; n >= 2.  The circulant with offsets 1..n-1."""
+    (n,) = _integers(GenerationError, "complete parameters", (n,))
     if n < 2:
         raise GenerationError(f"complete needs n >= 2, got {n}")
     _require_below_ceiling("complete", n, n - 1)
@@ -554,6 +562,7 @@ def complete_graph(n: int) -> RegularGraph:
 
 def complete_bipartite_graph(m: int) -> RegularGraph:
     """K_{m,m} on 2m vertices, m-regular; vertices 0..m-1 vs m..2m-1."""
+    (m,) = _integers(GenerationError, "complete-bipartite parameters", (m,))
     if m < 1:
         raise GenerationError(f"complete-bipartite needs m >= 1, got {m}")
     _require_below_ceiling("complete-bipartite", 2 * m, m)
@@ -564,6 +573,7 @@ def complete_bipartite_graph(m: int) -> RegularGraph:
 def hypercube_graph(k: int) -> RegularGraph:
     """The k-dimensional hypercube: 2^k vertices, k-regular; x ~ x ^ 2^b
     for each bit b < k."""
+    (k,) = _integers(GenerationError, "hypercube parameters", (k,))
     if k < 1:
         raise GenerationError(f"hypercube needs k >= 1, got {k}")
     if k >= 31:  # 2^k vertices alone reach the ceiling; 2^k is never formed
@@ -580,6 +590,7 @@ def torus_graph(rows: int, cols: int) -> RegularGraph:
     column left and right, wrapping around.  Side length 2 would wrap
     v+1 and v-1 onto the same neighbor (a multi-edge), so it is rejected.
     """
+    rows, cols = _integers(GenerationError, "torus parameters", (rows, cols))
     if rows < 3 or cols < 3:
         raise GenerationError(f"torus needs both sides >= 3, got {rows} x {cols}")
     _require_below_ceiling("torus", rows * cols, 4)
@@ -599,6 +610,7 @@ def circulant_graph(n: int, offsets) -> RegularGraph:
     under negation mod n (each s accompanied by n-s), so that the offset
     list itself is the degree and the edge relation is symmetric.
     """
+    n, *offsets = _integers(GenerationError, "circulant parameters", (n, *offsets))
     if n < 3:
         raise GenerationError(f"circulant needs n >= 3, got {n}")
     reduced = [s % n for s in offsets]
@@ -636,6 +648,7 @@ def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 100) ->
     when every attempt within ``max_tries`` fails (likely only for very
     dense d).
     """
+    n, d, max_tries = _integers(GenerationError, "random-regular n, d and max_tries", (n, d, max_tries))
     if n < 1 or d < 1:
         raise GenerationError("random-regular needs n >= 1 and d >= 1")
     if d >= n:

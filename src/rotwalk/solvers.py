@@ -52,7 +52,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError, RotwalkError, ValidationError
-from .graphs import RegularGraph, _first_occurrences, _integer_table, _raise_first
+from .graphs import RegularGraph, _first_occurrences, _integer_table, _integers, _raise_first
 from .rotmap import (
     CRITERIA,
     METHODS,
@@ -72,7 +72,8 @@ class SolverConfig:
     ``max_iterations`` caps each local-search restart; ``time_budget``
     (seconds) is a soft wall-clock guard checked between iterations, so
     runs whose iteration caps bind first stay fully deterministic.
-    ``exhaustive_ceiling`` caps n*d for the exhaustive method.
+    ``exhaustive_ceiling`` caps n*d for the exhaustive method.  The three
+    counts must be integers (``operator.index`` values, so not 2.5 or NaN).
     """
 
     criterion: str = "permutation"
@@ -88,6 +89,10 @@ class SolverConfig:
             raise ConfigError(f"unknown criterion {self.criterion!r}; expected one of {CRITERIA}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        _integers(
+            ConfigError, "max_iterations, max_restarts and exhaustive_ceiling",
+            (self.max_iterations, self.max_restarts, self.exhaustive_ceiling),
+        )
         if self.max_iterations < 1 or self.max_restarts < 1:
             raise ConfigError("iteration and restart budgets must be positive")
         if not (math.isfinite(self.time_budget) and self.time_budget > 0):

@@ -29,10 +29,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
 from .errors import ConfigError
+from .graphs import _integers
 from .operators import CoinOperator, ShiftOperator
 from .version import REPORT_VERSION
 
@@ -85,6 +87,7 @@ def init_state(n: int, d: int, support) -> WalkState:
     non-finite amplitude and amplitudes too large to normalize are
     rejected.
     """
+    n, d = _integers(ConfigError, "state n and d", (n, d))
     if n < 1 or d < 1:
         raise ConfigError("state needs n >= 1 and d >= 1")
     support = list(support)
@@ -95,6 +98,7 @@ def init_state(n: int, d: int, support) -> WalkState:
     # norm is inf and the state is refused below.
     with np.errstate(over="ignore"):
         for label, vertex, amplitude in support:
+            label, vertex = _integers(ConfigError, "coin label and vertex", (label, vertex))
             if not (0 <= label < d):
                 raise ConfigError(f"coin label {label} out of range 0..{d - 1}")
             if not (0 <= vertex < n):
@@ -112,6 +116,7 @@ def init_state(n: int, d: int, support) -> WalkState:
 
 def uniform_state(n: int, d: int) -> WalkState:
     """Equal amplitude 1/sqrt(d*n) on every (label, vertex) pair."""
+    n, d = _integers(ConfigError, "state n and d", (n, d))
     if n < 1 or d < 1:
         raise ConfigError("state needs n >= 1 and d >= 1")
     amps = np.ones(d * n, dtype=np.complex128)
@@ -413,6 +418,10 @@ def _records(
     t and the operators are checked here, before the first record, so a
     refused walk has produced nothing.
     """
+    try:
+        t = index(t)
+    except TypeError:
+        raise ConfigError(f"step count must be an integer, got {t!r}") from None
     if t < 0:
         raise ConfigError(f"step count must be >= 0, got {t}")
     _check_coin(coin, state)

@@ -10,22 +10,29 @@ import rotwalk
 from rotwalk import (
     ConfigError,
     FamilySpec,
+    GenerationError,
     RegularGraph,
     SolverConfig,
     ValidationError,
+    build_coin,
+    build_shift,
     check_involution_consistent,
     check_permutation_consistent,
     circulant_graph,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    cycle_rotation,
     exhaustive_search,
     generate_graph,
     hypercube_graph,
+    init_state,
     random_regular_graph,
+    run,
     solve,
     solve_permutation,
     torus_graph,
+    uniform_state,
     unitarity_defect,
     validate_against_graph,
 )
@@ -188,6 +195,37 @@ class TestEulerHalves:
     def test_radix_order_is_stable_argsort(self, bound):
         keys = np.random.default_rng(bound).integers(0, bound, 3000)
         assert (_stable_order(keys, bound) == np.argsort(keys, kind="stable")).all()
+
+
+# A non-integer count, which each library layer refuses with its own
+# error, as generate_graph refuses a float parameter.
+NON_INTEGER_COUNTS = {
+    "exhaustive ceiling nan": (ConfigError, lambda: SolverConfig(exhaustive_ceiling=float("nan"))),
+    "max_iterations 2.5": (ConfigError, lambda: SolverConfig(max_iterations=2.5)),
+    "max_restarts 3.0": (ConfigError, lambda: SolverConfig(max_restarts=3.0)),
+    "circulant offsets": (GenerationError, lambda: circulant_graph(5, [1.5, 3.5])),
+    "circulant n": (GenerationError, lambda: circulant_graph(5.0, [1, 4])),
+    "random-regular n": (GenerationError, lambda: random_regular_graph(10.0, 3)),
+    "random-regular max_tries": (GenerationError, lambda: random_regular_graph(10, 3, max_tries=2.5)),
+    "cycle n": (GenerationError, lambda: cycle_graph(5.5)),
+    "complete n": (GenerationError, lambda: complete_graph(4.0)),
+    "complete-bipartite m": (GenerationError, lambda: complete_bipartite_graph(2.0)),
+    "hypercube k": (GenerationError, lambda: hypercube_graph(2.0)),
+    "torus rows": (GenerationError, lambda: torus_graph(3.0, 3)),
+    "walk steps": (ConfigError, lambda: run(
+        uniform_state(4, 2), build_coin("grover", 2), build_shift(cycle_rotation(4)), 2.5
+    )),
+    "start label": (ConfigError, lambda: init_state(4, 2, [(0.5, 0, 1.0)])),
+    "start vertex": (ConfigError, lambda: init_state(4, 2, [(0, np.float64(1), 1.0)])),
+    "state n": (ConfigError, lambda: uniform_state(2.0, 2)),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_INTEGER_COUNTS))
+def test_non_integer_counts_refused(case):
+    error, call = NON_INTEGER_COUNTS[case]
+    with pytest.raises(error, match="must be (integers|an integer), got"):
+        call()
 
 
 class TestEdgeColoringConversion:
