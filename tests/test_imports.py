@@ -1,0 +1,56 @@
+"""Every import in the package is used: a deletion that leaves an import
+behind fails here.  Standard library only, reading the sources with ast.
+
+The package's lazy exports (``_EXPORTS`` in ``__init__.py``) are module
+and attribute names as strings, imported on first access, so they are
+not imports that this check sees."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rotwalk"
+
+
+def unused_imports(source):
+    """The names a module imports and never reads, with their line numbers.
+
+    ``from __future__`` imports are directives, not names.  A quoted
+    annotation is read as the expression it holds.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                quoted = ast.parse(annotation.value, mode="eval")
+                used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_unused_imports(module):
+    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("import os\n", [(1, "os")]),
+    ("import os.path\nos.sep\n", []),
+    ("from a import b as c\nb\n", [(1, "c")]),
+    ("from __future__ import annotations\n", []),
+    ("from x import T\ndef f() -> 'T': pass\n", []),
+    ("from x import T\nx: 'list[T]' = []\n", []),
+    ("from x import T\n'T'\n", [(1, "T")]),
+])
+def test_checker(source, unused):
+    assert unused_imports(source) == unused
