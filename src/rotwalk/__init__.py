@@ -31,7 +31,6 @@ _EXPORTS = {
         "generate_graph",
         "parse_graph",
         "serialize_graph",
-        "check_regularity",
         "cycle_graph",
         "complete_graph",
         "complete_bipartite_graph",

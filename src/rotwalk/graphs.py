@@ -166,13 +166,6 @@ class RegularGraph(_FrozenTable):
         d = _require_uniform_degrees(np.bincount(pairs.ravel(), minlength=n))
         return cls(_neighbor_table(n, pairs, d))
 
-    @classmethod
-    def from_adjacency(cls, adjacency) -> "RegularGraph":
-        d = check_regularity(adjacency)
-        adj = np.asarray(adjacency).astype(bool)
-        # Row-major nonzeros: each row's d columns in order, rows in order.
-        return cls(np.nonzero(adj)[1].reshape(adj.shape[0], d))
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as 0-based (u, v) with u < v, lexicographically sorted."""
         u, v = self._edge_pairs().T
@@ -182,16 +175,6 @@ class RegularGraph(_FrozenTable):
         """``edges()`` as an (m, 2) array."""
         upper = self.neighbors > np.arange(self.n)[:, None]
         return np.column_stack([np.nonzero(upper)[0], self.neighbors[upper]])
-
-    def adjacency_matrix(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        adj[np.repeat(np.arange(self.n), self.d), self.neighbors.ravel()] = True
-        return adj
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors[u]
-        i = int(np.searchsorted(row, v))
-        return i < self.d and row[i] == v
 
 
 def _neighbor_table(n: int, pairs: np.ndarray, d: int) -> np.ndarray:
@@ -215,31 +198,6 @@ def _require_uniform_degrees(degrees: np.ndarray, expected: int | None = None) -
     if bad.size:
         raise RegularityError([(int(v) + 1, int(degrees[v])) for v in bad])
     return expected
-
-
-def check_regularity(adjacency) -> int:
-    """Return the regularity degree of a boolean adjacency matrix.
-
-    Raises GraphStructureError if the matrix is not square/symmetric/0-1
-    or has a nonzero diagonal, and RegularityError (listing every vertex
-    with deviant degree, 1-based) if the graph is not regular.
-    """
-    adj = np.asarray(adjacency)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise GraphStructureError("adjacency matrix must be square")
-    if adj.shape[0] == 0:
-        raise GraphStructureError("graph must have at least one vertex")
-    if adj.dtype != bool:
-        if not np.isin(adj, (0, 1)).all():
-            raise GraphStructureError("adjacency entries must be boolean or 0/1")
-        adj = adj.astype(bool)
-    if adj.diagonal().any():
-        v = int(np.flatnonzero(adj.diagonal())[0])
-        raise GraphStructureError(f"self-loop at vertex {v + 1}")
-    if not (adj == adj.T).all():
-        u, w = (int(x) for x in np.argwhere(adj != adj.T)[0])
-        raise GraphStructureError(f"adjacency is not symmetric at ({u + 1}, {w + 1})")
-    return _require_uniform_degrees(adj.sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ integer table ``col_to_row`` instead of a matrix.  That keeps every
 unitarity question exact: S.S^T is always a diagonal matrix of integer
 counts (column c contributes its single unit at row col_to_row[c], so
 off-diagonal products vanish), and the unitarity defect — the largest
-absolute entry of S.S^T - I — is an exact integer.  Defect 0 is
+absolute entry of S.S^T - I — is an exact integer, read from the
+rotation map's column counts without building S.  Defect 0 is
 equivalent to every rotation-map column being a permutation.
 
 Applying a shift to a state follows the same split.  When col_to_row is
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .graphs import _FrozenTable, _integer_table
-from .rotmap import RotationMap
+from .rotmap import RotationMap, _column_counts
 
 UNITARY_TOL = 1e-12
 
@@ -109,11 +110,11 @@ def build_shift(rot: RotationMap) -> ShiftOperator:
 
 @dataclass(frozen=True, eq=False)
 class UnitarityReport:
-    """Exact unitarity measurement of a shift operator.
+    """Exact unitarity measurement of a rotation map's shift S.
 
     ``defect`` is the largest absolute entry of S.S^T - I (an exact
-    integer; 0 means unitary).  ``product`` is the dense integer S.S^T
-    for small instances (dimension <= PRODUCT_DIM_LIMIT), else None.
+    integer; 0 means unitary).  ``product`` is S.S^T, the diagonal matrix of
+    the column counts, when the dimension is <= PRODUCT_DIM_LIMIT, else None.
     """
 
     n: int
@@ -133,17 +134,14 @@ class UnitarityReport:
 def unitarity_defect(rot: RotationMap) -> UnitarityReport:
     """Measure how far the shift of ``rot`` is from unitary, exactly.
 
-    S.S^T is diagonal with entry (r, r) counting the columns sent to row
-    r, so the defect is the largest |count - 1|.  The defect is 0 iff
-    every column of the rotation map is a permutation of the vertices.
+    S.S^T is diagonal, and entry j*n + w of its diagonal counts how often
+    w occurs in column j of the map, so the defect is the largest
+    |count - 1|, read from the counts without forming S.  The defect is 0
+    iff every column of the rotation map is a permutation of the vertices.
     """
-    shift = build_shift(rot)
-    counts = np.bincount(shift.col_to_row, minlength=shift.dim)
+    counts = _column_counts(rot)
     defect = int(np.abs(counts - 1).max())
-    product = None
-    if shift.dim <= PRODUCT_DIM_LIMIT:
-        dense = shift.to_dense()
-        product = dense @ dense.T
+    product = np.diag(counts) if len(counts) <= PRODUCT_DIM_LIMIT else None
     return UnitarityReport(rot.n, rot.d, defect, product)
 
 

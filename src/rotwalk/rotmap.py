@@ -158,6 +158,14 @@ def cycle_rotation(n: int) -> RotationMap:
     return RotationMap(np.column_stack([(v + 1) % n, (v - 1) % n]))
 
 
+def _column_counts(rot: RotationMap) -> np.ndarray:
+    """The coin-major count vector: entry j*n + w is how often w occurs in
+    column j.  It is the diagonal of S.S^T for the map's shift S, whose
+    off-diagonal entries are all 0."""
+    n, d = rot.n, rot.d
+    return np.bincount((rot.entries + np.arange(d) * n).ravel(), minlength=n * d)
+
+
 def check_permutation_consistent(rot: RotationMap) -> ConsistencyReport:
     """Each column must be a permutation of all n vertices.
 
@@ -165,11 +173,9 @@ def check_permutation_consistent(rot: RotationMap) -> ConsistencyReport:
     column differs from one — repeated targets and missing targets alike —
     label by label, vertices ascending.
     """
-    n, d = rot.n, rot.d
-    # counts[j*n + w] is how often w occurs in column j.
-    counts = np.bincount((rot.entries + np.arange(d) * n).ravel(), minlength=n * d)
+    counts = _column_counts(rot)
     bad = np.flatnonzero(counts != 1)
-    return _consistency_report("permutation", bad // n, bad % n, counts[bad])
+    return _consistency_report("permutation", bad // rot.n, bad % rot.n, counts[bad])
 
 
 def check_involution_consistent(rot: RotationMap) -> ConsistencyReport:

@@ -99,6 +99,25 @@ def degrees_from_edges(n, edges):
     return deg
 
 
+def adjacency_by_loop(n, edges):
+    """The dense n x n boolean adjacency matrix of an edge list, one edge at
+    a time; a repeated edge sets its cells once, so it lowers a row sum."""
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = True
+        adj[v, u] = True
+    return adj
+
+
+def common_degree(adj):
+    """The common row sum of a symmetric boolean matrix with zero diagonal,
+    or None when the matrix is not one or its rows sum differently."""
+    if not (adj == adj.T).all() or adj.diagonal().any():
+        return None
+    sums = adj.sum(axis=1)
+    return int(sums[0]) if (sums == sums[0]).all() else None
+
+
 def is_proper_edge_coloring(edges, labels, n):
     """True when no vertex sees the same label on two incident edges."""
     seen = [set() for _ in range(n)]

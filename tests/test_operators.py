@@ -137,6 +137,8 @@ class TestUnitarityDefect:
         report = unitarity_defect(cycle_rotation(40))
         assert report.product is None
         assert report.defect == 0
+        assert unitarity_defect(cycle_rotation(32)).product.shape == (64, 64)
+        assert unitarity_defect(cycle_rotation(33)).product is None
 
     def test_report_dict(self):
         payload = unitarity_defect(cycle_rotation(4)).to_dict()
@@ -148,7 +150,11 @@ class TestUnitarityDefect:
         rng = random.Random(4)
         for _ in range(60):
             rot = random_rotation(rng, rng.choice([4, 5, 6]), 2)
-            assert unitarity_defect(rot).defect == defect_by_dense_product(rot.entries)
+            report = unitarity_defect(rot)
+            assert report.defect == defect_by_dense_product(rot.entries)
+            dense = dense_shift(rot.entries)
+            assert report.product.dtype == np.int64
+            assert np.array_equal(report.product, dense @ dense.T)
 
     def test_zero_defect_iff_consistent(self):
         rng = random.Random(6)
