@@ -47,7 +47,10 @@ COINS = ("hadamard", "grover", "dft", "identity")
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _write(path: str | None, chunks: Iterable[str]) -> None:

@@ -758,6 +758,25 @@ class TestTopLevel:
         assert cli.main(["check", "/nonexistent/x.rot"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    # Each file argument of each reading command, given bytes that are not UTF-8.
+    @pytest.mark.parametrize("argv", [
+        ["rotmap", "{bad}"],
+        ["rotmap", "{square}", "--mode", "from-file", "--map", "{bad}"],
+        ["check", "{bad}"],
+        ["solve", "{bad}"],
+        ["shift", "{bad}"],
+        ["walk", "{bad}", "{canonical}"],
+        ["walk", "{square}", "{bad}"],
+    ])
+    def test_non_utf8_file_exit_2(self, square, canonical, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe4 2\n1 2\n")
+        files = {"bad": str(bad), "square": square, "canonical": canonical}
+        assert cli.main([arg.format(**files) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+
     @pytest.mark.parametrize("module", ["rotwalk", "rotwalk.cli"])
     def test_module_forms_print_what_main_prints(self, capsys, module):
         assert cli.main(["gen", "cycle", "4"]) == 0
