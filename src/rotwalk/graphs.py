@@ -443,9 +443,9 @@ class FamilySpec:
     complete-bipartite (m, giving K_{m,m}), hypercube (k, giving 2^k
     vertices), torus (rows, cols), circulant (n, offset...), and
     random-regular (n, d).  ``seed`` only matters for random-regular.
-    Each parameter must be an integer (an ``operator.index`` value, so
-    not a float such as 5.0), and the graph's n*d must stay below
-    ``MAX_STUBS``.
+    Each parameter and the seed must be an integer (an ``operator.index``
+    value, so not a float such as 5.0 or a string), and the graph's n*d
+    must stay below ``MAX_STUBS``.
     """
 
     family: str
@@ -465,11 +465,12 @@ def generate_graph(spec: FamilySpec, max_tries: int = 100) -> RegularGraph:
             f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}"
         )
     params = _integers(GenerationError, f"{family} parameters", spec.params)
+    (seed,) = _integers(GenerationError, f"{family} seed", (spec.seed,))
     usage, build = _FAMILY_BUILDERS[family]
     count = len(usage.split())
     if len(params) < count or (len(params) > count and not usage.endswith("...")):
         raise GenerationError(f"{family} needs parameters: {usage}; got {len(params)}")
-    return build(params, spec.seed, max_tries)
+    return build(params, seed, max_tries)
 
 
 def _integers(error: type[RotwalkError], what: str, values) -> tuple[int, ...]:
@@ -606,7 +607,9 @@ def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 100) ->
     when every attempt within ``max_tries`` fails (likely only for very
     dense d).
     """
-    n, d, max_tries = _integers(GenerationError, "random-regular n, d and max_tries", (n, d, max_tries))
+    n, d, max_tries, seed = _integers(
+        GenerationError, "random-regular n, d, max_tries and seed", (n, d, max_tries, seed)
+    )
     if n < 1 or d < 1:
         raise GenerationError("random-regular needs n >= 1 and d >= 1")
     if d >= n:

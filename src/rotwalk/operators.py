@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import _FrozenTable, _integer_table
+from .graphs import _FrozenTable, _integer_table, _integers
 from .rotmap import RotationMap, _column_counts
 
 UNITARY_TOL = 1e-12
@@ -55,6 +55,7 @@ class ShiftOperator(_FrozenTable):
     _TABLE = "col_to_row"
 
     def __init__(self, n: int, d: int, col_to_row: np.ndarray):
+        n, d = _integers(ConfigError, "shift n and d", (n, d))
         if n < 1 or d < 1:
             raise ConfigError("shift needs n >= 1 and d >= 1")
         table = _integer_table(col_to_row, ConfigError, "col_to_row")
@@ -151,6 +152,7 @@ class CoinOperator:
     __slots__ = ("d", "kind", "matrix")
 
     def __init__(self, d: int, kind: str, matrix: np.ndarray):
+        (d,) = _integers(ConfigError, "coin dimension", (d,))
         mat = np.array(matrix, dtype=np.complex128)
         if mat.shape != (d, d):
             raise ConfigError(f"coin matrix must be {d} x {d}")
@@ -189,6 +191,7 @@ def build_coin(kind: str, d: int, matrix=None) -> CoinOperator:
     identity: I_d.
     custom: caller-supplied d x d matrix, checked for unitarity.
     """
+    (d,) = _integers(ConfigError, "coin dimension", (d,))
     if d < 1:
         raise ConfigError(f"coin dimension must be positive, got {d}")
     if kind == "hadamard":

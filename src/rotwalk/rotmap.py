@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .graphs import (
-    RegularGraph, _FrozenTable, _integer_table, _raise_first, _read_table, _row_rules, _write_table,
+    RegularGraph, _FrozenTable, _integer_table, _integers, _raise_first, _read_table, _row_rules,
+    _write_table,
 )
 
 # The consistency criteria, and the solver methods that search for a map
@@ -152,6 +153,7 @@ def cycle_rotation(n: int) -> RotationMap:
     label 2 is v -> v-1 (mod n, 0-based internally).  Permutation-consistent
     for every n >= 3.
     """
+    (n,) = _integers(ValidationError, "cycle rotation n", (n,))
     if n < 3:
         raise ValidationError(f"cycle rotation needs n >= 3, got {n}")
     v = np.arange(n, dtype=np.int64)

@@ -72,8 +72,9 @@ class SolverConfig:
     ``max_iterations`` caps each local-search restart; ``time_budget``
     (seconds) is a soft wall-clock guard checked between iterations, so
     runs whose iteration caps bind first stay fully deterministic.
-    ``exhaustive_ceiling`` caps n*d for the exhaustive method.  The three
-    counts must be integers (``operator.index`` values, so not 2.5 or NaN).
+    ``exhaustive_ceiling`` caps n*d for the exhaustive method.  The seed
+    and the three counts must be integers (``operator.index`` values, so
+    not 2.5, NaN or a string).
     """
 
     criterion: str = "permutation"
@@ -90,8 +91,8 @@ class SolverConfig:
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
         _integers(
-            ConfigError, "max_iterations, max_restarts and exhaustive_ceiling",
-            (self.max_iterations, self.max_restarts, self.exhaustive_ceiling),
+            ConfigError, "seed, max_iterations, max_restarts and exhaustive_ceiling",
+            (self.seed, self.max_iterations, self.max_restarts, self.exhaustive_ceiling),
         )
         if self.max_iterations < 1 or self.max_restarts < 1:
             raise ConfigError("iteration and restart budgets must be positive")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from numbers import Number
 from operator import index
 
 import numpy as np
@@ -50,6 +51,7 @@ class WalkState:
     __slots__ = ("n", "d", "amplitudes", "step_index")
 
     def __init__(self, n: int, d: int, amplitudes: np.ndarray, step_index: int = 0):
+        n, d, step_index = _integers(ConfigError, "state n, d and step index", (n, d, step_index))
         amps = np.array(amplitudes, dtype=np.complex128)
         if amps.shape != (d * n,):
             raise ConfigError(f"amplitude vector must have length d*n = {d * n}")
@@ -97,12 +99,22 @@ def init_state(n: int, d: int, support) -> WalkState:
     # Finite amplitudes can still overflow their sum or the norm; then the
     # norm is inf and the state is refused below.
     with np.errstate(over="ignore"):
-        for label, vertex, amplitude in support:
+        for entry in support:
+            try:
+                label, vertex, amplitude = entry
+            except (TypeError, ValueError):
+                raise ConfigError(f"support entry {entry!r} must be (label, vertex, amplitude)") from None
             label, vertex = _integers(ConfigError, "coin label and vertex", (label, vertex))
             if not (0 <= label < d):
                 raise ConfigError(f"coin label {label} out of range 0..{d - 1}")
             if not (0 <= vertex < n):
                 raise ConfigError(f"vertex {vertex} out of range 0..{n - 1}")
+            if not isinstance(amplitude, Number):
+                raise ConfigError(f"amplitude {amplitude!r} is not a number")
+            try:
+                amplitude = complex(amplitude)
+            except OverflowError:
+                raise ConfigError("amplitude is too large for a complex number") from None
             if not np.isfinite(amplitude):
                 raise ConfigError(f"amplitude {amplitude} is not finite")
             amps[label * n + vertex] += amplitude

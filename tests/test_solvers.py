@@ -8,12 +8,15 @@ import pytest
 
 import rotwalk
 from rotwalk import (
+    CoinOperator,
     ConfigError,
     FamilySpec,
     GenerationError,
     RegularGraph,
+    ShiftOperator,
     SolverConfig,
     ValidationError,
+    WalkState,
     build_coin,
     build_shift,
     check_involution_consistent,
@@ -225,6 +228,40 @@ NON_INTEGER_COUNTS = {
 def test_non_integer_counts_refused(case):
     error, call = NON_INTEGER_COUNTS[case]
     with pytest.raises(error, match="must be (integers|an integer), got"):
+        call()
+
+
+# Seeds and sizes that are not integers, a string seed among them, and
+# malformed start-state entries: each refused with its layer's error.
+NON_INTEGER_SEEDS_AND_SIZES = {
+    "solver seed 2.5": (ConfigError, lambda: SolverConfig(seed=2.5)),
+    "solver seed str": (ConfigError, lambda: SolverConfig(seed="1")),
+    "random-regular seed 2.5": (GenerationError, lambda: random_regular_graph(10, 3, seed=2.5)),
+    "random-regular seed list": (GenerationError, lambda: random_regular_graph(10, 3, seed=[1])),
+    "random-regular seed str": (GenerationError, lambda: random_regular_graph(10, 3, seed="a")),
+    "family seed": (GenerationError, lambda: generate_graph(FamilySpec("random-regular", (10, 3), seed=1.5))),
+    "cycle rotation n": (ValidationError, lambda: cycle_rotation(4.0)),
+    "coin d": (ConfigError, lambda: build_coin("grover", 2.5)),
+    "coin operator d": (ConfigError, lambda: CoinOperator(2.0, "identity", np.eye(2))),
+    "shift n": (ConfigError, lambda: ShiftOperator(2.0, 2, [1, 0, 3, 2])),
+    "state n": (ConfigError, lambda: WalkState(2.0, 2, [1, 0, 0, 0])),
+}
+MALFORMED_SUPPORT = {
+    "amplitude str": ([(0, 0, "x")], r"^amplitude 'x' is not a number$"),
+    "entry pair": ([(0, 0)], r"^support entry \(0, 0\) must be \(label, vertex, amplitude\)$"),
+    "entry int": ([5], r"^support entry 5 must be"),
+}
+
+
+@pytest.mark.parametrize("case", [*NON_INTEGER_SEEDS_AND_SIZES, *MALFORMED_SUPPORT])
+def test_non_integer_seeds_sizes_and_support_refused(case):
+    if case in MALFORMED_SUPPORT:
+        support, message = MALFORMED_SUPPORT[case]
+        with pytest.raises(ConfigError, match=message):
+            init_state(4, 2, support)
+        return
+    error, call = NON_INTEGER_SEEDS_AND_SIZES[case]
+    with pytest.raises(error, match="must be integers, got"):
         call()
 
 
