@@ -181,8 +181,8 @@ def inverse_step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> 
 
     Exactly inverts step() when the shift is unitary (consistent map).
     """
-    if (shift.n, shift.d) != (state.n, state.d) or coin.d != state.d:
-        raise ConfigError("operator dimensions do not match the state")
+    _check_coin(coin, state)
+    _check_shift(shift, state)
     amps = shift.apply_adjoint(state.amplitudes)
     blocks = amps.reshape(state.d, state.n)
     amps = (coin.matrix.conj().T @ blocks).reshape(-1)

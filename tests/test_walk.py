@@ -200,6 +200,15 @@ class TestSingleSteps:
             apply(build_coin("grover", 3), state)
         with pytest.raises(ConfigError):
             apply("not an operator", state)
+        # step and inverse_step refuse a mismatched operator alike.
+        coin, shift = build_coin("grover", 2), build_shift(cycle_rotation(4))
+        for bad_coin, bad_shift, message in [
+            (build_coin("grover", 3), shift, r"^coin dimension 3 != state coin dimension 2$"),
+            (coin, build_shift(cycle_rotation(5)), r"^shift is 2 x 5, state is 2 x 4$"),
+        ]:
+            for evolve in (step, inverse_step):
+                with pytest.raises(ConfigError, match=message):
+                    evolve(state, bad_coin, bad_shift)
 
     def test_reversibility_on_consistent_maps(self):
         rng = random.Random(13)
