@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 
 from rotwalk import (
     CRITERIA,
+    FAMILIES,
     METHODS,
     FamilySpec,
     RotationMap,
@@ -29,6 +31,7 @@ from rotwalk import (
     check_permutation_consistent,
     cli,
     cycle_graph,
+    cycle_rotation,
     generate_graph,
     greedy_rotation,
     init_state,
@@ -284,3 +287,118 @@ class TestSolveCommand:
                          else check_involution_consistent)
                 assert check(rot).consistent
                 assert validate_against_graph(rot, graph) == []
+
+
+# Family parameters stay at most 64 (hypercube k at most 12: 2**k vertices),
+# or reach the 2**31 stub ceiling, which is refused before anything is
+# allocated.  Nothing in between is drawn: gen complete 46341 is under the
+# ceiling and asks for 17 GB.
+_SMALL = {"hypercube": st.integers(-3, 12)}
+_HUGE = st.integers(2**31, 2**64)
+
+_WORD = st.one_of(
+    st.integers(1, 4).map(str), st.integers(-2, 20).map(str), st.sampled_from(["up", "down", "x", ""])
+)
+_AMPLITUDE = st.sampled_from(["1", "0", "-0.5", "1j", "2+3j", "nan", "inf", "1e400", "x", ""])
+_START = st.one_of(
+    st.just("uniform"),
+    st.tuples(_WORD, _WORD).map(":".join),
+    st.tuples(_WORD, _WORD, _AMPLITUDE).map(":".join),
+    st.text(max_size=8),
+)
+
+
+def _document(data, graph, label, expected):
+    """The bytes of one input file: mostly the ``expected`` document of
+    ``graph`` ("graph", "greedy" or "solved" map), else another (the
+    5-cycle's map among them) or random bytes, non-UTF-8 ones among them;
+    a quarter of the documents are truncated."""
+    valid = {
+        "graph": lambda: serialize_graph(graph),
+        "greedy": lambda: serialize_rotation(greedy_rotation(graph)),
+        "solved": lambda: serialize_rotation(solve_permutation(graph).rotation_map),
+        "cycle": lambda: serialize_rotation(cycle_rotation(5)),
+    }
+    kind = data.draw(st.sampled_from([*expected * 4, *valid, "bytes"]), label=f"{label} kind")
+    if kind == "bytes":
+        return data.draw(st.binary(max_size=40), label=label)
+    text = valid[kind]().encode()
+    if data.draw(st.integers(0, 3), label=f"{label} truncated") == 0:
+        text = text[:data.draw(st.integers(0, len(text) - 1), label=f"{label} length")]
+    return text
+
+
+# How many parameters each family takes (circulant: n and two offsets),
+# drawn three times in four; any count from 1 to 3 otherwise.
+_ARITY = {"torus": 2, "circulant": 3, "random-regular": 2}
+
+
+def _gen_argv(data):
+    family = data.draw(st.sampled_from(FAMILIES), label="family")
+    small = _SMALL.get(family, st.integers(-3, 64))
+    count = data.draw(st.sampled_from([_ARITY.get(family, 1)] * 3 + [1, 2, 3]), label="count")
+    params = data.draw(st.lists(st.one_of(small, _HUGE), min_size=count, max_size=count), label="params")
+    seed = data.draw(st.integers(-2**70, 2**70), label="seed")
+    tries = data.draw(st.integers(-1, 3), label="max tries")
+    return ["gen", family, *map(str, params), f"--seed={seed}", f"--max-tries={tries}"]
+
+
+class TestOtherCommands:
+    """gen, rotmap, check, shift and walk keep the exit-code contract on
+    drawn arguments and input files: exit 0, 2, 3 or 4, never a traceback,
+    and on exit 2 one 'error:' line (or one per vertex when a map's rows
+    are listed against its graph)."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(st.data())
+    def test_exit_codes(self, data):
+        command = data.draw(st.sampled_from(["gen", "rotmap", "check", "shift", "walk"]), label="command")
+        n = data.draw(st.integers(3, 12), label="n")
+        d = data.draw(st.integers(1, min(n - 1, 5)), label="d")
+        n += (n * d) % 2
+        graph = random_regular_graph(n, d, seed=data.draw(st.integers(0, 10**6), label="graph seed"))
+        with tempfile.TemporaryDirectory() as tmp:
+            def path(name, *expected):
+                file = Path(tmp, name)
+                file.write_bytes(_document(data, graph, name, expected))
+                return str(file)
+
+            out = str(Path(tmp, "out"))
+            if command == "gen":
+                argv = _gen_argv(data)
+            elif command == "rotmap":
+                argv = ["rotmap", path("graph", "graph")]
+                mode = data.draw(st.sampled_from([None, "greedy", "from-file"]), label="mode")
+                argv += [] if mode is None else ["--mode", mode]
+                if data.draw(st.booleans(), label="--map"):
+                    argv += ["--map", path("map", "greedy", "solved")]
+            elif command == "check":
+                criterion = data.draw(st.sampled_from(CRITERIA), label="criterion")
+                argv = ["check", path("map", "greedy", "solved"), "--criterion", criterion]
+                if data.draw(st.booleans(), label="--emit-product"):
+                    argv.append("--emit-product")
+            elif command == "shift":
+                argv = ["shift", path("map", "greedy", "solved")]
+            else:
+                argv = ["walk", path("graph", "graph"), path("map", "greedy", "solved"),
+                        "--coin", data.draw(st.sampled_from(cli.COINS), label="coin"),
+                        "--steps", str(data.draw(st.integers(-1, 12), label="steps")),
+                        "--format", data.draw(st.sampled_from(["csv", "json"]), label="format")]
+                if data.draw(st.booleans(), label="--start"):
+                    argv += [f"--start={spec}" for spec in data.draw(st.lists(_START, max_size=3), label="starts")]
+                if data.draw(st.booleans(), label="--allow-inconsistent"):
+                    argv.append("--allow-inconsistent")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main([*argv, "--out", out])
+            stderr = err.getvalue()
+            assert code in (0, 2, 3, 4)
+            assert "Traceback" not in stderr
+            if code == 2:
+                lines = stderr.splitlines()
+                assert lines and all(line.startswith("error: ") for line in lines)
+                assert len(lines) == 1 or all(re.match(r"error: vertex \d+: ", line) for line in lines)
+            if code == 0:
+                written = Path(out).read_text()
+                if command in ("check", "shift") or "json" in argv:
+                    assert json.loads(written)["version"]
