@@ -90,10 +90,13 @@ class SolverConfig:
             raise ConfigError(f"unknown criterion {self.criterion!r}; expected one of {CRITERIA}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        _integers(
+        names = ("seed", "max_iterations", "max_restarts", "exhaustive_ceiling")
+        values = _integers(
             ConfigError, "seed, max_iterations, max_restarts and exhaustive_ceiling",
-            (self.seed, self.max_iterations, self.max_restarts, self.exhaustive_ceiling),
+            tuple(getattr(self, name) for name in names),
         )
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)  # frozen; a NumPy integer is stored as an int
         if self.max_iterations < 1 or self.max_restarts < 1:
             raise ConfigError("iteration and restart budgets must be positive")
         if not (math.isfinite(self.time_budget) and self.time_budget > 0):

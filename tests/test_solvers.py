@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -251,6 +252,13 @@ MALFORMED_SUPPORT = {
     "entry pair": ([(0, 0)], r"^support entry \(0, 0\) must be \(label, vertex, amplitude\)$"),
     "entry int": ([5], r"^support entry 5 must be"),
 }
+
+
+def test_numpy_integer_config_reports_as_json():
+    config = SolverConfig(seed=np.int64(3), max_iterations=np.int64(50))
+    assert type(config.seed) is int and type(config.max_iterations) is int
+    report = solve(random_regular_graph(10, 3, seed=1), config).to_report()
+    assert json.loads(json.dumps(report))["seed"] == 3
 
 
 @pytest.mark.parametrize("case", [*NON_INTEGER_SEEDS_AND_SIZES, *MALFORMED_SUPPORT])
