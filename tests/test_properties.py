@@ -398,7 +398,5 @@ class TestOtherCommands:
                 lines = stderr.splitlines()
                 assert lines and all(line.startswith("error: ") for line in lines)
                 assert len(lines) == 1 or all(re.match(r"error: vertex \d+: ", line) for line in lines)
-            if code == 0:
-                written = Path(out).read_text()
-                if command in ("check", "shift") or "json" in argv:
-                    assert json.loads(written)["version"]
+            if code == 0 and (command in ("check", "shift") or "json" in argv):
+                assert json.loads(Path(out).read_text())["version"]

@@ -201,8 +201,9 @@ class TestEulerHalves:
         assert (_stable_order(keys, bound) == np.argsort(keys, kind="stable")).all()
 
 
-# A non-integer count, which each library layer refuses with its own
-# error, as generate_graph refuses a float parameter.
+# A non-integer count, size or seed (a string seed among them), which each
+# library layer refuses with its own error, as generate_graph refuses a
+# float parameter.
 NON_INTEGER_COUNTS = {
     "exhaustive ceiling nan": (ConfigError, lambda: SolverConfig(exhaustive_ceiling=float("nan"))),
     "max_iterations 2.5": (ConfigError, lambda: SolverConfig(max_iterations=2.5)),
@@ -222,19 +223,6 @@ NON_INTEGER_COUNTS = {
     "start label": (ConfigError, lambda: init_state(4, 2, [(0.5, 0, 1.0)])),
     "start vertex": (ConfigError, lambda: init_state(4, 2, [(0, np.float64(1), 1.0)])),
     "state n": (ConfigError, lambda: uniform_state(2.0, 2)),
-}
-
-
-@pytest.mark.parametrize("case", list(NON_INTEGER_COUNTS))
-def test_non_integer_counts_refused(case):
-    error, call = NON_INTEGER_COUNTS[case]
-    with pytest.raises(error, match="must be (integers|an integer), got"):
-        call()
-
-
-# Seeds and sizes that are not integers, a string seed among them, and
-# malformed start-state entries: each refused with its layer's error.
-NON_INTEGER_SEEDS_AND_SIZES = {
     "solver seed 2.5": (ConfigError, lambda: SolverConfig(seed=2.5)),
     "solver seed str": (ConfigError, lambda: SolverConfig(seed="1")),
     "random-regular seed 2.5": (GenerationError, lambda: random_regular_graph(10, 3, seed=2.5)),
@@ -245,13 +233,15 @@ NON_INTEGER_SEEDS_AND_SIZES = {
     "coin d": (ConfigError, lambda: build_coin("grover", 2.5)),
     "coin operator d": (ConfigError, lambda: CoinOperator(2.0, "identity", np.eye(2))),
     "shift n": (ConfigError, lambda: ShiftOperator(2.0, 2, [1, 0, 3, 2])),
-    "state n": (ConfigError, lambda: WalkState(2.0, 2, [1, 0, 0, 0])),
+    "walk state n": (ConfigError, lambda: WalkState(2.0, 2, [1, 0, 0, 0])),
 }
-MALFORMED_SUPPORT = {
-    "amplitude str": ([(0, 0, "x")], r"^amplitude 'x' is not a number$"),
-    "entry pair": ([(0, 0)], r"^support entry \(0, 0\) must be \(label, vertex, amplitude\)$"),
-    "entry int": ([5], r"^support entry 5 must be"),
-}
+
+
+@pytest.mark.parametrize("case", list(NON_INTEGER_COUNTS))
+def test_non_integer_counts_refused(case):
+    error, call = NON_INTEGER_COUNTS[case]
+    with pytest.raises(error, match="must be (integers|an integer), got"):
+        call()
 
 
 def test_numpy_integer_config_reports_as_json():
@@ -261,16 +251,14 @@ def test_numpy_integer_config_reports_as_json():
     assert json.loads(json.dumps(report))["seed"] == 3
 
 
-@pytest.mark.parametrize("case", [*NON_INTEGER_SEEDS_AND_SIZES, *MALFORMED_SUPPORT])
-def test_non_integer_seeds_sizes_and_support_refused(case):
-    if case in MALFORMED_SUPPORT:
-        support, message = MALFORMED_SUPPORT[case]
-        with pytest.raises(ConfigError, match=message):
-            init_state(4, 2, support)
-        return
-    error, call = NON_INTEGER_SEEDS_AND_SIZES[case]
-    with pytest.raises(error, match="must be integers, got"):
-        call()
+@pytest.mark.parametrize("support, message", [
+    ([(0, 0, "x")], r"^amplitude 'x' is not a number$"),
+    ([(0, 0)], r"^support entry \(0, 0\) must be \(label, vertex, amplitude\)$"),
+    ([5], r"^support entry 5 must be"),
+])
+def test_malformed_support_refused(support, message):
+    with pytest.raises(ConfigError, match=message):
+        init_state(4, 2, support)
 
 
 class TestEdgeColoringConversion:
