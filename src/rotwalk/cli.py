@@ -23,13 +23,13 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import FormatError, RotwalkError
+from .errors import ConfigError, FormatError, RotwalkError
 from .graphs import FAMILIES, FamilySpec, generate_graph, parse_graph, serialize_graph
 from .rotmap import (
+    CHECKERS,
     CRITERIA,
     METHODS,
     Violation,
-    check_involution_consistent,
     check_permutation_consistent,
     greedy_rotation,
     parse_rotation,
@@ -132,22 +132,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_rotmap(args) -> int:
-    if args.mode == "from-file" and args.map is None:
-        print("error: --mode from-file requires --map", file=sys.stderr)
-        return 2
-    if args.mode == "greedy" and args.map is not None:
-        print("error: --map requires --mode from-file", file=sys.stderr)
-        return 2
     graph = parse_graph(_read(args.graph))
-    if args.mode == "greedy":
+    if args.map is None:
         rot = greedy_rotation(graph)
     else:
         rot = parse_rotation(_read(args.map))
-        mismatches = validate_against_graph(rot, graph)
-        if mismatches:
-            for line in mismatches:
-                print(f"error: {line}", file=sys.stderr)
-            return 2
+        validate_against_graph(rot, graph)
     _write(args.out, [serialize_rotation(rot)])
     return 0
 
@@ -156,10 +146,7 @@ def cmd_check(args) -> int:
     from .operators import PRODUCT_DIM_LIMIT, unitarity_defect
 
     rot = parse_rotation(_read(args.map))
-    if args.criterion == "permutation":
-        report = check_permutation_consistent(rot)
-    else:
-        report = check_involution_consistent(rot)
+    report = CHECKERS[args.criterion](rot)
     unitarity = unitarity_defect(rot)
     payload = {
         "version": REPORT_VERSION,
@@ -213,12 +200,9 @@ def cmd_shift(args) -> int:
     rot = parse_rotation(_read(args.map))
     dim = rot.n * rot.d
     if dim > PRODUCT_DIM_LIMIT:
-        print(
-            f"error: operator dump is for small instances only "
-            f"(dimension {dim} > {PRODUCT_DIM_LIMIT})",
-            file=sys.stderr,
+        raise ConfigError(
+            f"operator dump is for small instances only (dimension {dim} > {PRODUCT_DIM_LIMIT})"
         )
-        return 2
     dense = build_shift(rot).to_dense()
     payload = {
         "version": REPORT_VERSION,
@@ -279,11 +263,7 @@ def cmd_walk(args) -> int:
 
     graph = parse_graph(_read(args.graph))
     rot = parse_rotation(_read(args.map))
-    mismatches = validate_against_graph(rot, graph)
-    if mismatches:
-        for line in mismatches:
-            print(f"error: {line}", file=sys.stderr)
-        return 2
+    validate_against_graph(rot, graph)
     report = check_permutation_consistent(rot)
     if not report.consistent and not args.allow_inconsistent:
         print(
@@ -324,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rotmap", help="extract or validate a rotation map")
     p.add_argument("graph", help="edge-list file")
-    p.add_argument("--mode", choices=("greedy", "from-file"), default="greedy")
-    p.add_argument("--map", default=None, help="rotation-map file for --mode from-file")
+    p.add_argument("--map", default=None, help="rotation-map file to validate and echo (omitted: greedy)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_rotmap)
 

@@ -188,18 +188,28 @@ def check_involution_consistent(rot: RotationMap) -> ConsistencyReport:
     return _consistency_report("involution", labels, vertices, np.zeros_like(labels))
 
 
+# The checker of each criterion.  Each looks its checker up when called,
+# so that a function rebound in this module (a profiler's wrapper, say)
+# is the one that runs.
+CHECKERS = {
+    "permutation": lambda rot: check_permutation_consistent(rot),
+    "involution": lambda rot: check_involution_consistent(rot),
+}
+
+
 def _consistency_report(criterion: str, labels, vertices, counts) -> ConsistencyReport:
     """A report from 0-based label and vertex arrays, already in witness order."""
     witnesses = np.column_stack([labels + 1, vertices + 1, counts])
     return ConsistencyReport(criterion, not len(witnesses), witnesses)
 
 
-def validate_against_graph(rot: RotationMap, graph: RegularGraph) -> list[str]:
+def validate_against_graph(rot: RotationMap, graph: RegularGraph) -> None:
     """Check that each row of ``rot`` is exactly the neighbor set of its vertex.
 
-    Returns an empty list when the map matches the graph, else one
-    human-readable mismatch line per offending vertex (1-based ids).
-    A dimension mismatch is structural and raises instead.
+    Returns None when they match.  Otherwise raises one ValidationError
+    naming the first mismatching vertex (1-based), its stray entries and
+    unused neighbors in ascending order, and how many rows mismatch.  A
+    dimension mismatch raises before any row is compared.
     """
     if (rot.n, rot.d) != (graph.n, graph.d):
         raise ValidationError(
@@ -207,15 +217,15 @@ def validate_against_graph(rot: RotationMap, graph: RegularGraph) -> list[str]:
         )
     # Rows hold distinct entries and neighbor rows are sorted, so a row is
     # its vertex's neighbor set exactly when the sorted row equals it.
-    bad = np.flatnonzero((np.sort(rot.entries, axis=1) != graph.neighbors).any(axis=1))
-    mismatches = []
-    for v in bad.tolist():
-        row = set(rot.entries[v].tolist())
-        nbrs = set(graph.neighbors[v].tolist())
-        parts = [f"entry {w + 1} is not a neighbor" for w in sorted(row - nbrs)]
-        parts += [f"neighbor {w + 1} unused" for w in sorted(nbrs - row)]
-        mismatches.append(f"vertex {v + 1}: " + ", ".join(parts))
-    return mismatches
+    bad = (np.sort(rot.entries, axis=1) != graph.neighbors).any(axis=1)
+
+    def mismatch(v):
+        row, nbrs = rot.entries[v], graph.neighbors[v]
+        parts = [f"entry {w + 1} is not a neighbor" for w in np.setdiff1d(row, nbrs).tolist()]
+        parts += [f"neighbor {w + 1} unused" for w in np.setdiff1d(nbrs, row).tolist()]
+        return f"vertex {v + 1}: {', '.join(parts)} ({bad.sum()} of {rot.n} rows mismatch)"
+
+    _raise_first([(bad, mismatch)], ValidationError)
 
 
 def parse_rotation(text: str) -> RotationMap:

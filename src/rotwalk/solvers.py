@@ -53,13 +53,7 @@ import numpy as np
 
 from .errors import ConfigError, RotwalkError, ValidationError
 from .graphs import RegularGraph, _first_occurrences, _integer_table, _integers, _raise_first
-from .rotmap import (
-    CRITERIA,
-    METHODS,
-    RotationMap,
-    check_involution_consistent,
-    check_permutation_consistent,
-)
+from .rotmap import CHECKERS, CRITERIA, METHODS, RotationMap
 from .version import REPORT_VERSION
 
 STATUSES = ("solved", "infeasible-proven", "budget-exhausted")
@@ -173,11 +167,7 @@ def _outcome(graph, config, stats, rot=None, certificate=None) -> SolverOutcome:
     certificate infeasible-proven, anything else budget-exhausted.  A map
     that fails the checker of the config's criterion is a defect."""
     if rot is not None:
-        check = (
-            check_permutation_consistent if config.criterion == "permutation"
-            else check_involution_consistent
-        )
-        if not check(rot).consistent:
+        if not CHECKERS[config.criterion](rot).consistent:
             raise RotwalkError(
                 f"internal defect: {config.method} output failed the {config.criterion} checker"
             )

@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from numbers import Number
-from operator import index
 
 import numpy as np
 
@@ -430,10 +429,7 @@ def _records(
     t and the operators are checked here, before the first record, so a
     refused walk has produced nothing.
     """
-    try:
-        t = index(t)
-    except TypeError:
-        raise ConfigError(f"step count must be an integer, got {t!r}") from None
+    (t,) = _integers(ConfigError, "step count", (t,))
     if t < 0:
         raise ConfigError(f"step count must be >= 0, got {t}")
     _check_coin(coin, state)

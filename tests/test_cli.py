@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -13,12 +15,14 @@ import rotwalk
 from rotwalk import (
     REPORT_VERSION,
     RegularGraph,
+    SolverConfig,
     build_coin,
     build_shift,
     check_involution_consistent,
     check_permutation_consistent,
     cli,
     cycle_rotation,
+    generate_graph,
     greedy_rotation,
     init_state,
     parse_graph,
@@ -186,22 +190,8 @@ class TestRotmap:
         assert capsys.readouterr().out == GREEDY_TEXT
 
     def test_from_file_echoes_map(self, square, canonical, capsys):
-        code = cli.main(["rotmap", square, "--mode", "from-file", "--map", canonical])
-        assert code == 0
+        assert cli.main(["rotmap", square, "--map", canonical]) == 0
         assert capsys.readouterr().out == CANONICAL_TEXT
-
-    def test_from_file_requires_map(self, square, tmp_path, capsys):
-        out = tmp_path / "out.rot"
-        assert cli.main(["rotmap", square, "--mode", "from-file", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: --mode from-file requires --map\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("mode", [[], ["--mode", "greedy"]])
-    def test_map_requires_from_file(self, square, canonical, tmp_path, capsys, mode):
-        out = tmp_path / "out.rot"
-        assert cli.main(["rotmap", square, *mode, "--map", canonical, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: --map requires --mode from-file\n"
-        assert not out.exists()
 
     def test_huge_header_exit_2(self, tmp_path, capsys):
         huge = tmp_path / "huge.edges"
@@ -212,9 +202,20 @@ class TestRotmap:
     def test_mismatch_exit_2(self, square, tmp_path, capsys):
         bad = tmp_path / "bad.rot"
         bad.write_text(serialize_rotation(cycle_rotation(5)))
-        code = cli.main(["rotmap", square, "--mode", "from-file", "--map", str(bad)])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert cli.main(["rotmap", square, "--map", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: dimension mismatch: map is 5 x 2, graph is 4 x 2\n"
+
+    @pytest.mark.parametrize("command", ["rotmap", "walk"])
+    def test_row_mismatch_is_one_error_line(self, square, tmp_path, capsys, command):
+        # Vertices 1, 3 and 4 of the 4-cycle get rows that are not their neighbors.
+        bad, out = tmp_path / "bad.rot", tmp_path / "out"
+        bad.write_text("4 2\n2 3\n1 3\n1 2\n1 2\n")
+        argv = ["rotmap", square, "--map"] if command == "rotmap" else ["walk", square]
+        assert cli.main([*argv, str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: vertex 1: entry 3 is not a neighbor, neighbor 4 unused (3 of 4 rows mismatch)\n"
+        )
+        assert not out.exists()
 
 
 class TestCheck:
@@ -477,7 +478,9 @@ class TestShift:
         cli.main(["rotmap", str(tmp_path / "c.edges"),
                   "--out", str(tmp_path / "c.rot")])
         assert cli.main(["shift", str(tmp_path / "c.rot")]) == 2
-        assert "64" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: operator dump is for small instances only (dimension 80 > 64)\n"
+        )
 
 
 class TestWalk:
@@ -747,6 +750,16 @@ def test_overflowing_walk_prints_no_warning(tmp_path):
 
 
 class TestTopLevel:
+    def test_parser_defaults_match_library_defaults(self):
+        # Each default is written both in the parser and in the library.
+        parser = cli.build_parser()
+        solve_args = parser.parse_args(["solve", "g.edges"])
+        config = dataclasses.asdict(SolverConfig())
+        assert len(config) == 7
+        assert {name: getattr(solve_args, name) for name in config} == config
+        max_tries = inspect.signature(generate_graph).parameters["max_tries"].default
+        assert parser.parse_args(["gen", "cycle", "4"]).max_tries == max_tries
+
     def test_version_flag(self, capsys):
         assert cli.main(["--version"]) == 0
         assert "rotwalk 0.1.0" in capsys.readouterr().out
@@ -761,7 +774,7 @@ class TestTopLevel:
     # Each file argument of each reading command, given bytes that are not UTF-8.
     @pytest.mark.parametrize("argv", [
         ["rotmap", "{bad}"],
-        ["rotmap", "{square}", "--mode", "from-file", "--map", "{bad}"],
+        ["rotmap", "{square}", "--map", "{bad}"],
         ["check", "{bad}"],
         ["solve", "{bad}"],
         ["shift", "{bad}"],

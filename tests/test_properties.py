@@ -108,7 +108,7 @@ class TestGeneration:
         rng = random.Random(34)
         for _ in range(20):
             g = random_graph(rng)
-            assert validate_against_graph(greedy_rotation(g), g) == []
+            validate_against_graph(greedy_rotation(g), g)
 
 
 class TestConsistencyTheorem:
@@ -286,7 +286,7 @@ class TestSolveCommand:
                 check = (check_permutation_consistent if criterion == "permutation"
                          else check_involution_consistent)
                 assert check(rot).consistent
-                assert validate_against_graph(rot, graph) == []
+                validate_against_graph(rot, graph)
 
 
 # Family parameters stay at most 64 (hypercube k at most 12: 2**k vertices),
@@ -346,8 +346,7 @@ def _gen_argv(data):
 class TestOtherCommands:
     """gen, rotmap, check, shift and walk keep the exit-code contract on
     drawn arguments and input files: exit 0, 2, 3 or 4, never a traceback,
-    and on exit 2 one 'error:' line (or one per vertex when a map's rows
-    are listed against its graph)."""
+    and on exit 2 exactly one 'error:' line."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(st.data())
@@ -368,8 +367,6 @@ class TestOtherCommands:
                 argv = _gen_argv(data)
             elif command == "rotmap":
                 argv = ["rotmap", path("graph", "graph")]
-                mode = data.draw(st.sampled_from([None, "greedy", "from-file"]), label="mode")
-                argv += [] if mode is None else ["--mode", mode]
                 if data.draw(st.booleans(), label="--map"):
                     argv += ["--map", path("map", "greedy", "solved")]
             elif command == "check":
@@ -395,8 +392,6 @@ class TestOtherCommands:
             assert code in (0, 2, 3, 4)
             assert "Traceback" not in stderr
             if code == 2:
-                lines = stderr.splitlines()
-                assert lines and all(line.startswith("error: ") for line in lines)
-                assert len(lines) == 1 or all(re.match(r"error: vertex \d+: ", line) for line in lines)
+                assert re.fullmatch(r"error: [^\n]*\n", stderr)
             if code == 0 and (command in ("check", "shift") or "json" in argv):
                 assert json.loads(Path(out).read_text())["version"]

@@ -100,7 +100,7 @@ class TestPermutationMatching:
             outcome = solve_permutation(g)
             assert outcome.status == "solved"
             assert check_permutation_consistent(outcome.rotation_map).consistent
-            assert validate_against_graph(outcome.rotation_map, g) == []
+            validate_against_graph(outcome.rotation_map, g)
             assert unitarity_defect(outcome.rotation_map).defect == 0
             assert outcome.certificate is None
 
@@ -115,7 +115,7 @@ class TestPermutationMatching:
             outcome = solve_permutation(g)
             assert outcome.status == "solved"
             assert check_permutation_consistent(outcome.rotation_map).consistent
-            assert validate_against_graph(outcome.rotation_map, g) == []
+            validate_against_graph(outcome.rotation_map, g)
 
     def test_outcome_metadata(self):
         outcome = solve_permutation(cycle_graph(4))
@@ -142,7 +142,7 @@ class TestPermutationMatching:
             assert outcome.status == "solved"
             assert outcome.stats.iterations == d
             assert check_permutation_consistent(rot).consistent
-            assert validate_against_graph(rot, g) == []
+            validate_against_graph(rot, g)
             if n * d <= 600:
                 assert defect_by_dense_product(rot.entries) == 0
 
@@ -162,7 +162,7 @@ class TestPermutationMatching:
             g = build()
             rot = solve_permutation(g).rotation_map
             assert check_permutation_consistent(rot).consistent
-            assert validate_against_graph(rot, g) == []
+            validate_against_graph(rot, g)
             assert defect_by_dense_product(rot.entries) == 0
 
     def test_report_schema(self):
@@ -240,7 +240,7 @@ NON_INTEGER_COUNTS = {
 @pytest.mark.parametrize("case", list(NON_INTEGER_COUNTS))
 def test_non_integer_counts_refused(case):
     error, call = NON_INTEGER_COUNTS[case]
-    with pytest.raises(error, match="must be (integers|an integer), got"):
+    with pytest.raises(error, match="must be integers, got"):
         call()
 
 
@@ -267,7 +267,7 @@ class TestEdgeColoringConversion:
         coloring = vizing_color(g)
         rot = rotation_from_coloring(g, coloring.labels)
         assert check_involution_consistent(rot).consistent
-        assert validate_against_graph(rot, g) == []
+        validate_against_graph(rot, g)
 
     def test_improper_coloring_rejected(self):
         with pytest.raises(ValidationError):
@@ -365,7 +365,7 @@ class TestColoringHeuristics:
         assert outcome.status == "solved"
         assert outcome.stats.best_conflicts == 0
         assert check_involution_consistent(outcome.rotation_map).consistent
-        assert validate_against_graph(outcome.rotation_map, g) == []
+        validate_against_graph(outcome.rotation_map, g)
 
 
 class TestLocalSearch:
@@ -376,7 +376,7 @@ class TestLocalSearch:
             outcome = solve(g, cfg)
             assert outcome.status == "solved"
             assert check_involution_consistent(outcome.rotation_map).consistent
-            assert validate_against_graph(outcome.rotation_map, g) == []
+            validate_against_graph(outcome.rotation_map, g)
 
     def test_budget_exhausted_on_petersen(self):
         for seed in range(5):
@@ -500,7 +500,7 @@ class TestExhaustive:
             outcome = solve(g, cfg)
             assert outcome.status == "solved", (g.n, g.d)
             assert check_permutation_consistent(outcome.rotation_map).consistent
-            assert validate_against_graph(outcome.rotation_map, g) == []
+            validate_against_graph(outcome.rotation_map, g)
             assert outcome.stats.best_conflicts == 0
             assert outcome.stats.iterations >= g.n * g.d - g.d
 
