@@ -210,20 +210,15 @@ def _require_uniform_degrees(degrees: np.ndarray, expected: int | None = None) -
 # a message only for the first bad line.  ``_write_table`` writes either.
 
 
-def _code_point_table(code_points) -> np.ndarray:
-    table = np.zeros(0x3002, dtype=bool)
-    table[list(code_points)] = True
-    return table
+def _byte_table(test) -> np.ndarray:
+    return np.array([code < 128 and test(chr(code)) for code in range(256)])
 
 
-# By code point: str.isspace(), and whether the character ends a line for
-# str.splitlines().  No code point past U+3000 is either, so larger ones
-# are looked up at the tables' last entry.  The tests check both against str.
-_IS_SPACE = _code_point_table([
-    *range(0x09, 0x0E), *range(0x1C, 0x21), 0x85, 0xA0, 0x1680, *range(0x2000, 0x200B),
-    0x2028, 0x2029, 0x202F, 0x205F, 0x3000,
-])
-_ENDS_LINE = _code_point_table([*range(0x0A, 0x0E), *range(0x1C, 0x1F), 0x85, 0x2028, 0x2029])
+# By UTF-8 byte: whether it is whitespace (``str.isspace``), and whether it
+# ends a line (``str.splitlines``).  Only ASCII bytes are either, so a
+# non-ASCII character is part of a field.
+_IS_SPACE = _byte_table(str.isspace)
+_ENDS_LINE = _byte_table(lambda char: len(f"x{char}x".splitlines()) == 2)
 
 
 class _Table(NamedTuple):
@@ -231,10 +226,9 @@ class _Table(NamedTuple):
 
     Body line i (0-based, document order, comment and blank lines left
     out) is line ``lines[i]`` (1-based) of the document and holds
-    ``widths[i]`` fields.  ``values`` holds every body field in order, 0
-    where a field is not an integer; ``integral[i]`` says whether every
-    field of line i is one.  ``values`` is int64 when every field is an
-    int64, else an object array of Python ints, exact at any size.
+    ``widths[i]`` fields.  ``values`` holds every body field in order as
+    int64, 0 where a field is not an integer; ``integral[i]`` says
+    whether every field of line i is one.
     """
 
     n: int
@@ -251,25 +245,22 @@ class _Table(NamedTuple):
         if fit.all():
             return self.values.reshape(len(fit), k)
         starts = np.cumsum(self.widths) - self.widths
-        table = np.zeros((len(fit), k), dtype=self.values.dtype)
+        table = np.zeros((len(fit), k), dtype=np.int64)
         table[fit] = self.values[starts[fit, None] + np.arange(k)]
         return table
 
 
 def _read_table(text: str) -> _Table:
-    """Read a header-plus-integer-lines document.
+    """Read a header-plus-integer-lines document from its UTF-8 bytes.
 
-    Lines, fields, blank lines and '#' comment lines are those of
-    ``str.splitlines``, ``str.split`` and ``str.strip`` applied line by
-    line, but found with array operations over the characters: the
-    bytes of an ASCII text, else its code points.  Header errors are
-    raised here; the body is checked by the caller.
+    Lines end at the ASCII line ends of ``str.splitlines`` ("\\r\\n" is
+    one); fields are the runs between ASCII whitespace; a blank line, or
+    one whose first field starts with '#', is left out.  Every field of
+    the header and the body is an integer iff it matches
+    ``-?[0-9]{1,18}``.  Header errors are raised here; the body is
+    checked by the caller.
     """
-    if text.isascii():
-        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    else:
-        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        codes = np.minimum(codes, len(_IS_SPACE) - 1)
+    codes = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     is_space = _IS_SPACE.take(codes)
     ends = _ENDS_LINE.take(codes)
     ends[1:] &= (codes[1:] != ord("\n")) | (codes[:-1] != ord("\r"))  # "\r\n" ends one line
@@ -295,65 +286,45 @@ def _read_table(text: str) -> _Table:
     header_line = int(lines[0])
     if widths[0] != 2:
         raise FormatError("header must be 'n d'", line=header_line)
-    try:
-        n, d = (int(text[starts[k]:stops[k]]) for k in kept[:2])
-    except ValueError:
-        raise FormatError("header must be two integers", line=header_line) from None
+    values, ok = _decimal_integers(codes, is_space, starts, stops, kept)
+    if not ok[:2].all():
+        raise FormatError("header must be two integers", line=header_line)
+    n, d = values[:2].tolist()
     if n < 1 or d < 1:
         raise FormatError("header requires n >= 1 and d >= 1", line=header_line)
-    body = kept[2:]
-    values = _decimal_integers(codes, is_space, starts, stops, body)
-    ok = np.ones(len(body), dtype=bool)
-    if values is None:
-        fields = np.array(text.split(), dtype=object)[body]
-        try:
-            values = fields.astype(np.int64)
-        except (ValueError, OverflowError):
-            values, ok = _integers_one_by_one(fields)
     line_index = np.cumsum(first[2:]) - 1  # body line of each body field
-    integral = np.bincount(line_index[~ok], minlength=len(opens) - 1) == 0
-    return _Table(n, d, header_line, lines[1:], widths[1:], integral, values)
+    integral = np.bincount(line_index[~ok[2:]], minlength=len(opens) - 1) == 0
+    return _Table(n, d, header_line, lines[1:], widths[1:], integral, values[2:])
 
 
 # A field of at most this many ASCII digits is below 10**18 < 2**63.
 _MAX_DIGITS = 18
 
 
-def _decimal_integers(codes, is_space, starts, stops, fields) -> np.ndarray | None:
+def _decimal_integers(codes, is_space, starts, stops, fields) -> tuple[np.ndarray, np.ndarray]:
     """The int64 values of ``fields`` (indices into ``starts``/``stops``)
-    when each is a run of at most ``_MAX_DIGITS`` ASCII digits, else None.
+    and whether each is an integer: an optional '-', then 1 to
+    ``_MAX_DIGITS`` ASCII digits.  A field that is not one reads 0.
 
-    Digit by digit, one ``values * 10 + digit`` pass per position; int()
-    reads every such field to the same value."""
-    digits = codes - ord("0")  # wraps: a non-digit reads 10 or more
-    other = np.flatnonzero((digits > 9) & ~is_space)
+    Digit by digit, one ``values * 10 + digit`` pass per position."""
+    other = np.flatnonzero((codes - ord("0") > 9) & ~is_space)  # wraps below '0'
     field_of_other = np.searchsorted(starts, other, side="right") - 1
-    if np.isin(field_of_other, fields).any():
-        return None
-    first, stop = starts[fields], stops[fields]
-    width = int((stop - first).max(initial=0))
-    if width > _MAX_DIGITS:
-        return None
+    sign = (other == starts[field_of_other]) & (codes[other] == ord("-"))  # a leading '-'
+    bad = np.zeros(len(starts), dtype=bool)
+    bad[field_of_other[~sign]] = True
+    stop = stops[fields]
+    negative = codes[starts[fields]] == ord("-")
+    start = starts[fields] + negative  # the first digit
+    ok = ~bad[fields] & (start < stop) & (stop - start <= _MAX_DIGITS)
     values = np.zeros(len(fields), dtype=np.int64)
-    for k in range(width, 0, -1):
+    for k in range(int((stop - start)[ok].max(initial=0)), 0, -1):
         at = stop - k
-        digit = digits.take(at, mode="clip")
-        digit[at < first] = 0
+        digit = codes.take(at, mode="clip") - ord("0")
+        digit[at < start] = 0
         values *= 10
         values += digit
-    return values
-
-
-def _integers_one_by_one(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Python ints of ``fields`` (0 where ``int()`` fails) and where it succeeded."""
-    values = np.zeros(len(fields), dtype=object)
-    ok = np.zeros(len(fields), dtype=bool)
-    for i, field in enumerate(fields):
-        try:
-            values[i] = int(field)
-        except ValueError:
-            continue
-        ok[i] = True
+    values[~ok] = 0
+    np.negative(values, out=values, where=negative)
     return values, ok
 
 
@@ -422,7 +393,7 @@ def parse_graph(text: str) -> RegularGraph:
             "some vertex would be isolated",
             line=table.header_line,
         )
-    pairs = edges.astype(np.int64) - 1
+    pairs = edges - 1
     d = _require_uniform_degrees(np.bincount(pairs.ravel(), minlength=n), expected=table.d)
     return RegularGraph(_neighbor_table(n, pairs, d))
 

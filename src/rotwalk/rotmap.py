@@ -91,8 +91,9 @@ class ConsistencyReport:
     The witnesses are kept as one read-only (k, 3) int64 array of 1-based
     (label, vertex, count) rows, since a greedy map has about 10^5 of
     them; ``violations`` is the same witnesses as a tuple of Violation,
-    built on first access.  Equality, hashing and repr are those of the
-    frozen record (criterion, consistent, violations).
+    built on first access.  Equality and repr are those of the frozen
+    record (criterion, consistent, violations); the hash, like
+    ``_FrozenTable``'s, reads the array's bytes and builds no tuples.
     """
 
     __slots__ = ("criterion", "consistent", "_witnesses", "_violations")
@@ -123,7 +124,7 @@ class ConsistencyReport:
         )
 
     def __hash__(self):
-        return hash((self.criterion, self.consistent, self.violations))
+        return hash((self.criterion, self.consistent, self._witnesses.tobytes()))
 
     def __repr__(self) -> str:
         return (

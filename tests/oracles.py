@@ -7,6 +7,7 @@ bug observed twice.
 """
 
 import random
+import re
 
 import numpy as np
 
@@ -232,14 +233,38 @@ def csv_by_fstring(records):
     )
 
 
+# The grammar of both text formats, spelled out for the reference
+# readers: lines end at the ASCII line ends of str.splitlines ("\r\n" is
+# one), fields are separated by ASCII whitespace, and a field is an
+# integer iff it matches INTEGER.  No other character is either.
+LINE_END = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e]")
+SPACE = re.compile(r"[\t\n\x0b\x0c\r\x1c-\x20]+")
+INTEGER = re.compile(r"-?[0-9]{1,18}")
+
+
+def _reference_lines(text):
+    """(line number, fields) of each line that is neither blank nor a comment."""
+    for lineno, line in enumerate(LINE_END.split(text), start=1):
+        fields = [field for field in SPACE.split(line) if field]
+        if fields and not fields[0].startswith("#"):
+            yield lineno, fields
+
+
+def _reference_integers(fields):
+    """The values of ``fields`` when each is an integer, else None."""
+    if all(INTEGER.fullmatch(field) for field in fields):
+        return [int(field) for field in fields]
+    return None
+
+
 def _reference_header(fields, lineno):
     """(n, d) from a header line's fields, or (line, message) when malformed."""
     if len(fields) != 2:
         return None, (lineno, "header must be 'n d'")
-    try:
-        n, d = int(fields[0]), int(fields[1])
-    except ValueError:
+    values = _reference_integers(fields)
+    if values is None:
         return None, (lineno, "header must be two integers")
+    n, d = values
     if n < 1 or d < 1:
         return None, (lineno, "header requires n >= 1 and d >= 1")
     return (n, d), None
@@ -247,13 +272,8 @@ def _reference_header(fields, lineno):
 
 def integer_rows(text):
     """The rows of integers of a well-formed document, header first, read
-    one line at a time with ``int``."""
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            rows.append([int(field) for field in line.split()])
-    return rows
+    one line at a time."""
+    return [_reference_integers(fields) for _, fields in _reference_lines(text)]
 
 
 def first_graph_format_error(text):
@@ -266,11 +286,7 @@ def first_graph_format_error(text):
     """
     header = header_line = None
     seen = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for lineno, fields in _reference_lines(text):
         if header is None:
             header, error = _reference_header(fields, lineno)
             if error:
@@ -279,10 +295,10 @@ def first_graph_format_error(text):
             continue
         if len(fields) != 2:
             return lineno, "edge line must be 'u v'"
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
+        values = _reference_integers(fields)
+        if values is None:
             return lineno, "edge endpoints must be integers"
+        u, v = values
         if u == v:
             return lineno, f"self-loop at vertex {u}"
         if not (1 <= u < v <= header[0]):
@@ -306,11 +322,7 @@ def first_rotation_format_error(text):
     the first format error (line None when it belongs to no line), else None."""
     header = None
     rows = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for lineno, fields in _reference_lines(text):
         if header is None:
             header, error = _reference_header(fields, lineno)
             if error:
@@ -321,9 +333,8 @@ def first_rotation_format_error(text):
             return lineno, f"expected exactly {n} rows"
         if len(fields) != d:
             return lineno, f"row must have {d} entries, got {len(fields)}"
-        try:
-            entries = [int(f) for f in fields]
-        except ValueError:
+        entries = _reference_integers(fields)
+        if entries is None:
             return lineno, "row entries must be integers"
         vertex = rows + 1
         for w in entries:

@@ -227,6 +227,11 @@ class TestConsistency:
         with pytest.raises(AttributeError):
             report.consistent = True
 
+    def test_hash_builds_no_violation_tuples(self):
+        report = check_permutation_consistent(greedy_rotation(random_regular_graph(200, 4, seed=3)))
+        hash(report)
+        assert report._violations is None
+
     def test_matches_sorting_oracle(self):
         rng = random.Random(5)
         for _ in range(200):

@@ -21,7 +21,6 @@ from rotwalk import (
     serialize_graph,
     serialize_rotation,
 )
-from rotwalk import graphs
 from rotwalk.graphs import _ENDS_LINE, _IS_SPACE
 
 from oracles import first_graph_format_error, first_rotation_format_error, integer_rows
@@ -55,7 +54,7 @@ ROTATION_DEFECTS = {
     "self-map": None,
     "repeated": "REPEATED",
 }
-HEADER_DEFECTS = ["8", "8 2 1", "8 x", "0 2", "8 0", "8 -2"]
+HEADER_DEFECTS = ["8", "8 2 1", "8 x", "0 2", "8 0", "8 -2", "8 99999999999999999999", "+8 2"]
 
 
 def graph_document(body, header="8 2"):
@@ -85,9 +84,9 @@ def with_rotation_defect(body, at, kind):
     return body
 
 
-# Ways to write an integer field that int() reads as its value: the
-# reader converts plain ASCII digit runs of up to 18 digits itself and
-# hands anything else to int().
+# Ways to write an integer field that int() reads as its value.  The
+# grammar takes an optional '-' and 1 to 18 ASCII digits, so it refuses
+# the spellings in REFUSED_SPELLINGS: each fails its line's integer check.
 SPELLINGS = {
     "leading zeros": lambda x: f"00{x}",
     "18 digits": lambda x: f"{x:018d}",
@@ -96,6 +95,7 @@ SPELLINGS = {
     "underscores": lambda x: "_".join(f"0{x}"),
     "arabic-indic digits": lambda x: str(x).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
 }
+REFUSED_SPELLINGS = ["19 digits", "plus sign", "underscores", "arabic-indic digits"]
 
 
 def spelled(body, spell):
@@ -103,7 +103,7 @@ def spelled(body, spell):
 
 
 def canonical_documents(document, body, bad_body, far_line):
-    """Documents whose integers test the reader's conversion: ``body``
+    """Documents whose integers test the reader's grammar: ``body``
     and ``bad_body`` (a body whose first error names a value) in every
     spelling; ``far_line`` with fields of 18, 19 and 20 digits; an ASCII
     body with one non-ASCII comment; and the header after comments."""
@@ -117,9 +117,11 @@ def canonical_documents(document, body, bad_body, far_line):
     return docs
 
 
-def decorate(text, rng):
-    """The same document with comments, blank lines, odd spacing or line ends."""
-    style = rng.choice(["plain", "comments", "tabs", "crlf", "unicode", "mixed"])
+def decorate(text, rng, style=None):
+    """The same document with comments, blank lines, odd spacing or line
+    ends.  The 'unicode' style separates fields by U+3000 and ends lines
+    by U+2028, neither of which the grammar reads as a separator."""
+    style = style or rng.choice(["plain", "comments", "tabs", "crlf", "unicode", "mixed"])
     lines = text.splitlines()
     if style in ("comments", "mixed"):
         for _ in range(3):
@@ -188,6 +190,10 @@ def rotation_corpus():
     return [decorate(doc, rng) for doc in docs] + docs
 
 
+# Fields that int() reads but the grammar refuses.
+REFUSED_TOKENS = ["+4", "٣", "1_0", "99999999999999999999"]
+
+
 def mutated(text, rng):
     """``text`` with one or two fields replaced, dropped or added, or a line dropped."""
     lines = text.splitlines()
@@ -199,8 +205,7 @@ def mutated(text, rng):
             del lines[i]
             continue
         j = rng.randrange(len(fields))
-        token = rng.choice(["0", "-1", "1", "3", "8", "9", "x", "+4", "٣", "1_0",
-                            "99999999999999999999", fields[j]])
+        token = rng.choice(["0", "-1", "1", "3", "8", "9", "x", *REFUSED_TOKENS, fields[j]])
         if action == "replace":
             fields[j] = token
         elif action == "drop field":
@@ -267,25 +272,7 @@ def test_well_formed_documents_read_as_int():
             rows = integer_rows(text)[1:]
             assert (parse_rotation(text).entries + 1).tolist() == rows, text
             read += 1
-    assert read >= 4 * len(SPELLINGS)
-
-
-def test_both_conversion_routes_run(monkeypatch):
-    # The corpus reaches the reader's own digit conversion and int() alike.
-    routes = []
-    convert = graphs._decimal_integers
-
-    def spy(*args):
-        values = convert(*args)
-        routes.append(values is not None)
-        return values
-
-    monkeypatch.setattr(graphs, "_decimal_integers", spy)
-    for text in graph_corpus():
-        assert_same_failure(parse_graph, first_graph_format_error, text)
-    for text in rotation_corpus():
-        assert_same_failure(parse_rotation, first_rotation_format_error, text)
-    assert routes.count(True) > 100 and routes.count(False) > 100
+    assert read >= 4 * (len(SPELLINGS) - len(REFUSED_SPELLINGS))
 
 
 def test_corpus_is_mostly_malformed():
@@ -301,14 +288,57 @@ def test_corpus_is_mostly_malformed():
 
 
 def test_code_point_tables_match_str():
-    for code in range(len(_IS_SPACE) - 1):
+    # The tables are indexed by UTF-8 byte: an ASCII byte as str reads
+    # its character, and no other byte is whitespace or a line end.
+    assert len(_IS_SPACE) == len(_ENDS_LINE) == 256
+    for code in range(128):
         char = chr(code)
         assert _IS_SPACE[code] == char.isspace()
         assert _ENDS_LINE[code] == (f"x{char}x".splitlines() == ["x", "x"])
-    # Past the tables no code point is whitespace or a line end.
-    rest = "".join(map(chr, range(len(_IS_SPACE) - 1, 0x110000)))
-    assert not _IS_SPACE[-1] and not _ENDS_LINE[-1]
-    assert rest.split() == [rest] and rest.splitlines() == [rest]
+    assert not _IS_SPACE[128:].any() and not _ENDS_LINE[128:].any()
+
+
+@pytest.mark.parametrize("parse, document, body, message", [
+    (parse_graph, graph_document, CYCLE_EDGES, "edge endpoints must be integers"),
+    (parse_rotation, rotation_document, CYCLE_ROWS, "row entries must be integers"),
+])
+def test_refused_spellings_name_their_line(parse, document, body, message):
+    fields = [SPELLINGS[name](4) for name in REFUSED_SPELLINGS] + REFUSED_TOKENS
+    for field in fields:
+        int(field)  # a spelling int() reads
+        lines = list(body)
+        lines[3] = f"{lines[3].split()[0]} {field}"
+        with pytest.raises(FormatError) as exc:
+            parse(document(lines))
+        assert str(exc.value) == f"line 5: {message}", field
+        for header in (f"{field} 2", f"8 {field}"):
+            with pytest.raises(FormatError) as exc:
+                parse(document(body, header))
+            assert str(exc.value) == "line 1: header must be two integers", header
+    # Without U+3000 and U+2028 as separators the whole document is one
+    # header field.
+    with pytest.raises(FormatError) as exc:
+        parse(decorate(document(body), random.Random(0), "unicode"))
+    assert str(exc.value) == "line 1: header must be 'n d'"
+
+
+@pytest.mark.parametrize("parse, serialize", [
+    (parse_graph, serialize_graph),
+    (parse_rotation, lambda graph: serialize_rotation(greedy_rotation(graph))),
+])
+def test_non_ascii_comment_costs_no_memory(parse, serialize):
+    # A non-ASCII comment is read from the UTF-8 bytes by the same array
+    # operations as the rest of the document.
+    text = serialize(random_regular_graph(20000, 8, seed=1))
+    peaks = []
+    for document in (text, "# übrigens\n" + text):
+        tracemalloc.start()
+        try:
+            parse(document)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.5 * 2**20, peaks
 
 
 @pytest.mark.parametrize("parse, text, message", [
@@ -320,6 +350,8 @@ def test_code_point_tables_match_str():
      "some vertex would be isolated"),
     (parse_rotation, "100000000000 2\n", "expected 100000000000 rows, got 0"),
     (parse_rotation, "100000000000 2\n2 3\n3 1\n", "expected 100000000000 rows, got 2"),
+    (parse_graph, "1000000000000000000 2\n1 2\n", "line 1: header must be two integers"),
+    (parse_rotation, "1000000000000000000 2\n2 3\n", "line 1: header must be two integers"),
 ])
 def test_huge_header_refused_without_allocating(parse, text, message):
     tracemalloc.start()
