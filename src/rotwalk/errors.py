@@ -30,16 +30,8 @@ class GraphStructureError(RotwalkError):
 
 
 class RegularityError(RotwalkError):
-    """Graph is not regular.
-
-    ``violations`` holds (vertex, degree) pairs, 1-based vertices, for
-    every vertex whose degree differs from the modal degree.
-    """
-
-    def __init__(self, violations: list[tuple[int, int]]):
-        detail = ", ".join(f"vertex {v} has degree {k}" for v, k in violations)
-        super().__init__(f"graph is not regular: {detail}")
-        self.violations = violations
+    """Graph is not regular: the message names the first vertex (1-based)
+    whose degree differs from the expected one, and how many do."""
 
 
 class ValidationError(RotwalkError):

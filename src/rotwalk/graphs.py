@@ -138,7 +138,7 @@ class RegularGraph(_FrozenTable):
         self-loop, or a repeat of an earlier pair.  Then more than twice
         as many vertices as edges is refused before anything of size n
         exists.  All vertices must end up with equal degree; otherwise a
-        RegularityError lists the deviant vertices (1-based).
+        RegularityError names the first deviant vertex (1-based).
         """
         if n < 1:
             raise GraphStructureError("graph must have at least one vertex")
@@ -185,7 +185,8 @@ def _neighbor_table(n: int, pairs: np.ndarray, d: int) -> np.ndarray:
 
 
 def _require_uniform_degrees(degrees: np.ndarray, expected: int | None = None) -> int:
-    """Return the common degree, or raise RegularityError naming deviants.
+    """Return the common degree, or raise RegularityError naming the first
+    deviant vertex, its degree, the expected one, and how many deviate.
 
     When ``expected`` is None the reference degree is the modal one (ties
     broken toward the larger degree, so a near-regular graph reports the
@@ -194,9 +195,11 @@ def _require_uniform_degrees(degrees: np.ndarray, expected: int | None = None) -
     if expected is None:
         counts = np.bincount(degrees)
         expected = int(np.flatnonzero(counts == counts.max())[-1])
-    bad = np.flatnonzero(degrees != expected)
-    if bad.size:
-        raise RegularityError([(int(v) + 1, int(degrees[v])) for v in bad])
+    bad = degrees != expected
+    _raise_first([(bad, lambda v: (
+        f"graph is not regular: vertex {v + 1} has degree {degrees[v]}, expected {expected} "
+        f"({bad.sum()} of {len(degrees)} vertices deviate)"
+    ))], RegularityError)
     return expected
 
 
@@ -357,8 +360,8 @@ def parse_graph(text: str) -> RegularGraph:
     A format error names the first bad line (1-based) in document order.
     A header with more than twice as many vertices as edge lines is an
     error of the header line, raised before anything of size n exists.
-    A non-regular edge list raises RegularityError naming each deviant
-    vertex.
+    A non-regular edge list raises RegularityError naming the first
+    vertex whose degree is not the header's d.
     """
     table = _read_table(text)
     n, lines = table.n, table.lines

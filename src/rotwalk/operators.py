@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import _FrozenTable, _integer_table, _integers
+from .graphs import _FrozenTable, _integers
 from .rotmap import RotationMap, _column_counts
 
 UNITARY_TOL = 1e-12
@@ -44,29 +44,24 @@ COIN_KINDS = ("hadamard", "grover", "dft", "identity", "custom")
 
 
 class ShiftOperator(_FrozenTable):
-    """A (d*n) x (d*n) 0/1 matrix with exactly one unit entry per column.
-
-    ``col_to_row[c]`` is the row of column c's unit entry.  Unitary
-    exactly when col_to_row is a permutation; then ``_row_to_col`` holds
-    the inverse permutation, else None.
+    """The shift of a rotation map: a (d*n) x (d*n) 0/1 matrix with exactly
+    one unit entry per column, at row ``col_to_row[c]`` of column c.
+    Unitary exactly when the map's column counts, the ones the permutation
+    checker reads, are all 1; then ``_row_to_col`` holds the inverse
+    permutation, else None.
     """
 
     __slots__ = ("col_to_row", "_row_to_col")
     _TABLE = "col_to_row"
 
-    def __init__(self, n: int, d: int, col_to_row: np.ndarray):
-        n, d = _integers(ConfigError, "shift n and d", (n, d))
-        if n < 1 or d < 1:
-            raise ConfigError("shift needs n >= 1 and d >= 1")
-        table = _integer_table(col_to_row, ConfigError, "col_to_row")
-        if table.shape != (d * n,):
-            raise ConfigError(f"col_to_row must have length d*n = {d * n}")
-        if table.min() < 0 or table.max() >= d * n:
-            raise ConfigError("col_to_row entry out of range")
+    def __init__(self, rot: RotationMap):
+        n, d = rot.n, rot.d
+        offsets = (np.arange(d, dtype=np.int64) * n)[:, None]
+        table = (rot.entries.T + offsets).reshape(-1)
         table.setflags(write=False)
         self.n, self.d, self.col_to_row = n, d, table
         self._row_to_col = None
-        if (np.bincount(table, minlength=d * n) == 1).all():
+        if (_column_counts(rot) == 1).all():
             inverse = np.empty_like(table)
             inverse[table] = np.arange(d * n)
             inverse.setflags(write=False)
@@ -103,10 +98,7 @@ def build_shift(rot: RotationMap) -> ShiftOperator:
     """The shift operator of a rotation map (consistency not required;
     building from inconsistent maps is exactly how their non-unitarity
     is demonstrated)."""
-    n, d = rot.n, rot.d
-    offsets = (np.arange(d, dtype=np.int64) * n)[:, None]
-    col_to_row = (rot.entries.T + offsets).reshape(-1)
-    return ShiftOperator(n, d, col_to_row)
+    return ShiftOperator(rot)
 
 
 @dataclass(frozen=True, eq=False)

@@ -413,9 +413,7 @@ def _layout(exponent: int, digits: np.ndarray, significant: np.ndarray) -> np.nd
     if exponent < 0:  # 0.000ddd
         return np.hstack([_repeated("0." + "0" * (-exponent - 1), rows), significant])
     point = exponent + 1
-    fraction = significant[:, point:]
-    if not fraction.shape[1]:
-        return np.hstack([digits, _repeated(".0", rows)])
+    fraction = significant[:, point:]  # point <= 16 of 17 digits: never empty
     first = np.where(fraction[:, :1] == 0, np.uint8(ord("0")), fraction[:, :1])
     return np.hstack([digits[:, :point], _repeated(".", rows), first, fraction[:, 1:]])
 

@@ -217,6 +217,24 @@ class TestRotmap:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        # The 20000-cycle with the chords (i, i+2), i = 1, 5, 9, ...: half
+        # the vertices have degree 3, and only the first is named.
+        ("20000 2\n1 20000\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 20000))
+         + "".join(f"{i} {i + 2}\n" for i in range(1, 20000, 4)),
+         "vertex 1 has degree 3, expected 2 (10000 of 20000 vertices deviate)"),
+        # The square under a header that declares d=3.
+        ("4 3\n1 2\n1 4\n2 3\n3 4\n",
+         "vertex 1 has degree 2, expected 3 (4 of 4 vertices deviate)"),
+    ], ids=["chorded-cycle", "square-declared-3"])
+    def test_irregular_graph_is_one_error_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "irregular.edges"
+        path.write_text(text)
+        assert cli.main(["rotmap", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: graph is not regular: {message}\n"
+        assert len(err.encode()) < 200
+
 
 class TestCheck:
     def test_consistent_map(self, canonical, capsys):
@@ -247,6 +265,15 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         diag = [payload["product"][i][i] for i in range(8)]
         assert diag == [2, 2, 0, 0, 0, 0, 2, 2]
+
+    def test_emit_product_omitted_past_limit(self, tmp_path, capsys):
+        # n*d = 66 > 64: the report has no product, and a note says why.
+        path = tmp_path / "c33.rot"
+        path.write_text(serialize_rotation(cycle_rotation(33)))
+        assert cli.main(["check", str(path), "--emit-product"]) == 0
+        captured = capsys.readouterr()
+        assert "product" not in json.loads(captured.out)
+        assert captured.err == "note: product omitted, dimension 66 exceeds 64\n"
 
     def test_malformed_map_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.rot"
@@ -546,9 +573,17 @@ class TestWalk:
         assert lines[1] == "0,1,0.9999999999999998,0.9999999999999998"
 
     def test_bad_start_exit_2(self, square, canonical, capsys):
-        for spec in ["up", "0:1", "5:1", "1:9", "up:1:notanumber"]:
+        for spec, message in [
+            ("up", "must be LABEL:VERTEX[:AMPLITUDE]"),
+            ("0:1", "label 0 out of range 1..2"),
+            ("5:1", "label 5 out of range 1..2"),
+            ("1:9", "vertex 9 out of range 1..4"),
+            ("up:1:notanumber", "bad amplitude 'notanumber'"),
+            ("x:1", "bad coin label 'x'"),
+            ("1:y", "bad vertex 'y'"),
+        ]:
             assert cli.main(["walk", square, canonical, "--start", spec]) == 2
-            capsys.readouterr()
+            assert message in capsys.readouterr().err
 
     def test_huge_header_exit_2(self, square, canonical, tmp_path, capsys):
         huge_graph, huge_map = tmp_path / "huge.edges", tmp_path / "huge.rot"

@@ -177,6 +177,10 @@ class TestConstruction:
         ([[1, 2], [0, 2], [1, 1]], "row for vertex 3 has repeated entries"),
         # The first bad row is named, whichever rule it breaks.
         ([[1, 1], [0, 1], [7, 1]], "row for vertex 1 has repeated entries"),
+        # No rows to name: a 1-D or an empty table.
+        ([1, 0], "neighbor table must be 2-dimensional"),
+        (np.zeros((0, 2)), "graph must have at least one vertex and degree >= 1"),
+        (np.zeros((2, 0)), "graph must have at least one vertex and degree >= 1"),
     ])
     def test_first_bad_row_named(self, neighbors, message):
         with pytest.raises(GraphStructureError, match=f"^{re.escape(message)}$"):
@@ -205,12 +209,13 @@ class TestConstruction:
         assert "degree" in str(exc.value)
 
     def test_missing_edge_reports_one_based_vertices(self):
-        # The square without its edge (0, 1): vertices 1 and 2 (1-based) have degree 1.
+        # The square without its edge (0, 1): vertices 1 and 2 (1-based) have
+        # degree 1; the first is named, against the modal degree 2.
         with pytest.raises(RegularityError) as exc:
             RegularGraph.from_edges(4, [(1, 2), (2, 3), (0, 3)])
-        violations = dict(exc.value.violations)
-        assert violations == {1: 1, 2: 1}
-        assert "vertex 1 has degree 1" in str(exc.value)
+        assert str(exc.value) == (
+            "graph is not regular: vertex 1 has degree 1, expected 2 (2 of 4 vertices deviate)"
+        )
 
 
 class TestFamilies:
@@ -567,5 +572,5 @@ class TestTextFormat:
 
     def test_degree_mismatch_with_header(self):
         text = "4 3\n1 2\n2 3\n3 4\n1 4\n"
-        with pytest.raises(RegularityError):
+        with pytest.raises(RegularityError, match="vertex 1 has degree 2, expected 3 "):
             parse_graph(text)

@@ -31,32 +31,6 @@ def random_rotation(rng, n, d):
 
 
 class TestShiftOperator:
-    def test_empty_dimension_rejected(self):
-        for n, d in [(0, 1), (1, 0), (0, 0)]:
-            with pytest.raises(ConfigError):
-                ShiftOperator(n, d, [])
-
-    @pytest.mark.parametrize("table", [
-        [0.5, 1.7],
-        [0.0, np.nan],
-        [0.0, -np.inf],
-        ["0", "1"],
-        np.array([0, 0.25], dtype=object),
-    ])
-    def test_non_integer_table_rejected(self, table):
-        with pytest.raises(ConfigError, match="col_to_row entries must be integers"):
-            ShiftOperator(1, 2, table)
-
-    def test_ragged_table_rejected(self):
-        with pytest.raises(ConfigError, match="col_to_row rows must all have the same length"):
-            ShiftOperator(1, 2, [[0], [1, 0]])
-
-    @pytest.mark.parametrize("table", [[1, 0], [1.0, 0.0], np.array([1, 0], dtype=np.uint16)])
-    def test_exact_integer_table_accepted(self, table):
-        shift = ShiftOperator(1, 2, table)
-        assert shift.col_to_row.tolist() == [1, 0]
-        assert shift.col_to_row.dtype == np.int64
-
     def test_canonical_square_dense(self):
         shift = build_shift(cycle_rotation(4))
         assert shift.dim == 8
@@ -97,8 +71,10 @@ class TestShiftOperator:
             shuffled = random_rotation(rng, rng.choice([4, 6]), rng.choice([2, 3]))
             solved = solve_permutation(RegularGraph(shuffled.entries)).rotation_map
             for rot in (shuffled, solved):
-                paths.add(check_permutation_consistent(rot).consistent)
-                shift = build_shift(rot)
+                consistent = check_permutation_consistent(rot).consistent
+                paths.add(consistent)
+                shift = ShiftOperator(rot)
+                assert (shift._row_to_col is not None) == consistent
                 vec = npr.normal(size=shift.dim) + 1j * npr.normal(size=shift.dim)
                 direct = shift.to_dense().astype(complex) @ vec
                 assert np.abs(shift.apply(vec) - direct).max() < 1e-12

@@ -83,8 +83,10 @@ class TestConstruction:
             assert value == again and hash(value) == hash(again)
         assert hash(rot) == hash((4, 2, table.astype(np.int64).tobytes()))
         assert hash(shift) == hash((4, 2, shift.col_to_row.tobytes()))
-        # Equal tables, but n and d swapped.
-        assert ShiftOperator(2, 3, np.arange(6)) != ShiftOperator(3, 2, np.arange(6))
+        # Equal tables, but n and d differ: the shifts of a 6 x 2 and a 4 x 3 map.
+        wide = ShiftOperator(RotationMap([[2, 1], [3, 0], [0, 5], [1, 4], [5, 3], [4, 2]]))
+        tall = ShiftOperator(RotationMap([[2, 1, 3], [3, 0, 2], [0, 3, 1], [1, 2, 0]]))
+        assert np.array_equal(wide.col_to_row, tall.col_to_row) and wide != tall
         assert [repr(graph), repr(rot), repr(shift)] == [
             "RegularGraph(n=4, d=2)", "RotationMap(n=4, d=2)", "ShiftOperator(n=4, d=2)",
         ]
@@ -96,6 +98,10 @@ class TestConstruction:
         ([[1, 2], [-1, 1], [0, 1]], "entry 0 out of range 1..3"),
         # Within a row the first stray entry is named.
         ([[1, 2], [1, 9], [0, 1]], "vertex 2 maps to itself"),
+        # No rows to name: a 1-D or an empty table.
+        ([1, 0], "rotation map must be 2-dimensional"),
+        (np.zeros((0, 2)), "rotation map needs n >= 1 and d >= 1"),
+        (np.zeros((2, 0)), "rotation map needs n >= 1 and d >= 1"),
     ])
     def test_first_bad_row_named(self, entries, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

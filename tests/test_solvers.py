@@ -14,7 +14,6 @@ from rotwalk import (
     FamilySpec,
     GenerationError,
     RegularGraph,
-    ShiftOperator,
     SolverConfig,
     ValidationError,
     WalkState,
@@ -232,7 +231,6 @@ NON_INTEGER_COUNTS = {
     "cycle rotation n": (ValidationError, lambda: cycle_rotation(4.0)),
     "coin d": (ConfigError, lambda: build_coin("grover", 2.5)),
     "coin operator d": (ConfigError, lambda: CoinOperator(2.0, "identity", np.eye(2))),
-    "shift n": (ConfigError, lambda: ShiftOperator(2.0, 2, [1, 0, 3, 2])),
     "walk state n": (ConfigError, lambda: WalkState(2.0, 2, [1, 0, 0, 0])),
 }
 
@@ -389,6 +387,16 @@ class TestLocalSearch:
             # running out of budget proves nothing, so no certificate
             assert outcome.certificate is None
 
+    def test_time_budget_ends_the_search(self):
+        # The clock is read before the first move, and a spent budget starts
+        # no further restart.
+        cfg = SolverConfig(criterion="involution", method="local-search",
+                           max_restarts=3, time_budget=1e-9)
+        outcome = solve(petersen(), cfg)
+        assert outcome.status == "budget-exhausted" and outcome.certificate is None
+        assert (outcome.stats.iterations, outcome.stats.restarts) == (0, 1)
+        assert outcome.stats.conflict_trace == ()
+
     def test_deterministic_per_seed(self):
         cfg = SolverConfig(criterion="involution", method="local-search",
                            seed=11, max_iterations=300, max_restarts=2)
@@ -517,6 +525,16 @@ class TestExhaustive:
                            exhaustive_ceiling=ceiling)
         s = solve(build(), cfg)
         assert (s.status, s.stats.iterations, s.stats.best_conflicts) == (status, nodes, best)
+
+    def test_time_budget_ends_the_search(self):
+        # The odd cycle is proven infeasible after 4998 labels; the clock,
+        # read every 4096 labels, stops a spent budget at the first reading.
+        cfg = dict(criterion="involution", method="exhaustive", exhaustive_ceiling=20000)
+        proven = solve(cycle_graph(5001), SolverConfig(**cfg))
+        spent = solve(cycle_graph(5001), SolverConfig(**cfg, time_budget=1e-9))
+        assert (proven.status, proven.stats.iterations) == ("infeasible-proven", 4998)
+        assert (spent.status, spent.stats.iterations) == ("budget-exhausted", 4096)
+        assert spent.rotation_map is None and spent.certificate is None
 
     def test_ceiling_enforced(self):
         cfg = SolverConfig(criterion="involution", method="exhaustive")
