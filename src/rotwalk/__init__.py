@@ -42,7 +42,7 @@ _EXPORTS = {
     "rotmap": (
         "RotationMap",
         "ConsistencyReport",
-        "Violation",
+        "WITNESS_FIELDS",
         "greedy_rotation",
         "cycle_rotation",
         "check_permutation_consistent",

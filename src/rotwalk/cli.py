@@ -29,7 +29,7 @@ from .rotmap import (
     CHECKERS,
     CRITERIA,
     METHODS,
-    Violation,
+    WITNESS_FIELDS,
     check_permutation_consistent,
     greedy_rotation,
     parse_rotation,
@@ -91,7 +91,7 @@ def _spliced_json(payload: dict, items: Iterable[str]) -> Iterator[str]:
 # The witnesses of a check report, often 10^5, are written from one
 # repeated item template, not one dict per witness, a fixed number at a time.
 _VIOLATION_ITEM = (
-    "    {\n" + ",\n".join(f'      "{field}": %d' for field in Violation._fields) + "\n    }"
+    "    {\n" + ",\n".join(f'      "{field}": %d' for field in WITNESS_FIELDS) + "\n    }"
 )
 _VIOLATIONS_PER_CHUNK = 4096
 
@@ -166,7 +166,7 @@ def cmd_check(args) -> int:
             )
         else:
             payload["product"] = unitarity.product.tolist()
-    _write(args.out, _spliced_json(payload, _violation_chunks(report._witnesses)))
+    _write(args.out, _spliced_json(payload, _violation_chunks(report.violations)))
     return 0
 
 
@@ -268,7 +268,7 @@ def cmd_walk(args) -> int:
     if not report.consistent and not args.allow_inconsistent:
         print(
             "error: rotation map violates the permutation criterion "
-            f"({len(report._witnesses)} violations); the walk would not be "
+            f"({len(report.violations)} violations); the walk would not be "
             "norm-preserving.  Pass --allow-inconsistent to run it anyway.",
             file=sys.stderr,
         )

@@ -151,8 +151,7 @@ class RegularGraph(_FrozenTable):
         lo, hi = pairs.min(axis=1), pairs.max(axis=1)
         # Pair keys lo*n+hi, exact also past int64.
         keys = lo * n + hi if n < 2**31 else lo.astype(object) * n + hi
-        repeats = np.ones(m, dtype=bool)
-        repeats[np.unique(keys, return_index=True)[1]] = False
+        repeats = ~_first_occurrences(keys)
         _raise_first([
             (((pairs < 0) | (pairs >= n)).any(axis=1),
              lambda i: f"edge ({pairs[i, 0] + 1}, {pairs[i, 1] + 1}) out of range for n={n}"),

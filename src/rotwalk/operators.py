@@ -145,7 +145,10 @@ class CoinOperator:
 
     def __init__(self, d: int, kind: str, matrix: np.ndarray):
         (d,) = _integers(ConfigError, "coin dimension", (d,))
-        mat = np.array(matrix, dtype=np.complex128)
+        try:
+            mat = np.array(matrix, dtype=np.complex128)
+        except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
+            raise ConfigError(f"coin matrix must be a {d} x {d} array of numbers") from None
         if mat.shape != (d, d):
             raise ConfigError(f"coin matrix must be {d} x {d}")
         if not np.isfinite(mat).all():

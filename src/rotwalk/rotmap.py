@@ -30,8 +30,7 @@ a format error names the first bad line in document order.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,72 +70,47 @@ class RotationMap(_FrozenTable):
         self.n, self.d, self.entries = n, d, table
 
 
-class Violation(NamedTuple):
-    """One consistency witness; all ids 1-based.
-
-    For the permutation criterion, ``count`` is how many times ``vertex``
-    occurs in the column for ``label`` (anything other than once is a
-    violation).  For the involution criterion, ``count`` is 0 and the
-    witness means label ``label`` does not return from vertex ``vertex``.
-    """
-
-    label: int
-    vertex: int
-    count: int
+# The columns of a witness row, the keys of each witness in a report.
+WITNESS_FIELDS = ("label", "vertex", "count")
 
 
+@dataclass(frozen=True, eq=False)
 class ConsistencyReport:
     """A checker's verdict and its witnesses, in report order.
 
-    The witnesses are kept as one read-only (k, 3) int64 array of 1-based
-    (label, vertex, count) rows, since a greedy map has about 10^5 of
-    them; ``violations`` is the same witnesses as a tuple of Violation,
-    built on first access.  Equality and repr are those of the frozen
-    record (criterion, consistent, violations); the hash, like
-    ``_FrozenTable``'s, reads the array's bytes and builds no tuples.
+    ``violations`` is a read-only (k, 3) int64 array of 1-based
+    (label, vertex, count) rows (``WITNESS_FIELDS``), of shape (0, 3) when
+    the map is consistent.  For the permutation criterion, ``count`` is how
+    many times ``vertex`` occurs in the column for ``label`` (anything other
+    than once is a violation).  For the involution criterion, ``count`` is
+    0 and the row means label ``label`` does not return from ``vertex``.
+    Equality compares the witness values; the hash reads the array's bytes.
     """
 
-    __slots__ = ("criterion", "consistent", "_witnesses", "_violations")
+    criterion: str
+    consistent: bool
+    violations: np.ndarray
 
-    def __init__(self, criterion: str, consistent: bool, violations):
-        witnesses = np.array(violations, dtype=np.int64).reshape(-1, 3)
+    def __post_init__(self):
+        witnesses = np.array(self.violations, dtype=np.int64).reshape(-1, 3)
         witnesses.setflags(write=False)
-        object.__setattr__(self, "criterion", criterion)
-        object.__setattr__(self, "consistent", consistent)
-        object.__setattr__(self, "_witnesses", witnesses)
-        object.__setattr__(self, "_violations", None)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    @property
-    def violations(self) -> tuple[Violation, ...]:
-        if self._violations is None:
-            violations = tuple(map(Violation._make, zip(*self._witnesses.T.tolist())))
-            object.__setattr__(self, "_violations", violations)
-        return self._violations
+        object.__setattr__(self, "violations", witnesses)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.criterion, self.consistent) == (other.criterion, other.consistent) and (
-            np.array_equal(self._witnesses, other._witnesses)
+            np.array_equal(self.violations, other.violations)
         )
 
     def __hash__(self):
-        return hash((self.criterion, self.consistent, self._witnesses.tobytes()))
-
-    def __repr__(self) -> str:
-        return (
-            f"ConsistencyReport(criterion={self.criterion!r}, consistent={self.consistent!r}, "
-            f"violations={self.violations!r})"
-        )
+        return hash((self.criterion, self.consistent, self.violations.tobytes()))
 
     def to_dict(self) -> dict:
         return {
             "criterion": self.criterion,
             "consistent": self.consistent,
-            "violations": [dict(zip(Violation._fields, w)) for w in self._witnesses.tolist()],
+            "violations": [dict(zip(WITNESS_FIELDS, w)) for w in self.violations.tolist()],
         }
 
 
@@ -172,9 +146,9 @@ def _column_counts(rot: RotationMap) -> np.ndarray:
 def check_permutation_consistent(rot: RotationMap) -> ConsistencyReport:
     """Each column must be a permutation of all n vertices.
 
-    Violations list every (label, vertex) whose occurrence count in that
-    column differs from one — repeated targets and missing targets alike —
-    label by label, vertices ascending.
+    The report's witness rows are every (label, vertex, count) whose
+    occurrence count in that column differs from one — repeated targets and
+    missing targets alike — label by label, vertices ascending.
     """
     counts = _column_counts(rot)
     bad = np.flatnonzero(counts != 1)
@@ -182,7 +156,11 @@ def check_permutation_consistent(rot: RotationMap) -> ConsistencyReport:
 
 
 def check_involution_consistent(rot: RotationMap) -> ConsistencyReport:
-    """Each label must return: Rot(Rot(v, i), i) = v for every v, i."""
+    """Each label must return: Rot(Rot(v, i), i) = v for every v, i.
+
+    The report's witness rows are every (label, vertex, 0) whose arc does
+    not return, label by label, vertices ascending.
+    """
     entries = rot.entries
     broken = entries[entries, np.arange(rot.d)] != np.arange(rot.n)[:, None]
     labels, vertices = np.nonzero(broken.T)

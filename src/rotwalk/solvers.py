@@ -93,7 +93,11 @@ class SolverConfig:
             object.__setattr__(self, name, value)  # frozen; a NumPy integer is stored as an int
         if self.max_iterations < 1 or self.max_restarts < 1:
             raise ConfigError("iteration and restart budgets must be positive")
-        if not (math.isfinite(self.time_budget) and self.time_budget > 0):
+        try:
+            finite = math.isfinite(self.time_budget)  # a TypeError for "5", None or 1j
+        except TypeError:
+            finite = False
+        if not (finite and self.time_budget > 0):
             raise ConfigError(f"time budget must be positive and finite, got {self.time_budget}")
         if self.exhaustive_ceiling < 1:
             raise ConfigError("exhaustive ceiling must be positive")

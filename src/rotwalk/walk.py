@@ -51,7 +51,10 @@ class WalkState:
 
     def __init__(self, n: int, d: int, amplitudes: np.ndarray, step_index: int = 0):
         n, d, step_index = _integers(ConfigError, "state n, d and step index", (n, d, step_index))
-        amps = np.array(amplitudes, dtype=np.complex128)
+        try:
+            amps = np.array(amplitudes, dtype=np.complex128)
+        except (TypeError, ValueError):  # ragged, or entries that are not numbers
+            raise ConfigError(f"amplitude vector must be d*n = {d * n} numbers") from None
         if amps.shape != (d * n,):
             raise ConfigError(f"amplitude vector must have length d*n = {d * n}")
         if not np.isfinite(amps).all():

@@ -202,6 +202,11 @@ class TestCoins:
         with pytest.raises(ConfigError):
             build_coin("custom", 3, matrix=np.eye(2))
 
+    @pytest.mark.parametrize("d, matrix", [(1, [["a"]]), (2, [[1, 0], [0]]), (1, [[{}]])])
+    def test_custom_requires_numbers(self, d, matrix):
+        with pytest.raises(ConfigError, match="array of numbers"):
+            build_coin("custom", d, matrix)
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             build_coin("fourier", 2)

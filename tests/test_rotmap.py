@@ -14,7 +14,7 @@ from rotwalk import (
     RotationMap,
     ShiftOperator,
     ValidationError,
-    Violation,
+    WITNESS_FIELDS,
     check_involution_consistent,
     check_permutation_consistent,
     complete_graph,
@@ -183,13 +183,13 @@ class TestConsistency:
         report = check_permutation_consistent(cycle_rotation(4))
         assert report.consistent
         assert report.criterion == "permutation"
-        assert report.violations == ()
+        assert report.violations.tolist() == []
 
     def test_canonical_square_is_not_involution_consistent(self):
         report = check_involution_consistent(cycle_rotation(4))
         assert not report.consistent
         # label 1 sends vertex 1 to 2, but label 1 sends 2 onward to 3
-        assert Violation(label=1, vertex=1, count=0) in report.violations
+        assert [1, 1, 0] in report.violations.tolist()
 
     def test_involution_square(self):
         rot = RotationMap(np.array(INVOLUTION_SQUARE))
@@ -199,16 +199,27 @@ class TestConsistency:
     def test_greedy_square_violations(self):
         report = check_permutation_consistent(greedy_rotation(cycle_graph(4)))
         assert not report.consistent
-        assert report.violations == (
-            Violation(label=1, vertex=1, count=2),
-            Violation(label=1, vertex=2, count=2),
-            Violation(label=1, vertex=3, count=0),
-            Violation(label=1, vertex=4, count=0),
-            Violation(label=2, vertex=1, count=0),
-            Violation(label=2, vertex=2, count=0),
-            Violation(label=2, vertex=3, count=2),
-            Violation(label=2, vertex=4, count=2),
-        )
+        assert report.violations.tolist() == [
+            [1, 1, 2],
+            [1, 2, 2],
+            [1, 3, 0],
+            [1, 4, 0],
+            [2, 1, 0],
+            [2, 2, 0],
+            [2, 3, 2],
+            [2, 4, 2],
+        ]
+
+    @pytest.mark.parametrize("check", [check_permutation_consistent, check_involution_consistent])
+    @pytest.mark.parametrize("table", [CANONICAL_SQUARE, GREEDY_SQUARE, INVOLUTION_SQUARE])
+    def test_witnesses_are_a_read_only_int64_array(self, check, table):
+        report = check(RotationMap(np.array(table)))
+        witnesses = report.violations
+        assert isinstance(witnesses, np.ndarray) and witnesses.dtype == np.int64
+        assert witnesses.ndim == 2 and witnesses.shape[1] == 3
+        assert report.consistent == (witnesses.shape == (0, 3))
+        with pytest.raises(ValueError, match="read-only"):
+            witnesses[...] = 0
 
     def test_report_dict_round_trip(self):
         report = check_permutation_consistent(greedy_rotation(cycle_graph(4)))
@@ -216,27 +227,34 @@ class TestConsistency:
         assert payload["criterion"] == "permutation"
         assert payload["consistent"] is False
         assert payload["violations"][0] == {"label": 1, "vertex": 1, "count": 2}
+        assert payload["violations"] == [
+            dict(zip(WITNESS_FIELDS, row)) for row in report.violations.tolist()
+        ]
 
     def test_report_is_a_frozen_record(self):
-        # Witnesses are kept as an array; the report still compares,
-        # hashes and prints as the record (criterion, consistent, violations).
+        # The report compares and hashes as the record (criterion,
+        # consistent, violations), the witnesses by value.
         report = check_permutation_consistent(greedy_rotation(cycle_graph(4)))
-        record = ConsistencyReport("permutation", False, report.violations)
+        record = ConsistencyReport("permutation", False, report.violations.tolist())
         assert report == record and hash(report) == hash(record)
-        assert repr(report) == (
-            "ConsistencyReport(criterion='permutation', consistent=False, violations=("
-            + ", ".join(map(repr, report.violations)) + "))"
+        assert repr(report).startswith(
+            "ConsistencyReport(criterion='permutation', consistent=False, violations=array("
         )
         assert report != ConsistencyReport("permutation", False, report.violations[:-1])
         assert report != ConsistencyReport("permutation", False, report.violations[::-1])
         assert report != check_involution_consistent(greedy_rotation(cycle_graph(4)))
         with pytest.raises(AttributeError):
             report.consistent = True
+        with pytest.raises(AttributeError):
+            report.violations = ()
 
-    def test_hash_builds_no_violation_tuples(self):
-        report = check_permutation_consistent(greedy_rotation(random_regular_graph(200, 4, seed=3)))
-        hash(report)
-        assert report._violations is None
+    def test_given_witnesses_are_copied(self):
+        rows = np.array([[1, 2, 0]])
+        report = ConsistencyReport("involution", False, rows)
+        rows[0, 0] = 5
+        assert rows.flags.writeable and report.violations.tolist() == [[1, 2, 0]]
+        empty = ConsistencyReport("permutation", True, ())
+        assert empty.violations.shape == (0, 3) and empty.violations.dtype == np.int64
 
     def test_matches_sorting_oracle(self):
         rng = random.Random(5)
@@ -262,10 +280,10 @@ class TestConsistency:
             g = random_regular_graph(n, d, seed=rng.randrange(10**6))
             rows = [rng.sample(list(map(int, row)), d) for row in g.neighbors]
             for rot in (RotationMap(np.array(rows)), greedy_rotation(g)):
-                assert (list(check_permutation_consistent(rot).violations)
-                        == permutation_violations_by_counting(rot.entries))
-                assert (list(check_involution_consistent(rot).violations)
-                        == involution_violations_by_following(rot.entries))
+                assert (check_permutation_consistent(rot).violations.tolist()
+                        == list(map(list, permutation_violations_by_counting(rot.entries))))
+                assert (check_involution_consistent(rot).violations.tolist()
+                        == list(map(list, involution_violations_by_following(rot.entries))))
 
     def test_involution_implies_permutation(self):
         # random row orderings of even cycles hit involution-consistent

@@ -574,7 +574,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SolverConfig(time_budget=0.0)
 
-    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), float("-inf"), "5", None, 1j])
     def test_non_finite_time_budget_rejected(self, budget):
         with pytest.raises(ConfigError, match="finite"):
             SolverConfig(time_budget=budget)

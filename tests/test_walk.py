@@ -87,6 +87,11 @@ class TestStates:
         with pytest.raises(ConfigError, match="amplitudes must be finite"):
             WalkState(2, 2, [bad, 0, 0, 0])
 
+    @pytest.mark.parametrize("n, amplitudes", [(1, ["a"]), (2, [1, [0]]), (1, [{}])])
+    def test_state_with_non_numeric_amplitudes_rejected(self, n, amplitudes):
+        with pytest.raises(ConfigError, match="numbers"):
+            WalkState(n, 1, amplitudes)
+
     def test_overflowing_evolution_reported_as_data(self):
         # The greedy 4-cycle map doubles the mass on two vertices; from
         # finite amplitudes near the float limit, step() and run() return
