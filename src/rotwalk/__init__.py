@@ -78,7 +78,6 @@ _EXPORTS = {
         "SolverConfig",
         "SolverStats",
         "SolverOutcome",
-        "EdgeColoring",
         "CRITERIA",
         "METHODS",
         "STATUSES",

@@ -165,13 +165,9 @@ class RegularGraph(_FrozenTable):
         d = _require_uniform_degrees(np.bincount(pairs.ravel(), minlength=n))
         return cls(_neighbor_table(n, pairs, d))
 
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as 0-based (u, v) with u < v, lexicographically sorted."""
-        u, v = self._edge_pairs().T
-        return list(zip(u.tolist(), v.tolist()))
-
-    def _edge_pairs(self) -> np.ndarray:
-        """``edges()`` as an (m, 2) array."""
+    def edges(self) -> np.ndarray:
+        """All edges as an (m, 2) int64 array of 0-based (u, v) rows with
+        u < v, in lexicographic order."""
         upper = self.neighbors > np.arange(self.n)[:, None]
         return np.column_stack([np.nonzero(upper)[0], self.neighbors[upper]])
 
@@ -375,17 +371,16 @@ def parse_graph(text: str) -> RegularGraph:
     cu, cv = u[clean], v[clean]
     if n >= 2**31:
         cu, cv = cu.astype(object), cv.astype(object)
-    _, first, inverse = np.unique(cu * (n + 1) + cv, return_index=True, return_inverse=True)
-    first_seen = np.arange(len(lines))
-    first_seen[clean] = clean[first[inverse]]
-    duplicate = first_seen != np.arange(len(lines))
+    duplicate = np.zeros(len(lines), dtype=bool)
+    duplicate[clean] = ~_first_occurrences(cu * (n + 1) + cv)
     _raise_first([
         (wrong_width, lambda i: "edge line must be 'u v'"),
         (not_integral, lambda i: "edge endpoints must be integers"),
         (loop, lambda i: f"self-loop at vertex {u[i]}"),
         (unordered, lambda i: f"edge ({u[i]}, {v[i]}) must satisfy 1 <= u < v <= n"),
         (duplicate, lambda i: (
-            f"duplicate edge ({u[i]}, {v[i]}), first seen on line {lines[first_seen[i]]}"
+            f"duplicate edge ({u[i]}, {v[i]}), "
+            f"first seen on line {lines[clean[((cu == u[i]) & (cv == v[i])).argmax()]]}"
         )),
     ], lines=lines)
     m = len(lines)
@@ -401,7 +396,7 @@ def parse_graph(text: str) -> RegularGraph:
 
 
 def serialize_graph(graph: RegularGraph) -> str:
-    return _write_table(graph.n, graph.d, graph._edge_pairs())
+    return _write_table(graph.n, graph.d, graph.edges())
 
 
 # ---------------------------------------------------------------------------

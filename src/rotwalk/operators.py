@@ -138,6 +138,19 @@ def unitarity_defect(rot: RotationMap) -> UnitarityReport:
     return UnitarityReport(rot.n, rot.d, defect, product)
 
 
+def _complex_array(values, message: str) -> np.ndarray:
+    """``values`` as a new complex128 array.  Raises ConfigError with
+    ``message`` when the rows are ragged or an entry is not a number,
+    None included (which NumPy would read as NaN)."""
+    try:
+        array = np.asarray(values)
+        if array.dtype != object or all(entry is not None for entry in array.flat):
+            return np.array(array, dtype=np.complex128)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(message)
+
+
 class CoinOperator:
     """A d x d unitary applied on the coin space at every vertex."""
 
@@ -145,10 +158,7 @@ class CoinOperator:
 
     def __init__(self, d: int, kind: str, matrix: np.ndarray):
         (d,) = _integers(ConfigError, "coin dimension", (d,))
-        try:
-            mat = np.array(matrix, dtype=np.complex128)
-        except (TypeError, ValueError):  # ragged rows, or entries that are not numbers
-            raise ConfigError(f"coin matrix must be a {d} x {d} array of numbers") from None
+        mat = _complex_array(matrix, f"coin matrix must be a {d} x {d} array of numbers")
         if mat.shape != (d, d):
             raise ConfigError(f"coin matrix must be {d} x {d}")
         if not np.isfinite(mat).all():

@@ -292,22 +292,13 @@ def _perfect_matching(table: np.ndarray) -> np.ndarray:
 # Involution criterion: edge colorings
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
-    """A proper edge coloring: labels[i] colors edges[i]; colors dense 0-based."""
-
-    edges: tuple[tuple[int, int], ...]
-    labels: tuple[int, ...]
-    num_colors: int
-
-
 def rotation_from_coloring(graph: RegularGraph, labels) -> RotationMap:
     """Convert a proper d-edge-coloring (labels over graph.edges() order)
     into the rotation map whose label classes are the color classes.  Edge
     (u, v) of color c takes the slots (u, c) and (v, c); an error names the
     first edge whose color is out of range or whose slot is taken."""
     n, d = graph.n, graph.d
-    pairs = graph._edge_pairs()
+    pairs = graph.edges()
     if len(labels) != len(pairs):
         raise ValidationError(f"coloring has {len(labels)} labels for {len(pairs)} edges")
     colors = _integer_table(labels, ValidationError, "coloring")
@@ -326,19 +317,19 @@ def rotation_from_coloring(graph: RegularGraph, labels) -> RotationMap:
     return RotationMap(entries.reshape(n, d))
 
 
-def greedy_coloring(graph: RegularGraph) -> EdgeColoring:
-    """Smallest free color per edge, edges in sorted order, open palette."""
-    edges = graph.edges()
+def greedy_coloring(graph: RegularGraph) -> np.ndarray:
+    """Smallest free color per edge, edges in sorted order, open palette:
+    the int64 labels over ``graph.edges()``, colors dense from 0."""
     busy = [set() for _ in range(graph.n)]
     labels = []
-    for u, v in edges:
+    for u, v in graph.edges().tolist():
         c = 0
         while c in busy[u] or c in busy[v]:
             c += 1
         labels.append(c)
         busy[u].add(c)
         busy[v].add(c)
-    return EdgeColoring(tuple(edges), tuple(labels), len(set(labels)))
+    return np.array(labels, dtype=np.int64)
 
 
 def _alternating_path(at, start, first_color, second_color):
@@ -357,8 +348,9 @@ def _alternating_path(at, start, first_color, second_color):
     return path
 
 
-def vizing_color(graph: RegularGraph) -> EdgeColoring:
-    """Proper edge coloring with at most d+1 colors, deterministic.
+def vizing_color(graph: RegularGraph) -> np.ndarray:
+    """Proper edge coloring with at most d+1 colors, deterministic: the
+    int64 labels over ``graph.edges()``, colors dense from 0.
 
     Per edge: first the smallest color free at both endpoints; when none
     exists, the fan-rotation construction on the d+1 palette (build a
@@ -369,7 +361,7 @@ def vizing_color(graph: RegularGraph) -> EdgeColoring:
     spare color.
     """
     n, d = graph.n, graph.d
-    edges = graph.edges()
+    edges = graph.edges().tolist()
     palette = d + 1
     # at[x][c] is the neighbor joined to x by color c (-1 if none); the
     # color of edge (a, b) is at[a].index(b).
@@ -470,10 +462,7 @@ def vizing_color(graph: RegularGraph) -> EdgeColoring:
             else:
                 assign(u, v, rare)
 
-    raw = [at[u].index(v) for u, v in edges]
-    dense = {c: i for i, c in enumerate(sorted(set(raw)))}
-    labels = tuple(dense[c] for c in raw)
-    return EdgeColoring(tuple(edges), labels, len(dense))
+    return np.unique([at[u].index(v) for u, v in edges], return_inverse=True)[1]
 
 
 def _excess(counts_at) -> int:
@@ -516,13 +505,15 @@ def _color(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
     into 0..d-1; a forced labeling with no conflict left is still solved."""
     start = time.perf_counter()
     d = graph.d
-    coloring = greedy_coloring(graph) if config.method == "greedy-coloring" else vizing_color(graph)
-    labels, best = coloring.labels, 0
-    if coloring.num_colors > d:
-        labels, counts = _least_damage(graph.n, d, coloring.edges, labels, range(len(labels)))
+    labels = greedy_coloring(graph) if config.method == "greedy-coloring" else vizing_color(graph)
+    best = 0
+    if (labels >= d).any():
+        labels, counts = _least_damage(
+            graph.n, d, graph.edges().tolist(), labels.tolist(), range(len(labels))
+        )
         best = sum(map(_excess, counts))
     rot = rotation_from_coloring(graph, labels) if best == 0 else None
-    stats = SolverStats(len(coloring.edges), 0, (time.perf_counter() - start) * 1000.0, best)
+    stats = SolverStats(len(labels), 0, (time.perf_counter() - start) * 1000.0, best)
     return _outcome(graph, config, stats, rot)
 
 
@@ -543,7 +534,7 @@ def _local_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
     """
     start = time.perf_counter()
     n, d = graph.n, graph.d
-    edges = graph.edges()
+    edges = graph.edges().tolist()
     m = len(edges)
     edges_at = [[] for _ in range(n)]
     for e, (u, v) in enumerate(edges):
@@ -670,10 +661,10 @@ def exhaustive_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcom
         )
     start = time.perf_counter()
     if config.criterion == "involution":
-        ends, vertices = graph.edges(), n
+        ends, vertices = graph.edges().tolist(), n
     else:
         tails, heads = np.repeat(np.arange(n), d), graph.neighbors.ravel()
-        ends, vertices = list(zip(tails.tolist(), (heads + n).tolist())), 2 * n
+        ends, vertices = np.column_stack([tails, heads + n]).tolist(), 2 * n
     labels, nodes, deepest, timed_out = _proper_coloring(ends, vertices, d, config, start)
     rot = None
     if labels is not None and config.criterion == "involution":

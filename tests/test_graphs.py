@@ -68,11 +68,17 @@ class TestConstruction:
             g.neighbors[0, 0] = 2
 
     def test_edges_lexicographic(self):
-        g = cycle_graph(5)
-        edges = g.edges()
-        assert edges == sorted(edges)
-        assert len(edges) == 5
-        assert all(u < v for u, v in edges)
+        _, cycle = family_by_edges("cycle", (5,))
+        cases = [(cycle_graph(5), cycle)]
+        for n, d, seed in [(10, 3, 0), (16, 5, 1), (40, 7, 2)]:
+            rows = random_regular_by_pairing(n, d, seed)
+            cases.append((RegularGraph(rows), [(u, v) for u, row in enumerate(rows) for v in row]))
+        for g, oracle in cases:
+            edges = g.edges()
+            assert edges.dtype == np.int64
+            assert edges.shape == (g.n * g.d // 2, 2)
+            assert (edges[:, 0] < edges[:, 1]).all()
+            assert list(map(tuple, edges.tolist())) == sorted({(min(e), max(e)) for e in oracle})
 
     def test_adjacency_matrix_symmetric(self):
         g = hypercube_graph(3)
@@ -569,6 +575,9 @@ class TestTextFormat:
             parse_graph("4 2\n1 2\n2 3\n1 2\n")
         assert exc.value.line == 4
         assert "line 2" in str(exc.value)
+        # Three copies: the second is reported, naming the first.
+        with pytest.raises(FormatError, match=r"^line 6: duplicate edge \(1, 2\), first seen on line 4$"):
+            parse_graph("4 2\n2 3\n# c\n1 2\n3 4\n1 2\n1 2\n")
 
     def test_degree_mismatch_with_header(self):
         text = "4 3\n1 2\n2 3\n3 4\n1 4\n"

@@ -202,7 +202,7 @@ class TestCoins:
         with pytest.raises(ConfigError):
             build_coin("custom", 3, matrix=np.eye(2))
 
-    @pytest.mark.parametrize("d, matrix", [(1, [["a"]]), (2, [[1, 0], [0]]), (1, [[{}]])])
+    @pytest.mark.parametrize("d, matrix", [(1, [["a"]]), (2, [[1, 0], [0]]), (1, [[{}]]), (1, [[None]])])
     def test_custom_requires_numbers(self, d, matrix):
         with pytest.raises(ConfigError, match="array of numbers"):
             build_coin("custom", d, matrix)

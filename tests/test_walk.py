@@ -87,7 +87,7 @@ class TestStates:
         with pytest.raises(ConfigError, match="amplitudes must be finite"):
             WalkState(2, 2, [bad, 0, 0, 0])
 
-    @pytest.mark.parametrize("n, amplitudes", [(1, ["a"]), (2, [1, [0]]), (1, [{}])])
+    @pytest.mark.parametrize("n, amplitudes", [(1, ["a"]), (2, [1, [0]]), (1, [{}]), (1, [None])])
     def test_state_with_non_numeric_amplitudes_rejected(self, n, amplitudes):
         with pytest.raises(ConfigError, match="numbers"):
             WalkState(n, 1, amplitudes)
