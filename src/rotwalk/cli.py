@@ -8,10 +8,11 @@ Exit codes are a stable scripting contract:
 * 3 — solver finished without solving (budget exhausted or proven infeasible)
 * 4 — walk refused an inconsistent rotation map (no --allow-inconsistent)
 
-All vertex ids and coin labels on this surface are 1-based.  Every JSON
-report carries a top-level "version" field.  All randomness flows from
---seed; two invocations with identical arguments and input files produce
-byte-identical outputs (wall-clock stats fields aside).
+All vertex ids and coin labels on this surface are 1-based.  This module
+lays out every JSON report, and each carries a top-level "version" field.
+All randomness flows from --seed; two invocations with identical
+arguments and input files produce byte-identical outputs (wall-clock
+stats fields aside).
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from .version import REPORT_VERSION, __version__
 if TYPE_CHECKING:
     from .walk import TrajectoryRecord
 
+# operators.COIN_KINDS but "custom", copied so that start-up does not
+# import operators.
 COINS = ("hadamard", "grover", "dft", "identity")
 
 
@@ -103,9 +106,9 @@ def _violation_chunks(witnesses) -> Iterator[str]:
         yield ",\n".join([_VIOLATION_ITEM] * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
-# One walk step of the JSON trajectory, as json.dumps writes it in the
-# report of WalkTrajectory.to_report: the probabilities one per line, and
-# NaN or Infinity where a float is not finite.
+# One walk step of the JSON trajectory, as json.dumps(..., indent=2) writes
+# the dict {"step", "norm2", "probabilities"}: the probabilities one per
+# line, and NaN or Infinity where a float is not finite.
 _STEP_ITEM = (
     '    {\n      "step": %s,\n      "norm2": %s,\n      "probabilities": [\n        %s\n      ]\n    }'
 )
@@ -186,7 +189,20 @@ def cmd_solve(args) -> int:
     outcome = solve(graph, config)
     if outcome.status == "solved" and args.out is not None:
         _write(args.out, [serialize_rotation(outcome.rotation_map)])
-    _write_json(args.stats, outcome.to_report())
+    stats = outcome.stats
+    _write_json(args.stats, {
+        "version": REPORT_VERSION,
+        "status": outcome.status,
+        "criterion": outcome.criterion,
+        "method": outcome.method,
+        "seed": outcome.seed,
+        "n": outcome.n,
+        "d": outcome.d,
+        "iterations": stats.iterations,
+        "restarts": stats.restarts,
+        "best_conflicts": stats.best_conflicts,
+        "wall_ms": stats.wall_ms,
+    })
     if outcome.status != "solved":
         if outcome.certificate:
             print(f"certificate: {outcome.certificate}", file=sys.stderr)

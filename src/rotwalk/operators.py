@@ -115,14 +115,6 @@ class UnitarityReport:
     defect: int
     product: np.ndarray | None
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "defect": self.defect,
-            "product": None if self.product is None else self.product.tolist(),
-        }
-
 
 def unitarity_defect(rot: RotationMap) -> UnitarityReport:
     """Measure how far the shift of ``rot`` is from unitary, exactly.

@@ -40,10 +40,9 @@ from .graphs import (
     _write_table,
 )
 
-# The consistency criteria, and the solver methods that search for a map
-# meeting one.  They live beside the checkers so that the CLI can offer
-# them without importing the solvers.
-CRITERIA = ("permutation", "involution")
+# The solver methods that search for a consistent map.  They live beside
+# the checkers, as the criteria do, so that the CLI can offer them without
+# importing the solvers.
 METHODS = ("matching", "greedy-coloring", "vizing", "local-search", "exhaustive")
 
 
@@ -106,13 +105,6 @@ class ConsistencyReport:
     def __hash__(self):
         return hash((self.criterion, self.consistent, self.violations.tobytes()))
 
-    def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "consistent": self.consistent,
-            "violations": [dict(zip(WITNESS_FIELDS, w)) for w in self.violations.tolist()],
-        }
-
 
 def greedy_rotation(graph: RegularGraph) -> RotationMap:
     """The greedy labeling: row v lists the neighbors of v in ascending order.
@@ -174,6 +166,8 @@ CHECKERS = {
     "permutation": lambda rot: check_permutation_consistent(rot),
     "involution": lambda rot: check_involution_consistent(rot),
 }
+# The consistency criteria, the CLI's default first.
+CRITERIA = tuple(CHECKERS)
 
 
 def _consistency_report(criterion: str, labels, vertices, counts) -> ConsistencyReport:

@@ -54,7 +54,6 @@ import numpy as np
 from .errors import ConfigError, RotwalkError, ValidationError
 from .graphs import RegularGraph, _first_occurrences, _integer_table, _integers, _raise_first
 from .rotmap import CHECKERS, CRITERIA, METHODS, RotationMap
-from .version import REPORT_VERSION
 
 STATUSES = ("solved", "infeasible-proven", "budget-exhausted")
 
@@ -132,21 +131,6 @@ class SolverOutcome:
     rotation_map: RotationMap | None
     certificate: str | None
     stats: SolverStats
-
-    def to_report(self) -> dict:
-        return {
-            "version": REPORT_VERSION,
-            "status": self.status,
-            "criterion": self.criterion,
-            "method": self.method,
-            "seed": self.seed,
-            "n": self.n,
-            "d": self.d,
-            "iterations": self.stats.iterations,
-            "restarts": self.stats.restarts,
-            "best_conflicts": self.stats.best_conflicts,
-            "wall_ms": self.stats.wall_ms,
-        }
 
 
 def solve(graph: RegularGraph, config: SolverConfig | None = None) -> SolverOutcome:

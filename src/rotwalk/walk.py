@@ -36,7 +36,6 @@ import numpy as np
 from .errors import ConfigError
 from .graphs import _integers
 from .operators import CoinOperator, ShiftOperator, _complex_array
-from .version import REPORT_VERSION
 
 
 class WalkState:
@@ -232,22 +231,6 @@ class WalkTrajectory:
         identically; the probabilities are formatted by an array kernel.
         """
         return "".join(_csv_chunks(self.n, self.records))
-
-    def to_report(self) -> dict:
-        """JSON-ready mirror of the trajectory."""
-        return {
-            "version": REPORT_VERSION,
-            "n": self.n,
-            "d": self.d,
-            "steps": [
-                {
-                    "step": rec.step,
-                    "norm2": rec.norm2,
-                    "probabilities": rec.probabilities.tolist(),
-                }
-                for rec in self.records
-            ],
-        }
 
 
 def _csv_chunks(n: int, records: Iterable[TrajectoryRecord]) -> Iterator[str]:

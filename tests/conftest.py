@@ -1,3 +1,4 @@
+import json
 import shutil
 import tempfile
 
@@ -17,3 +18,21 @@ def pytest_configure(config):
 def pytest_unconfigure(config):
     set_hypothesis_home_dir(None)
     shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
+
+
+@pytest.fixture
+def cli_solve(tmp_path):
+    """``cli_solve(graph, *argv)`` runs ``rotwalk solve`` on ``graph`` and
+    returns its exit code, its --stats report and the map it wrote (None
+    unless solved)."""
+    from rotwalk import cli, parse_rotation, serialize_graph
+
+    def solve(graph, *argv):
+        edges, out, stats = (tmp_path / name for name in ("solve.edges", "solve.rot", "stats.json"))
+        edges.write_text(serialize_graph(graph))
+        out.unlink(missing_ok=True)
+        code = cli.main(["solve", str(edges), *argv, "--out", str(out), "--stats", str(stats)])
+        rot = parse_rotation(out.read_text()) if out.exists() else None
+        return code, json.loads(stats.read_text()), rot
+
+    return solve

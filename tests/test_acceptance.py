@@ -187,7 +187,7 @@ class TestAcceptance:
                 f"provably colorable, {len(hard)} hard graphs provably not; "
                 f"local search never claimed them")
 
-    def test_criterion_5_stress_instance(self):
+    def test_criterion_5_stress_instance(self, cli_solve):
         start = time.perf_counter()
         graph = generate_graph(FamilySpec("random-regular", (80, 12), seed=0))
         perm_outcome = solve(graph, SolverConfig())
@@ -195,17 +195,16 @@ class TestAcceptance:
             perm_outcome.status == "solved"
             and unitarity_defect(perm_outcome.rotation_map).defect == 0
         )
-        inv_cfg = SolverConfig(criterion="involution", method="local-search",
-                               seed=0)
-        inv_outcome = solve(graph, inv_cfg)
-        inv_report = inv_outcome.to_report()
+        _, inv_report, inv_rot = cli_solve(
+            graph, "--criterion", "involution", "--method", "local-search", "--seed", "0"
+        )
         schema = {"version", "status", "criterion", "method", "seed", "n", "d",
                   "iterations", "restarts", "best_conflicts", "wall_ms"}
         inv_ok = (
             set(inv_report.keys()) == schema
             and inv_report["status"] in {"solved", "budget-exhausted"}
-            and (inv_outcome.status != "solved"
-                 or check_involution_consistent(inv_outcome.rotation_map).consistent)
+            and (inv_report["status"] != "solved"
+                 or check_involution_consistent(inv_rot).consistent)
         )
         ok = bool(perm_ok and inv_ok)
         detail = (f"80-vertex 12-regular: permutation defect 0; involution "

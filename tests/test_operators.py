@@ -116,12 +116,6 @@ class TestUnitarityDefect:
         assert unitarity_defect(cycle_rotation(32)).product.shape == (64, 64)
         assert unitarity_defect(cycle_rotation(33)).product is None
 
-    def test_report_dict(self):
-        payload = unitarity_defect(cycle_rotation(4)).to_dict()
-        assert payload["defect"] == 0
-        assert payload["n"] == 4 and payload["d"] == 2
-        assert payload["product"][0][0] == 1
-
     def test_matches_dense_oracle(self):
         rng = random.Random(4)
         for _ in range(60):

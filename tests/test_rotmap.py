@@ -14,7 +14,6 @@ from rotwalk import (
     RotationMap,
     ShiftOperator,
     ValidationError,
-    WITNESS_FIELDS,
     check_involution_consistent,
     check_permutation_consistent,
     complete_graph,
@@ -220,16 +219,6 @@ class TestConsistency:
         assert report.consistent == (witnesses.shape == (0, 3))
         with pytest.raises(ValueError, match="read-only"):
             witnesses[...] = 0
-
-    def test_report_dict_round_trip(self):
-        report = check_permutation_consistent(greedy_rotation(cycle_graph(4)))
-        payload = report.to_dict()
-        assert payload["criterion"] == "permutation"
-        assert payload["consistent"] is False
-        assert payload["violations"][0] == {"label": 1, "vertex": 1, "count": 2}
-        assert payload["violations"] == [
-            dict(zip(WITNESS_FIELDS, row)) for row in report.violations.tolist()
-        ]
 
     def test_report_is_a_frozen_record(self):
         # The report compares and hashes as the record (criterion,

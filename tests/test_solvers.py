@@ -63,10 +63,10 @@ PETERSEN_EDGES = [
     (5, 7), (7, 9), (6, 9), (6, 8), (5, 8),
 ]
 
-REPORT_KEYS = {
+REPORT_KEYS = [
     "version", "status", "criterion", "method", "seed",
     "n", "d", "iterations", "restarts", "best_conflicts", "wall_ms",
-}
+]
 
 
 def petersen():
@@ -164,9 +164,10 @@ class TestPermutationMatching:
             validate_against_graph(rot, g)
             assert defect_by_dense_product(rot.entries) == 0
 
-    def test_report_schema(self):
-        report = solve_permutation(cycle_graph(4)).to_report()
-        assert set(report.keys()) == REPORT_KEYS
+    def test_report_schema(self, cli_solve):
+        code, report, _ = cli_solve(cycle_graph(4))
+        assert code == 0
+        assert list(report) == REPORT_KEYS
         assert report["version"] == 1
         assert report["status"] == "solved"
         assert isinstance(report["wall_ms"], (int, float))
@@ -245,8 +246,8 @@ def test_non_integer_counts_refused(case):
 def test_numpy_integer_config_reports_as_json():
     config = SolverConfig(seed=np.int64(3), max_iterations=np.int64(50))
     assert type(config.seed) is int and type(config.max_iterations) is int
-    report = solve(random_regular_graph(10, 3, seed=1), config).to_report()
-    assert json.loads(json.dumps(report))["seed"] == 3
+    outcome = solve(random_regular_graph(10, 3, seed=1), config)
+    assert type(outcome.seed) is int and json.loads(json.dumps(outcome.seed)) == 3
 
 
 @pytest.mark.parametrize("support, message", [
@@ -583,24 +584,23 @@ class TestConfigValidation:
 
 
 class TestStressRun:
-    def test_permutation_stress(self):
+    def test_permutation_stress(self, cli_solve):
         spec = FamilySpec("random-regular", (20, 4), seed=2)
-        outcome = solve(generate_graph(spec), SolverConfig())
-        report = outcome.to_report()
-        assert outcome.status == "solved"
-        assert set(report.keys()) == REPORT_KEYS
+        code, report, _ = cli_solve(generate_graph(spec))
+        assert code == 0 and report["status"] == "solved"
+        assert list(report) == REPORT_KEYS
         assert report["n"] == 20 and report["d"] == 4
 
-    def test_involution_stress_records_outcome(self):
+    def test_involution_stress_records_outcome(self, cli_solve):
         spec = FamilySpec("random-regular", (16, 4), seed=2)
-        cfg = SolverConfig(criterion="involution", method="local-search",
-                           seed=0, max_iterations=2000, max_restarts=5)
-        outcome = solve(generate_graph(spec), cfg)
-        report = outcome.to_report()
+        code, report, rot = cli_solve(
+            generate_graph(spec), "--criterion", "involution", "--method", "local-search",
+            "--seed", "0", "--max-iterations", "2000", "--max-restarts", "5",
+        )
         assert report["status"] in {"solved", "budget-exhausted"}
-        assert report["status"] == outcome.status
-        if outcome.status == "solved":
-            assert check_involution_consistent(outcome.rotation_map).consistent
+        assert code == (0 if report["status"] == "solved" else 3)
+        if report["status"] == "solved":
+            assert check_involution_consistent(rot).consistent
 
 
 def test_every_exported_name_resolves():

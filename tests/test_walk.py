@@ -15,6 +15,7 @@ from rotwalk import (
     build_coin,
     build_shift,
     check_permutation_consistent,
+    cli,
     cycle_graph,
     cycle_rotation,
     distribution,
@@ -23,6 +24,8 @@ from rotwalk import (
     inverse_step,
     random_regular_graph,
     run,
+    serialize_graph,
+    serialize_rotation,
     solve_permutation,
     step,
     uniform_state,
@@ -297,10 +300,14 @@ class TestTrajectories:
 
         assert make() == make()
 
-    def test_report_structure(self):
-        traj = run(init_state(4, 2, [(0, 0, 1.0)]), build_coin("hadamard", 2),
-                   build_shift(cycle_rotation(4)), 2)
-        payload = traj.to_report()
+    def test_report_structure(self, tmp_path):
+        graph, rot, out = tmp_path / "c4.edges", tmp_path / "c4.rot", tmp_path / "walk.json"
+        graph.write_text(serialize_graph(cycle_graph(4)))
+        rot.write_text(serialize_rotation(cycle_rotation(4)))
+        argv = ["walk", str(graph), str(rot), "--coin", "hadamard", "--steps", "2",
+                "--format", "json", "--out", str(out)]
+        assert cli.main(argv) == 0
+        payload = json.loads(out.read_text())
         assert payload["version"] == 1
         assert payload["n"] == 4 and payload["d"] == 2
         assert [s["step"] for s in payload["steps"]] == [0, 1, 2]
