@@ -49,11 +49,15 @@ if TYPE_CHECKING:
 COINS = ("hadamard", "grover", "dft", "identity")
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+def _read(path: str) -> bytes:
+    """The file's bytes, once they are known to be UTF-8 text."""
+    data = Path(path).read_bytes()
+    if not data.isascii():  # ASCII is UTF-8; anything else is decoded once to check
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return data
 
 
 def _write(path: str | None, chunks: Iterable[str]) -> None:

@@ -34,13 +34,15 @@ from .errors import FormatError, GenerationError, GraphStructureError, Regularit
 def _integer_table(values, error: type[RotwalkError], what: str) -> np.ndarray:
     """``values`` as a new int64 array.  Raises ``error`` when the rows are
     ragged or an entry is not an exact int64 value (a fraction, NaN, inf,
-    a huge float, a string); a Python integer beyond int64 is out of
-    range of any table."""
+    a huge float, a string); an integer beyond int64, Python or uint64,
+    is out of range of any table."""
     try:
         array = np.asarray(values)
     except ValueError:
         raise error(f"{what} rows must all have the same length") from None
     if array.dtype.kind in "biu":
+        if array.dtype == np.uint64 and (array > np.iinfo(np.int64).max).any():
+            raise error(f"{what} entry out of range")
         return array.astype(np.int64)
     if array.dtype.kind in "fO":
         try:
@@ -90,7 +92,7 @@ def _row_rules(rows: np.ndarray, n: int, ascending: bool = False) -> list:
         return []  # a valid table: one whole-table test spares the per-row ones
 
     def stray_entry(i):
-        w = rows[i, stray[i].argmax()]
+        w = int(rows[i, stray[i].argmax()])  # int64's largest entry has no w + 1 in int64
         if 0 <= w < n:
             return f"vertex {i + 1} maps to itself"
         return f"entry {w + 1} out of range 1..{n}"
@@ -248,8 +250,9 @@ class _Table(NamedTuple):
         return table
 
 
-def _read_table(text: str) -> _Table:
-    """Read a header-plus-integer-lines document from its UTF-8 bytes.
+def _read_table(text: str | bytes) -> _Table:
+    """Read a header-plus-integer-lines document from its UTF-8 bytes
+    (``text`` itself, or a str encoded to them).
 
     Lines end at the ASCII line ends of ``str.splitlines`` ("\\r\\n" is
     one); fields are the runs between ASCII whitespace; a blank line, or
@@ -258,7 +261,9 @@ def _read_table(text: str) -> _Table:
     ``-?[0-9]{1,18}``.  Header errors are raised here; the body is
     checked by the caller.
     """
-    codes = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    if isinstance(text, str):
+        text = text.encode("utf-8", "surrogatepass")
+    codes = np.frombuffer(text, dtype=np.uint8)
     is_space = _IS_SPACE.take(codes)
     ends = _ENDS_LINE.take(codes)
     ends[1:] &= (codes[1:] != ord("\n")) | (codes[:-1] != ord("\r"))  # "\r\n" ends one line
@@ -349,8 +354,9 @@ def _write_table(n: int, d: int, rows: np.ndarray) -> str:
     return f"{n} {d}\n" + (template * len(rows)) % tuple((rows + 1).ravel().tolist())
 
 
-def parse_graph(text: str) -> RegularGraph:
-    """Parse an edge-list document into a RegularGraph.
+def parse_graph(text: str | bytes) -> RegularGraph:
+    """Parse an edge-list document, a str or its UTF-8 bytes, into a
+    RegularGraph.
 
     A format error names the first bad line (1-based) in document order.
     A header with more than twice as many vertices as edge lines is an

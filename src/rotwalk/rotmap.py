@@ -201,8 +201,8 @@ def validate_against_graph(rot: RotationMap, graph: RegularGraph) -> None:
     _raise_first([(bad, mismatch)], ValidationError)
 
 
-def parse_rotation(text: str) -> RotationMap:
-    """Parse the rotation-map text format.
+def parse_rotation(text: str | bytes) -> RotationMap:
+    """Parse the rotation-map text format, from a str or its UTF-8 bytes.
 
     A format error names the first bad line (1-based) in document order;
     a missing row is an error of the document as a whole.

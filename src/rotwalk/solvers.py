@@ -21,11 +21,10 @@ different difficulty:
   d+1 palette plus a pass that tries to empty the extra color class),
   and ``local-search`` (Kempe-chain moves with random restarts).
 
-``exhaustive`` backtracking is the ground-truth oracle for either
-criterion on small instances (n*d bounded by a configured ceiling).  The
-two criteria are one search: a proper d-edge-coloring of the graph
-(involution) or of its bipartite double cover, whose edges are the arcs
-(permutation).  It is the only method allowed to claim infeasibility.
+  ``exhaustive`` backtracking is the ground-truth oracle on small
+  instances (n*d bounded by a configured ceiling): a complete search for
+  a proper d-edge-coloring, and the only method allowed to claim
+  infeasibility.
 
 ``solve`` is the one dispatcher from (criterion, method) to a solver,
 and every solver returns through one outcome rule: a map means
@@ -105,13 +104,12 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolverStats:
     """iterations: matchings computed (d) / edges colored / labels placed
-    by the exhaustive search, for either criterion / local-search moves,
-    depending on method.  conflict_trace records the conflict count at
-    each local-search iteration (empty otherwise).  best_conflicts is 0
-    for solved outcomes; for coloring heuristics it is the conflict count
-    of the best labeling found, and for exhaustive outcomes the fewest
-    edges (involution) or arcs (permutation) left unlabeled over all
-    partial assignments."""
+    by the exhaustive search / local-search moves, depending on method.
+    conflict_trace records the conflict count at each local-search
+    iteration (empty otherwise).  best_conflicts is 0 for solved
+    outcomes; for coloring heuristics it is the conflict count of the
+    best labeling found, and for exhaustive outcomes the fewest edges
+    left unlabeled over all partial assignments."""
 
     iterations: int
     restarts: int
@@ -141,10 +139,10 @@ def solve(graph: RegularGraph, config: SolverConfig | None = None) -> SolverOutc
         if config.criterion != "permutation":
             raise ConfigError("the matching method solves the permutation criterion only")
         return solve_permutation(graph, config)
-    if config.method == "exhaustive":
-        return exhaustive_search(graph, config)
     if config.criterion != "involution":
         raise ConfigError(f"method {config.method!r} targets the involution criterion only")
+    if config.method == "exhaustive":
+        return exhaustive_search(graph, config)
     if config.method == "local-search":
         return _local_search(graph, config)
     return _color(graph, config)
@@ -624,19 +622,16 @@ def _kempe_component(edges, edges_at, labels, e0, a, b):
 
 
 def exhaustive_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
-    """Complete backtracking for either criterion on small instances.
+    """Complete backtracking for the involution criterion on small instances.
 
-    Both criteria ask for a proper d-edge-coloring, searched by one
-    backtrack: of the graph's edges for the involution criterion, and of
-    its arcs (v, w), each joining v to a second copy of w, for the
-    permutation criterion.  The arcs form the bipartite double cover,
-    which always has one (König 1916), so only the involution criterion
-    can end infeasible-proven.  Symmetry pruning fixes vertex 1's labels:
-    its edges or arcs come first in either list and can always be brought
-    to canonical order by renaming labels, so the restricted search is
-    still complete.
+    Searches for a proper d-edge-coloring of the graph's edges; the only
+    method that can end infeasible-proven.  The permutation criterion
+    needs no search: ``solve_permutation`` always solves it (König 1916).
+    Symmetry pruning fixes vertex 1's labels: its edges come first in
+    ``graph.edges()`` and can always be brought to canonical order by
+    renaming labels, so the restricted search is still complete.
     """
-    config = replace(config, method="exhaustive")
+    config = replace(config, criterion="involution", method="exhaustive")
     n, d = graph.n, graph.d
     if n * d > config.exhaustive_ceiling:
         raise ConfigError(
@@ -644,36 +639,24 @@ def exhaustive_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcom
             f"{config.exhaustive_ceiling}"
         )
     start = time.perf_counter()
-    if config.criterion == "involution":
-        ends, vertices = graph.edges().tolist(), n
-    else:
-        tails, heads = np.repeat(np.arange(n), d), graph.neighbors.ravel()
-        ends, vertices = np.column_stack([tails, heads + n]).tolist(), 2 * n
-    labels, nodes, deepest, timed_out = _proper_coloring(ends, vertices, d, config, start)
-    rot = None
-    if labels is not None and config.criterion == "involution":
-        rot = rotation_from_coloring(graph, labels)
-    elif labels is not None:
-        entries = np.empty((n, d), dtype=np.int64)
-        entries[tails, labels] = heads
-        rot = RotationMap(entries)
-    total = len(ends)
-    stats = SolverStats(nodes, 0, (time.perf_counter() - start) * 1000.0, total - deepest)
+    ends = graph.edges().tolist()
+    labels, nodes, deepest, timed_out = _proper_coloring(ends, n, d, config, start)
+    rot = rotation_from_coloring(graph, labels) if labels is not None else None
+    stats = SolverStats(nodes, 0, (time.perf_counter() - start) * 1000.0, len(ends) - deepest)
     if rot is not None or timed_out:
         return _outcome(graph, config, stats, rot)
-    if config.criterion == "permutation":
-        raise RotwalkError("internal defect: exhaustive search missed a permutation labeling")
     certificate = (
-        f"complete backtracking over {d}-label colorings of {total} edges "
+        f"complete backtracking over {d}-label colorings of {len(ends)} edges "
         f"(vertex 1's labels fixed by symmetry) explored {nodes} assignments; "
         "no proper coloring exists"
     )
     return _outcome(graph, config, stats, certificate=certificate)
 
 
-def _proper_coloring(ends, vertices, d, config, start):
+def _proper_coloring(ends, n, d, config, start):
     """Depth-first search for a proper d-coloring of the edges ``ends``
-    (pairs of ids below ``vertices``), with edge i < d pinned to label i.
+    of an n-vertex graph (``graph.edges()`` as lists, vertex 1's first),
+    with edge i < d pinned to label i.
 
     Every later edge tries its free labels in ascending order, on an
     explicit stack, so depth is bounded by memory rather than the
@@ -682,7 +665,7 @@ def _proper_coloring(ends, vertices, d, config, start):
     None, nodes, deepest number of edges labeled, timed_out).
     """
     m = len(ends)
-    busy = [[False] * d for _ in range(vertices)]
+    busy = [[False] * d for _ in range(n)]
     labels = list(range(d)) + [-1] * (m - d)
     for c, (u, v) in enumerate(ends[:d]):
         busy[u][c] = busy[v][c] = True

@@ -204,7 +204,7 @@ def _norm2(amps: np.ndarray) -> float:
     return float(np.vdot(amps, amps).real)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
     step: int
     probabilities: np.ndarray
@@ -423,7 +423,9 @@ def _records(
             with np.errstate(over="ignore", invalid="ignore"):
                 if k:
                     amps = _step(amps, coin, shift)
-                record = TrajectoryRecord(start + k, _probabilities(amps, d), _norm2(amps))
+                probabilities = _probabilities(amps, d)
+                probabilities.setflags(write=False)
+                record = TrajectoryRecord(start + k, probabilities, _norm2(amps))
             yield record
         return amps
 

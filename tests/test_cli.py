@@ -474,6 +474,14 @@ class TestSolve:
         assert code == 2
         assert "permutation criterion only" in capsys.readouterr().err
 
+    def test_exhaustive_permutation_exit_2(self, square, capsys):
+        assert cli.main(["solve", square, "--method", "exhaustive"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: method 'exhaustive' targets the involution criterion only\n"
+        )
+
     def test_huge_header_exit_2(self, tmp_path, capsys):
         huge = tmp_path / "huge.edges"
         huge.write_text("100000000000 2\n")

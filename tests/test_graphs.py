@@ -169,6 +169,9 @@ class TestConstruction:
         ([(0, 1), (1,)], "edge rows must all have the same length"),
         ([(0, 1, 2)], r"edges must be \(u, v\) pairs"),
         ([(0, 2**70)], "edge entry out of range"),
+        # uint64 entries past int64 are refused before any cast can wrap them.
+        (np.array([[0, 2**64 - 1]], dtype=np.uint64), "edge entry out of range"),
+        (np.array([[0, 2**63]], dtype=np.uint64), "edge entry out of range"),
     ])
     def test_bad_edge_entries_rejected(self, edges, message):
         with pytest.raises(GraphStructureError, match=message):
@@ -187,6 +190,10 @@ class TestConstruction:
         ([1, 0], "neighbor table must be 2-dimensional"),
         (np.zeros((0, 2)), "graph must have at least one vertex and degree >= 1"),
         (np.zeros((2, 0)), "graph must have at least one vertex and degree >= 1"),
+        # Entries at int64's ends and past it, in uint64.
+        (np.array([[2**64 - 1], [0]], dtype=np.uint64), "neighbor table entry out of range"),
+        (np.array([[2**63 - 1], [0]], dtype=np.uint64), f"entry {2**63} out of range 1..2"),
+        (np.array([[2**63 - 1], [0]]), f"entry {2**63} out of range 1..2"),
     ])
     def test_first_bad_row_named(self, neighbors, message):
         with pytest.raises(GraphStructureError, match=f"^{re.escape(message)}$"):

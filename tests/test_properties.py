@@ -245,9 +245,7 @@ class TestDeterminism:
 
 def _supports(criterion, method):
     """Whether ``solve`` accepts the pair: matching is for the permutation
-    criterion, exhaustive for either, every other method for involution."""
-    if method == "exhaustive":
-        return True
+    criterion, every other method for involution."""
     return (criterion == "permutation") == (method == "matching")
 
 

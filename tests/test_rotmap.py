@@ -101,6 +101,10 @@ class TestConstruction:
         ([1, 0], "rotation map must be 2-dimensional"),
         (np.zeros((0, 2)), "rotation map needs n >= 1 and d >= 1"),
         (np.zeros((2, 0)), "rotation map needs n >= 1 and d >= 1"),
+        # Entries at int64's ends and past it, in uint64.
+        (np.array([[2**64 - 1], [0]], dtype=np.uint64), "rotation map entry out of range"),
+        (np.array([[2**63], [0]], dtype=np.uint64), "rotation map entry out of range"),
+        (np.array([[2**63 - 1], [0]], dtype=np.uint64), f"entry {2**63} out of range 1..2"),
     ])
     def test_first_bad_row_named(self, entries, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

@@ -145,6 +145,19 @@ class TestPermutationMatching:
             if n * d <= 600:
                 assert defect_by_dense_product(rot.entries) == 0
 
+    def test_permutation_solves_every_small_regular_graph(self):
+        # Every regular graph has a permutation labeling (König 1916), and
+        # the matching method finds one on each graph of the small corpus.
+        cfg = SolverConfig()
+        graphs = small_regular_graphs()
+        assert len(graphs) > 100
+        for g in graphs:
+            outcome = solve(g, cfg)
+            assert outcome.status == "solved", (g.n, g.d)
+            assert check_permutation_consistent(outcome.rotation_map).consistent
+            validate_against_graph(outcome.rotation_map, g)
+            assert outcome.stats.best_conflicts == 0
+
     def test_memory_is_linear(self):
         # 160 000 arcs: the int32 index arrays of one split take 0.6 MB each.
         g = random_regular_graph(20000, 8, seed=3)
@@ -463,13 +476,21 @@ class TestKempeComponent:
 
 class TestExhaustive:
     def test_square_solvable_both_criteria(self):
-        for criterion in ["permutation", "involution"]:
-            cfg = SolverConfig(criterion=criterion, method="exhaustive")
-            outcome = solve(cycle_graph(4), cfg)
-            assert outcome.status == "solved"
+        # The involution search solves the square; the permutation
+        # criterion is the matching method's alone.
         cfg = SolverConfig(criterion="involution", method="exhaustive")
-        rot = solve(cycle_graph(4), cfg).rotation_map
-        assert check_involution_consistent(rot).consistent
+        outcome = solve(cycle_graph(4), cfg)
+        assert outcome.status == "solved"
+        assert check_involution_consistent(outcome.rotation_map).consistent
+        with pytest.raises(ConfigError, match="method 'exhaustive' targets the involution"):
+            solve(cycle_graph(4), SolverConfig(method="exhaustive"))
+
+    def test_called_directly_searches_involutions(self):
+        # The config's criterion does not matter: the search is always
+        # for an involution, so Petersen (Class 2) is proven infeasible.
+        outcome = exhaustive_search(petersen(), SolverConfig())
+        assert (outcome.status, outcome.criterion) == ("infeasible-proven", "involution")
+        assert outcome.method == "exhaustive"
 
     def test_petersen_infeasible_proven(self):
         cfg = SolverConfig(criterion="involution", method="exhaustive")
@@ -500,20 +521,6 @@ class TestExhaustive:
                 assert outcome.status == "solved"
             seen[outcome.status] += 1
         assert seen["solved"] > 0 and seen["infeasible-proven"] > 0
-
-    def test_permutation_solves_every_small_regular_graph(self):
-        # The arcs form the bipartite double cover, which always has a
-        # proper d-edge-coloring (König 1916): the search never misses.
-        cfg = SolverConfig(method="exhaustive")
-        graphs = small_regular_graphs()
-        assert len(graphs) > 100
-        for g in graphs:
-            outcome = solve(g, cfg)
-            assert outcome.status == "solved", (g.n, g.d)
-            assert check_permutation_consistent(outcome.rotation_map).consistent
-            validate_against_graph(outcome.rotation_map, g)
-            assert outcome.stats.best_conflicts == 0
-            assert outcome.stats.iterations >= g.n * g.d - g.d
 
     @pytest.mark.parametrize("build, ceiling, status, nodes, best", [
         (petersen, 40, "infeasible-proven", 36, 3),
@@ -636,7 +643,6 @@ GOLDEN = {
                                     **GOLDEN_SEARCH), "bbf3dc798cf452d0"),
     "local-search-1": (SolverConfig(criterion="involution", method="local-search", seed=1,
                                     **GOLDEN_SEARCH), "40af8f03b4bd3447"),
-    "exhaustive-permutation": (SolverConfig(method="exhaustive", seed=5), "79e6f9d121aac37d"),
     "exhaustive-involution": (SolverConfig(criterion="involution", method="exhaustive"),
                               "ca9491a4d739a75a"),
 }

@@ -244,6 +244,23 @@ def test_rotation_reader_matches_reference():
         assert_same_failure(parse_rotation, first_rotation_format_error, text)
 
 
+def parse_result(parse, text):
+    """What ``parse`` makes of ``text``: its table, or its error's type, message and line."""
+    try:
+        return parse(text)
+    except RotwalkError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@pytest.mark.parametrize("parse, corpus", [
+    (parse_graph, graph_corpus), (parse_rotation, rotation_corpus),
+])
+def test_bytes_read_as_their_text(parse, corpus):
+    # The command line hands the parsers a file's bytes, the library its text.
+    for text in corpus():
+        assert parse_result(parse, text.encode("utf-8")) == parse_result(parse, text), text
+
+
 def test_mutated_documents_match_reference():
     rng = random.Random(13)
     graph_text = graph_document(CYCLE_EDGES)

@@ -266,6 +266,17 @@ class TestTrajectories:
         for rec in traj.records:
             assert abs(rec.probabilities.sum() - rec.norm2) < 1e-12
 
+    def test_records_compare_hash_and_stay_read_only(self):
+        traj = run(uniform_state(4, 2), build_coin("grover", 2),
+                   build_shift(cycle_rotation(4)), 3)
+        for rec in traj.records:
+            assert rec == rec
+            assert hash(rec) == hash(rec)
+            with pytest.raises(ValueError, match="read-only"):
+                rec.probabilities[0] = 1.0
+        first, second = traj.records[:2]
+        assert first != second
+
     def test_negative_step_count_rejected(self):
         state = init_state(4, 2, [(0, 0, 1.0)])
         with pytest.raises(ConfigError):
