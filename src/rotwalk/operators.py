@@ -77,13 +77,16 @@ class ShiftOperator(_FrozenTable):
         return dense
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """S @ amplitudes.  A permutation shift is a gather; otherwise
-        amplitudes landing on the same row add up."""
+        """S @ amplitudes, as a new array.  A permutation shift is a gather;
+        otherwise amplitudes landing on the same row add up.  float64
+        amplitudes stay float64 (the walk kernel evolves real states in
+        real arithmetic); any other input is converted to complex128."""
         if amplitudes.shape != (self.dim,):
             raise ConfigError(f"amplitude vector must have length {self.dim}")
+        dtype = np.float64 if amplitudes.dtype == np.float64 else np.complex128
         if self._row_to_col is not None:
-            return np.asarray(amplitudes, dtype=np.complex128).take(self._row_to_col)
-        out = np.zeros(self.dim, dtype=np.complex128)
+            return np.asarray(amplitudes, dtype=dtype).take(self._row_to_col)
+        out = np.zeros(self.dim, dtype=dtype)
         np.add.at(out, self.col_to_row, amplitudes)
         return out
 

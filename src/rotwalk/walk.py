@@ -11,6 +11,19 @@ consistent map (``np.add.at`` only for an inconsistent one).  run()
 checks the operators once, keeps the amplitudes as a bare array between
 steps and wraps only the final state in a WalkState.
 
+While the coin matrix and the amplitudes are real and finite (a Grover,
+Hadamard or identity coin from a real start), the kernel evolves float64
+arrays and hands out complex128 ones.  That is exact: complex arithmetic
+on zero imaginary parts does the same real arithmetic plus products
+0 * x, which are exact zeros while every x is finite, so probabilities
+and the real parts of the amplitudes keep their bits.  Once a value
+overflows, 0 * inf is nan in complex arithmetic, so run() goes on in
+complex arithmetic from the first step whose squared norm (which a
+non-finite amplitude makes non-finite) is not finite.  Squared norms are
+dot products, whose real and complex forms sum in different orders:
+those of real walks may differ from a complex evolution's in the last
+digits.
+
 run() collects the records of one private generator, the record loop;
 the CLI streams the same records to its output as they are made, so its
 memory stays O(n*d) at any step count.  Both write CSV rows with one
@@ -63,7 +76,8 @@ class WalkState:
 
     def norm2(self) -> float:
         """Squared norm <psi|psi>."""
-        return _norm2(self.amplitudes)
+        (amps,) = _exactly_real(self.amplitudes)
+        return _norm2(amps)
 
     def __repr__(self) -> str:
         return f"WalkState(n={self.n}, d={self.d}, step={self.step_index})"
@@ -129,8 +143,7 @@ def uniform_state(n: int, d: int) -> WalkState:
     n, d = _integers(ConfigError, "state n and d", (n, d))
     if n < 1 or d < 1:
         raise ConfigError("state needs n >= 1 and d >= 1")
-    amps = np.ones(d * n, dtype=np.complex128)
-    return WalkState(n, d, amps / np.linalg.norm(amps))
+    return WalkState(n, d, np.full(d * n, 1 / np.sqrt(d * n), dtype=np.complex128))
 
 
 def apply(operator, state: WalkState) -> WalkState:
@@ -144,7 +157,7 @@ def apply(operator, state: WalkState) -> WalkState:
         return _evolved(state, operator.apply(state.amplitudes), state.step_index)
     if isinstance(operator, CoinOperator):
         _check_coin(operator, state)
-        return _evolved(state, _coin(operator, state.amplitudes), state.step_index)
+        return _evolved(state, _coin(operator.matrix, state.amplitudes), state.step_index)
     raise ConfigError(f"cannot apply object of type {type(operator).__name__} to a state")
 
 
@@ -158,20 +171,35 @@ def _check_shift(shift: ShiftOperator, state: WalkState) -> None:
         raise ConfigError(f"shift is {shift.d} x {shift.n}, state is {state.d} x {state.n}")
 
 
-def _coin(coin: CoinOperator, amps: np.ndarray) -> np.ndarray:
-    return (coin.matrix @ amps.reshape(coin.d, -1)).reshape(-1)
+def _exactly_real(*arrays: np.ndarray) -> tuple:
+    """The arrays' real parts, as new contiguous float64 arrays, when every
+    imaginary part is 0 and every value is finite; else the arrays as given.
+
+    Evolving the real parts is exact then (see the module docstring).  A
+    coin matrix and the amplitudes it acts on go through one call, so that
+    both are real or both stay complex."""
+    if any(a.imag.any() or not np.isfinite(a.real).all() for a in arrays):
+        return arrays
+    return tuple(np.ascontiguousarray(a.real) for a in arrays)
 
 
-def _step(amps: np.ndarray, coin: CoinOperator, shift: ShiftOperator) -> np.ndarray:
-    """One coin-then-shift step on a bare amplitude vector (dimensions checked by the caller)."""
-    return shift.apply(_coin(coin, amps))
+def _coin(matrix: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    return (matrix @ amps.reshape(len(matrix), -1)).reshape(-1)
+
+
+def _step(amps: np.ndarray, matrix: np.ndarray, shift: ShiftOperator) -> np.ndarray:
+    """One coin-then-shift step on a bare amplitude vector, with the coin's
+    matrix or its real part (dimensions checked by the caller)."""
+    return shift.apply(_coin(matrix, amps))
 
 
 def step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
     """One evolution step: coin first, then shift."""
     _check_coin(coin, state)
     _check_shift(shift, state)
-    return _evolved(state, _step(state.amplitudes, coin, shift), state.step_index + 1)
+    matrix, amps = _exactly_real(coin.matrix, state.amplitudes)
+    amps = np.asarray(_step(amps, matrix, shift), dtype=np.complex128)
+    return _evolved(state, amps, state.step_index + 1)
 
 
 def inverse_step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
@@ -196,11 +224,15 @@ def distribution(state: WalkState) -> np.ndarray:
     return _probabilities(state.amplitudes, state.d)
 
 
-def _probabilities(amps: np.ndarray, d: int) -> np.ndarray:
-    return (np.abs(amps.reshape(d, -1)) ** 2).sum(axis=0)
+def _probabilities(amps: np.ndarray, d: int, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Sum over coin labels of |amplitude|^2, computed in ``scratch``, a
+    (d, n) float64 array, when one is given."""
+    scratch = np.abs(amps.reshape(d, -1), out=scratch)
+    return np.square(scratch, out=scratch).sum(axis=0)
 
 
 def _norm2(amps: np.ndarray) -> float:
+    """<psi|psi>: ddot on real amplitudes, zdotc on complex ones."""
     return float(np.vdot(amps, amps).real)
 
 
@@ -417,17 +449,23 @@ def _records(
     _check_shift(shift, state)
 
     def loop(amps: np.ndarray, start: int, d: int):
+        matrix, amps = _exactly_real(coin.matrix, amps)
+        scratch = np.empty((d, len(amps) // d))
         for k in range(t + 1):
             # Evolved amplitudes are data: on an inconsistent map they may
             # overflow to inf and nan, which the records carry silently.
             with np.errstate(over="ignore", invalid="ignore"):
                 if k:
-                    amps = _step(amps, coin, shift)
-                probabilities = _probabilities(amps, d)
+                    amps = _step(amps, matrix, shift)
+                probabilities = _probabilities(amps, d, scratch)
                 probabilities.setflags(write=False)
                 record = TrajectoryRecord(start + k, probabilities, _norm2(amps))
+            # A non-finite squared norm means a non-finite amplitude may be
+            # there, and a complex product takes its 0 * inf to nan.
+            if amps.dtype == np.float64 and not np.isfinite(record.norm2):
+                matrix, amps = coin.matrix, amps.astype(np.complex128)
             yield record
-        return amps
+        return np.asarray(amps, dtype=np.complex128)
 
     return loop(state.amplitudes, state.step_index, state.d)
 

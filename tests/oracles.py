@@ -224,6 +224,29 @@ def distribution_by_loop(amplitudes, n, d):
     return probs
 
 
+def complex_walk(amplitudes, coin_matrix, entries, steps):
+    """Per-step probabilities and squared norms, and the final amplitudes,
+    of a walk evolved in complex128 throughout: the coin as one matrix
+    product, the shift a gather where the rotation table is a permutation
+    and adding up otherwise.  The same array operations as the library's
+    kernel, so that agreement is bit for bit, not within a tolerance."""
+    n, d = entries.shape
+    rows = (entries.T + n * np.arange(d)[:, None]).reshape(-1)
+    amps = np.array(amplitudes, dtype=np.complex128)
+    probabilities, norms = [], []
+    for k in range(steps + 1):
+        if k:
+            coined = (np.asarray(coin_matrix, dtype=np.complex128) @ amps.reshape(d, n)).reshape(-1)
+            amps = np.zeros(d * n, dtype=np.complex128)
+            if len(set(rows.tolist())) == d * n:
+                amps[rows] = coined
+            else:
+                np.add.at(amps, rows, coined)
+        probabilities.append((np.abs(amps.reshape(d, n)) ** 2).sum(axis=0))
+        norms.append(float(np.vdot(amps, amps).real))
+    return probabilities, norms, amps
+
+
 def csv_by_fstring(records):
     """The walk CSV written row by row, every float by repr in an f-string."""
     return "step,vertex,probability,norm2\n" + "".join(

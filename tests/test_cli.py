@@ -38,7 +38,7 @@ from rotwalk import (
     unitarity_defect,
 )
 
-from oracles import edge_list_text, family_by_edges, random_regular_by_pairing
+from oracles import complex_walk, edge_list_text, family_by_edges, random_regular_by_pairing
 
 HUGE_HEADER_ERROR = (
     "error: line 1: header declares 100000000000 vertices but 0 edge lines "
@@ -702,6 +702,11 @@ class TestWalkStreams:
         with np.errstate(over="ignore", invalid="ignore"):
             assert cli.main(argv) == 0
             traj = reference_walk(graph.read_text(), rot.read_text(), "grover", 1500, (0, 0, 1.0))
+            probabilities, _, _ = complex_walk(init_state(6, 3, [(0, 0, 1.0)]).amplitudes,
+                                               build_coin("grover", 3).matrix, greedy_rotation(g).entries, 1500)
+        # The real walk switches to complex arithmetic where it overflows,
+        # so every probability is that of a complex evolution, nan included.
+        assert [rec.probabilities.tobytes() for rec in traj.records] == [p.tobytes() for p in probabilities]
         if fmt == "csv":
             expected = traj.to_csv_text()
             assert ",inf," in expected and ",nan," in expected

@@ -80,6 +80,23 @@ class TestShiftOperator:
                 assert np.abs(shift.apply(vec) - direct).max() < 1e-12
         assert paths == {True, False}
 
+    @pytest.mark.parametrize("kind", ["solved", "greedy"])
+    @pytest.mark.parametrize("dtype, out", [
+        (np.float64, np.float64), (np.complex128, np.complex128), (np.float32, np.complex128),
+        (np.complex64, np.complex128), (np.int64, np.complex128),
+    ])
+    def test_apply_keeps_float64_and_converts_the_rest(self, kind, dtype, out):
+        # Real walks stay real on the gather and the np.add.at path alike;
+        # any other input is evolved as complex128.
+        g = random_regular_graph(12, 3, seed=1)
+        rot = solve_permutation(g).rotation_map if kind == "solved" else greedy_rotation(g)
+        shift = build_shift(rot)
+        vec = np.arange(-18, 18).astype(dtype)
+        result = shift.apply(vec)
+        assert result.dtype == out
+        assert np.array_equal(result, shift.to_dense() @ np.arange(-18, 18))
+        assert shift.apply_adjoint(vec).dtype == np.complex128
+
     def test_apply_adjoint_matches_transpose(self):
         rng = random.Random(3)
         npr = np.random.default_rng(3)

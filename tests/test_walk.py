@@ -31,9 +31,9 @@ from rotwalk import (
     uniform_state,
 )
 
-from rotwalk.walk import _BARE_QUADS, _QUADS, _float_text, _joined_rows
+from rotwalk.walk import _BARE_QUADS, _QUADS, _exactly_real, _float_text, _joined_rows
 
-from oracles import csv_by_fstring, dense_step, distribution_by_loop, random_regular_by_pairing
+from oracles import complex_walk, csv_by_fstring, dense_step, distribution_by_loop, random_regular_by_pairing
 
 
 class TestStates:
@@ -333,13 +333,16 @@ class TestKernel:
         g = random_regular_graph(30, 4, seed=5)
         return {"solved": solve_permutation(g).rotation_map, "greedy": greedy_rotation(g)}
 
-    @pytest.mark.parametrize("kind", ["solved", "greedy"])
-    def test_run_equals_chained_steps(self, maps, kind):
-        # The solved map takes the gather path, the greedy one np.add.at.
+    @pytest.mark.parametrize("kind, amplitude", [
+        ("solved", 1j), ("greedy", 1j), ("solved", -0.5), ("greedy", -0.5),
+    ], ids=["solved", "greedy", "solved-real", "greedy-real"])
+    def test_run_equals_chained_steps(self, maps, kind, amplitude):
+        # The solved map takes the gather path, the greedy one np.add.at; a
+        # real start evolves in real arithmetic, a complex one in complex.
         assert check_permutation_consistent(maps[kind]).consistent == (kind == "solved")
         coin = build_coin("grover", 4)
         shift = build_shift(maps[kind])
-        state = WalkState(30, 4, init_state(30, 4, [(1, 7, 1.0), (3, 2, 1j)]).amplitudes, 3)
+        state = WalkState(30, 4, init_state(30, 4, [(1, 7, 1.0), (3, 2, amplitude)]).amplitudes, 3)
         traj = run(state, coin, shift, 12)
         current = state
         for k, rec in enumerate(traj.records):
@@ -366,6 +369,65 @@ class TestKernel:
             run(state, build_coin("grover", 3), build_shift(maps["solved"]), 2)
         with pytest.raises(ConfigError):
             run(state, build_coin("grover", 4), build_shift(cycle_rotation(30)), 2)
+
+
+class TestRealArithmetic:
+    """A real coin from a real start evolves in float64; its records and its
+    final state must be those of a complex128 evolution, bit for bit, all
+    but the squared norms, which real and complex dot products sum in
+    different orders."""
+
+    @pytest.fixture(scope="class")
+    def maps(self):
+        g = random_regular_graph(300, 6, seed=3)
+        return {"solved": solve_permutation(g).rotation_map, "greedy": greedy_rotation(g),
+                "cycle": cycle_rotation(200)}
+
+    @staticmethod
+    def assert_complex_evolution(state, coin, rot, steps, exact_norms):
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = run(state, coin, build_shift(rot), steps)
+            probabilities, norms, final = complex_walk(state.amplitudes, coin.matrix, rot.entries, steps)
+        assert [rec.probabilities.tobytes() for rec in traj.records] == [p.tobytes() for p in probabilities]
+        assert traj.final_state.amplitudes.dtype == np.complex128
+        assert traj.final_state.amplitudes.tobytes() == final.tobytes()
+        if exact_norms:
+            assert np.array(traj.norms()).tobytes() == np.array(norms).tobytes()
+        else:
+            np.testing.assert_allclose(traj.norms(), norms, rtol=1e-12, atol=0)
+        return traj
+
+    @pytest.mark.parametrize("kind, coin", [
+        ("solved", "grover"), ("solved", "identity"), ("greedy", "grover"), ("greedy", "identity"),
+        ("cycle", "hadamard"),
+    ])
+    def test_real_walk_equals_complex_evolution(self, maps, kind, coin):
+        rot = maps[kind]
+        coin = build_coin(coin, rot.d)
+        state = init_state(rot.n, rot.d, [(0, 17, 1.0), (1, 120, -0.5)])
+        matrix, amps = _exactly_real(coin.matrix, state.amplitudes)
+        assert matrix.dtype == amps.dtype == np.float64
+        self.assert_complex_evolution(state, coin, rot, 60, exact_norms=False)
+
+    @pytest.mark.parametrize("kind, coin, amplitude", [
+        ("solved", "dft", -0.5), ("greedy", "grover", 0.5j), ("cycle", "hadamard", 1 + 1e-300j),
+    ])
+    def test_complex_walk_unchanged(self, maps, kind, coin, amplitude):
+        rot = maps[kind]
+        coin = build_coin(coin, rot.d)
+        state = init_state(rot.n, rot.d, [(0, 17, 1.0), (1, 120, amplitude)])
+        matrix, amps = _exactly_real(coin.matrix, state.amplitudes)
+        assert matrix.dtype == amps.dtype == np.complex128
+        self.assert_complex_evolution(state, coin, rot, 60, exact_norms=True)
+
+    def test_overflowing_walk_switches_to_complex(self):
+        # The walk of TestCsvOracle::test_overflowing_walk: its amplitudes
+        # overflow to inf, then complex products turn 0 * inf into nan.
+        rot = greedy_rotation(RegularGraph(random_regular_by_pairing(6, 3, seed=10)))
+        traj = self.assert_complex_evolution(
+            init_state(6, 3, [(0, 0, 1.0)]), build_coin("grover", 3), rot, 1500, exact_norms=False)
+        norms = np.array(traj.norms())
+        assert np.isinf(norms).any() and np.isnan(norms).any()
 
 
 def float_texts(values, fallback=repr):
