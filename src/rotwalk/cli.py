@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -61,12 +63,39 @@ def _read(path: str) -> bytes:
 
 
 def _write(path: str | None, chunks: Iterable[str]) -> None:
-    """Write each chunk as soon as it exists, to ``path`` or to stdout."""
+    """Write each chunk as soon as it exists, to ``path`` or to stdout.
+
+    A regular file, or a path where there is no file yet, is written
+    through a temporary file beside it that replaces it only once every
+    chunk is written, and is removed on any failure: a command that fails
+    midway leaves no truncated output, and a file it would have replaced
+    keeps its bytes.  Any other file (/dev/null, a FIFO) is written in
+    place, since replacing it would swap it for a plain file.
+    """
     if path is None or path == "-":
         sys.stdout.writelines(chunks)
-    else:
-        with open(path, "w", encoding="utf-8") as out:
+        return
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "w", encoding="utf-8") as out:
             out.writelines(chunks)
+        return
+    directory, name = os.path.split(target)
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    out = open(temporary, "x", encoding="utf-8")
+    try:
+        with out:
+            if mode is not None:
+                os.chmod(temporary, stat.S_IMODE(mode))
+            out.writelines(chunks)
+        os.replace(temporary, target)
+    except BaseException:
+        os.remove(temporary)
+        raise
 
 
 def _write_json(path: str | None, payload: dict) -> None:

@@ -17,8 +17,12 @@ equivalent to every rotation-map column being a permutation.
 
 Applying a shift to a state follows the same split.  When col_to_row is
 a permutation (a consistent map) the shift is one gather through the
-inverse permutation, computed once when the operator is built.  Only an
-inconsistent map, where several columns land on one row and their
+inverse permutation, computed once when the operator is built and kept
+read-only.  The gather indexes with it (``amplitudes[row_to_col]``)
+rather than calling ``ndarray.take``: take converts a read-only index
+into a new writeable array on every call, an extra pass over a table as
+large as the state's int64 indices, while indexing reads it in place.
+Only an inconsistent map, where several columns land on one row and their
 amplitudes must add up, goes through ``np.add.at``.
 
 Coins are genuinely numeric: dense complex d x d unitaries checked to a
@@ -80,12 +84,15 @@ class ShiftOperator(_FrozenTable):
         """S @ amplitudes, as a new array.  A permutation shift is a gather;
         otherwise amplitudes landing on the same row add up.  float64
         amplitudes stay float64 (the walk kernel evolves real states in
-        real arithmetic); any other input is converted to complex128."""
+        real arithmetic); any other input is converted to complex128.
+
+        The gather is fancy indexing, not ``take``: take would copy the
+        read-only inverse table on every call (see the module docstring)."""
         if amplitudes.shape != (self.dim,):
             raise ConfigError(f"amplitude vector must have length {self.dim}")
         dtype = np.float64 if amplitudes.dtype == np.float64 else np.complex128
         if self._row_to_col is not None:
-            return np.asarray(amplitudes, dtype=dtype).take(self._row_to_col)
+            return np.asarray(amplitudes, dtype=dtype)[self._row_to_col]
         out = np.zeros(self.dim, dtype=dtype)
         np.add.at(out, self.col_to_row, amplitudes)
         return out

@@ -22,14 +22,21 @@ complex arithmetic from the first step whose squared norm (which a
 non-finite amplitude makes non-finite) is not finite.  Squared norms are
 dot products, whose real and complex forms sum in different orders:
 those of real walks may differ from a complex evolution's in the last
-digits.
+digits.  The probabilities of a real state are its squares x * x, the
+bits of |x|^2 without a pass for |x|.  (Only a nan would differ, in its
+sign bit, and no real amplitude is ever nan: the walk leaves real
+arithmetic at the first step whose squared norm is not finite, and a
+step grows an amplitude by at most a factor of about d^2 from the last
+step's, all of which were below 2^512.)
 
-run() collects the records of one private generator, the record loop;
-the CLI streams the same records to its output as they are made, so its
-memory stays O(n*d) at any step count.  Both write CSV rows with one
-per-record formatter, whose probabilities come from an array kernel that
-writes each float exactly as repr does (``_float_text``); the CLI's JSON
-trajectory uses the same kernel.
+run() collects the records of one private generator, the record loop,
+into one (t + 1, n) array: each record's probabilities are a read-only
+row of it, so one record kept alive keeps the whole array alive.  The
+CLI streams the same records, each with an array of its own, to its
+output as they are made, so its memory stays O(n*d) at any step count.
+Both write CSV rows with one per-record formatter, whose probabilities
+come from an array kernel that writes each float exactly as repr does
+(``_float_text``); the CLI's JSON trajectory uses the same kernel.
 
 A trajectory records, for steps 0..t, the per-vertex probability list
 and the squared norm.  For a consistent rotation map the squared norm
@@ -224,11 +231,17 @@ def distribution(state: WalkState) -> np.ndarray:
     return _probabilities(state.amplitudes, state.d)
 
 
-def _probabilities(amps: np.ndarray, d: int, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Sum over coin labels of |amplitude|^2, computed in ``scratch``, a
-    (d, n) float64 array, when one is given."""
-    scratch = np.abs(amps.reshape(d, -1), out=scratch)
-    return np.square(scratch, out=scratch).sum(axis=0)
+def _probabilities(
+    amps: np.ndarray, d: int, scratch: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Sum over coin labels of |amplitude|^2, the squares computed in
+    ``scratch``, a (d, n) float64 array, and the sums written to ``out``,
+    when they are given.  Real amplitudes are squared as they are: x * x
+    has the bits of |x|^2 for every x but nan, whose sign bit abs clears."""
+    squares = amps.reshape(d, -1)
+    if squares.dtype != np.float64:
+        squares = scratch = np.abs(squares, out=scratch)
+    return np.square(squares, out=scratch).sum(axis=0, out=out)
 
 
 def _norm2(amps: np.ndarray) -> float:
@@ -434,30 +447,37 @@ def _layout(exponent: int, digits: np.ndarray, significant: np.ndarray) -> np.nd
 
 
 def _records(
-    state: WalkState, coin: CoinOperator, shift: ShiftOperator, t: int
+    state: WalkState, coin: CoinOperator, shift: ShiftOperator, t: int, block: bool = False
 ) -> Iterator[TrajectoryRecord]:
     """The record loop: the records of steps 0..t, each yielded as soon as
     it exists; the generator returns the final amplitude vector.
 
     t and the operators are checked here, before the first record, so a
-    refused walk has produced nothing.
+    refused walk has produced nothing.  With ``block`` the probabilities
+    of every record are read-only rows of one (t + 1, n) array, allocated
+    after the checks; without it each record has an array of its own.
     """
     (t,) = _integers(ConfigError, "step count", (t,))
     if t < 0:
         raise ConfigError(f"step count must be >= 0, got {t}")
     _check_coin(coin, state)
     _check_shift(shift, state)
+    try:
+        rows = np.empty((t + 1, state.n)) if block else None
+    except ValueError:  # NumPy's word for a size past the address space
+        raise MemoryError(f"{t + 1} records of {state.n} probabilities exceed the address space") from None
 
     def loop(amps: np.ndarray, start: int, d: int):
         matrix, amps = _exactly_real(coin.matrix, amps)
         scratch = np.empty((d, len(amps) // d))
         for k in range(t + 1):
+            row = None if rows is None else rows[k]
             # Evolved amplitudes are data: on an inconsistent map they may
             # overflow to inf and nan, which the records carry silently.
             with np.errstate(over="ignore", invalid="ignore"):
                 if k:
                     amps = _step(amps, matrix, shift)
-                probabilities = _probabilities(amps, d, scratch)
+                probabilities = _probabilities(amps, d, scratch, row)
                 probabilities.setflags(write=False)
                 record = TrajectoryRecord(start + k, probabilities, _norm2(amps))
             # A non-finite squared norm means a non-finite amplitude may be
@@ -465,15 +485,20 @@ def _records(
             if amps.dtype == np.float64 and not np.isfinite(record.norm2):
                 matrix, amps = coin.matrix, amps.astype(np.complex128)
             yield record
+        if rows is not None:
+            rows.setflags(write=False)
         return np.asarray(amps, dtype=np.complex128)
 
     return loop(state.amplitudes, state.step_index, state.d)
 
 
 def run(state: WalkState, coin: CoinOperator, shift: ShiftOperator, t: int) -> WalkTrajectory:
-    """Evolve t steps, recording the initial state and every step after it."""
+    """Evolve t steps, recording the initial state and every step after it.
+
+    The records' probabilities are rows of one array, so a record that
+    outlives its trajectory keeps the probabilities of every step alive."""
     records = []
-    loop = _records(state, coin, shift, t)
+    loop = _records(state, coin, shift, t, block=True)
     try:
         while True:
             records.append(next(loop))

@@ -2,8 +2,10 @@ import dataclasses
 import inspect
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -732,6 +734,64 @@ class TestWalkStreams:
         graph, rot = inputs / "g.edges", inputs / "greedy.rot"
         assert cli.main(["walk", str(graph), str(rot), "--out", str(out)]) == 4
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("earlier", [None, b"an earlier output\n"], ids=["new", "existing"])
+    def test_failed_walk_leaves_no_partial_output(self, inputs, tmp_path, capsys, monkeypatch, fmt, earlier):
+        # The walk runs out of memory after a few records have been written.
+        step, calls = rotwalk.walk._step, []
+
+        def exhausted(*args):
+            calls.append(None)
+            if len(calls) == 4:
+                raise MemoryError("")
+            return step(*args)
+
+        monkeypatch.setattr(rotwalk.walk, "_step", exhausted)
+        out = tmp_path / "walk.out"
+        if earlier is not None:
+            out.write_bytes(earlier)
+        graph, rot = inputs / "g.edges", inputs / "solved.rot"
+        argv = ["walk", str(graph), str(rot), "--steps", "10", "--format", fmt, "--out", str(out)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: an allocation failed\n"
+        assert len(calls) == 4
+        assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["walk.out"])
+        if earlier is not None:
+            assert out.read_bytes() == earlier
+
+    def test_existing_output_replaced_whole(self, inputs, tmp_path):
+        # Written through a symlink, the file it names is replaced, with
+        # its mode; the link stays a link.
+        out, link = tmp_path / "walk.out", tmp_path / "link.out"
+        out.write_text("x" * 100_000)
+        out.chmod(0o640)
+        link.symlink_to(out)
+        graph, rot = inputs / "g.edges", inputs / "solved.rot"
+        assert cli.main(["walk", str(graph), str(rot), "--steps", "2", "--out", str(link)]) == 0
+        expected = reference_walk(graph.read_text(), rot.read_text(), "grover", 2, (0, 0, 1.0))
+        assert out.read_text() == expected.to_csv_text()
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert link.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.out", "walk.out"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    def test_fifo_output_written_in_place(self, inputs, tmp_path):
+        # A file that is not regular is written where it is, not replaced.
+        fifo = tmp_path / "walk.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        graph, rot = inputs / "g.edges", inputs / "solved.rot"
+        assert cli.main(["walk", str(graph), str(rot), "--steps", "2", "--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        expected = reference_walk(graph.read_text(), rot.read_text(), "grover", 2, (0, 0, 1.0))
+        assert received == [expected.to_csv_text().encode()]
+        assert [p.name for p in tmp_path.iterdir()] == ["walk.fifo"]
 
 
 def traced_peak_mb(argv):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,31 @@ class TestShiftOperator:
         assert result.dtype == out
         assert np.array_equal(result, shift.to_dense() @ np.arange(-18, 18))
         assert shift.apply_adjoint(vec).dtype == np.complex128
+
+    @pytest.fixture(scope="class")
+    def large_maps(self):
+        g = random_regular_graph(2000, 8, seed=1)
+        return {"solved": solve_permutation(g).rotation_map, "greedy": greedy_rotation(g)}
+
+    @pytest.mark.parametrize("kind", ["solved", "greedy"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_apply_allocates_only_its_output(self, large_maps, kind, dtype):
+        # ndarray.take copied the read-only inverse table on every call: a
+        # traced peak of 2.00x the output for float64, 1.50x for complex128.
+        shift = build_shift(large_maps[kind])
+        vec = np.random.default_rng(1).normal(size=shift.dim).astype(dtype)
+        tracemalloc.start()
+        try:
+            out = shift.apply(vec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes
+        expected = np.zeros_like(vec)
+        np.add.at(expected, shift.col_to_row, vec)
+        assert np.array_equal(out, expected)
+        for table in (shift.col_to_row, shift._row_to_col):
+            assert table is None or not table.flags.writeable
 
     def test_apply_adjoint_matches_transpose(self):
         rng = random.Random(3)

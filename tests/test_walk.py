@@ -31,7 +31,15 @@ from rotwalk import (
     uniform_state,
 )
 
-from rotwalk.walk import _BARE_QUADS, _QUADS, _exactly_real, _float_text, _joined_rows
+from rotwalk.walk import (
+    _BARE_QUADS,
+    _QUADS,
+    _exactly_real,
+    _float_text,
+    _joined_rows,
+    _probabilities,
+    _records,
+)
 
 from oracles import complex_walk, csv_by_fstring, dense_step, distribution_by_loop, random_regular_by_pairing
 
@@ -428,6 +436,82 @@ class TestRealArithmetic:
             init_state(6, 3, [(0, 0, 1.0)]), build_coin("grover", 3), rot, 1500, exact_norms=False)
         norms = np.array(traj.norms())
         assert np.isinf(norms).any() and np.isnan(norms).any()
+
+
+class TestRecordBlock:
+    """run() squares real amplitudes without an abs pass and writes every
+    record's probabilities into one block; its records must be those of
+    the streamed record loop and of a complex evolution, bit for bit."""
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_real_squares_equal_abs_then_square(self, d):
+        rng = np.random.default_rng(d)
+        n = 600
+        wide = rng.uniform(1, 2, d * n) * np.exp2(rng.integers(-1080, 1024, d * n).astype(float))
+        wide *= rng.choice([-1.0, 1.0], d * n)
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, np.inf, -np.inf, 1e154, -1.4e154]
+        wide[rng.choice(d * n, 200, replace=False)] = rng.choice(specials, 200)
+        scratch, out = np.empty((d, n)), np.empty(n)
+        with np.errstate(over="ignore", under="ignore"):
+            expected = np.square(np.abs(wide.reshape(d, n))).sum(axis=0)
+            assert _probabilities(wide, d).tobytes() == expected.tobytes()
+            assert _probabilities(wide, d, scratch, out) is out
+            assert out.tobytes() == expected.tobytes()
+            assert _probabilities(wide.astype(np.complex128), d).tobytes() == expected.tobytes()
+
+    @pytest.fixture(scope="class")
+    def walks(self):
+        g = random_regular_graph(300, 6, seed=3)
+        solved, greedy = solve_permutation(g).rotation_map, greedy_rotation(g)
+        overflowing = greedy_rotation(RegularGraph(random_regular_by_pairing(6, 3, seed=10)))
+        return {
+            "solved-real": (solved, "grover", [(0, 17, 1.0), (1, 120, -0.5)], 60),
+            "greedy-real": (greedy, "grover", [(0, 17, 1.0), (1, 120, -0.5)], 60),
+            "solved-complex": (solved, "dft", [(0, 17, 1.0), (1, 120, 0.5j)], 60),
+            "greedy-complex": (greedy, "grover", [(0, 17, 1.0), (1, 120, 0.5j)], 60),
+            "overflowing": (overflowing, "grover", [(0, 0, 1.0)], 1500),
+        }
+
+    @pytest.mark.parametrize("case", ["solved-real", "greedy-real", "solved-complex",
+                                      "greedy-complex", "overflowing"])
+    def test_run_equals_streamed_records_and_complex_walk(self, walks, case):
+        rot, kind, support, steps = walks[case]
+        state, coin, shift = init_state(rot.n, rot.d, support), build_coin(kind, rot.d), build_shift(rot)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = run(state, coin, shift, steps)
+            streamed = list(_records(state, coin, shift, steps))
+            probabilities, _, _ = complex_walk(state.amplitudes, coin.matrix, rot.entries, steps)
+        assert [rec.step for rec in traj.records] == [rec.step for rec in streamed] == list(range(steps + 1))
+        assert np.array(traj.norms()).tobytes() == np.array([rec.norm2 for rec in streamed]).tobytes()
+        rows = [rec.probabilities.tobytes() for rec in traj.records]
+        assert rows == [rec.probabilities.tobytes() for rec in streamed]
+        assert rows == [p.tobytes() for p in probabilities]
+        # One block for run(), an array of its own for each streamed record.
+        block = traj.records[0].probabilities.base
+        assert block.shape == (steps + 1, rot.n)
+        assert all(rec.probabilities.base is block for rec in traj.records)
+        assert all(rec.probabilities.base is None for rec in streamed)
+
+    @pytest.mark.parametrize("t", [0, 1, 5])
+    def test_records_and_their_block_read_only(self, t):
+        traj = run(uniform_state(4, 2), build_coin("grover", 2), build_shift(cycle_rotation(4)), t)
+        assert len(traj.records) == t + 1
+        for rec in traj.records:
+            assert not rec.probabilities.flags.writeable
+            with pytest.raises(ValueError):
+                rec.probabilities.setflags(write=True)
+        assert not traj.records[0].probabilities.base.flags.writeable
+
+    def test_step_count_past_the_address_space_is_out_of_memory(self):
+        state = init_state(4, 2, [(0, 0, 1.0)])
+        with pytest.raises(MemoryError, match="address space"):
+            run(state, build_coin("hadamard", 2), build_shift(cycle_rotation(4)), 10**18)
+
+    @pytest.mark.parametrize("t", [-10**18, 2.5, "3", None])
+    def test_bad_step_count_rejected(self, t):
+        state = init_state(4, 2, [(0, 0, 1.0)])
+        with pytest.raises(ConfigError, match="step count"):
+            run(state, build_coin("hadamard", 2), build_shift(cycle_rotation(4)), t)
 
 
 def float_texts(values, fallback=repr):
