@@ -18,6 +18,7 @@ stats fields aside).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import stat
@@ -69,33 +70,56 @@ def _write(path: str | None, chunks: Iterable[str]) -> None:
     through a temporary file beside it that replaces it only once every
     chunk is written, and is removed on any failure: a command that fails
     midway leaves no truncated output, and a file it would have replaced
-    keeps its bytes.  Any other file (/dev/null, a FIFO) is written in
-    place, since replacing it would swap it for a plain file.
+    keeps its bytes.  Any other file (/dev/null, a FIFO, /dev/stdout onto
+    a pipe) is written in place, since replacing it would swap it for a
+    plain file; so is a regular file reached through a /proc/self/fd link
+    (/dev/fd/N) whose resolved path names another file or none, as a
+    deleted file's does.
+
+    The temporary file of NAME is ``.NAME.PID.N.tmp``, N the first number
+    whose name is free.  Only a run that is killed (SIGKILL, the kernel's
+    out-of-memory killer) leaves one behind, holding a partial output; it
+    is safe to delete.
     """
     if path is None or path == "-":
         sys.stdout.writelines(chunks)
         return
-    target = os.path.realpath(path)
     try:
-        mode = os.stat(target).st_mode
+        found = os.stat(path)
     except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(target, "w", encoding="utf-8") as out:
+        found = None
+    target = os.path.realpath(path)
+    if found is not None and not (stat.S_ISREG(found.st_mode) and _is_file(target, found)):
+        with open(path, "w", encoding="utf-8") as out:
             out.writelines(chunks)
         return
     directory, name = os.path.split(target)
-    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    out = open(temporary, "x", encoding="utf-8")
+    for n in itertools.count():
+        temporary = os.path.join(directory, f".{name}.{os.getpid()}.{n}.tmp")
+        try:
+            out = open(temporary, "x", encoding="utf-8")
+            break
+        except FileExistsError:  # left by a killed run that had this process id
+            continue
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with out:
-            if mode is not None:
-                os.chmod(temporary, stat.S_IMODE(mode))
+            if found is not None:
+                os.chmod(temporary, stat.S_IMODE(found.st_mode))
             out.writelines(chunks)
         os.replace(temporary, target)
     except BaseException:
         os.remove(temporary)
         raise
+
+
+def _is_file(path: str, found: os.stat_result) -> bool:
+    """Whether ``path`` names the file whose stat is ``found``."""
+    try:
+        return os.path.samestat(os.stat(path), found)
+    except OSError:
+        return False
 
 
 def _write_json(path: str | None, payload: dict) -> None:

@@ -462,10 +462,7 @@ def _records(
         raise ConfigError(f"step count must be >= 0, got {t}")
     _check_coin(coin, state)
     _check_shift(shift, state)
-    try:
-        rows = np.empty((t + 1, state.n)) if block else None
-    except ValueError:  # NumPy's word for a size past the address space
-        raise MemoryError(f"{t + 1} records of {state.n} probabilities exceed the address space") from None
+    rows = np.empty((t + 1, state.n)) if block else None
 
     def loop(amps: np.ndarray, start: int, d: int):
         matrix, amps = _exactly_real(coin.matrix, amps)

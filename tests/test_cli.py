@@ -793,6 +793,52 @@ class TestWalkStreams:
         assert received == [expected.to_csv_text().encode()]
         assert [p.name for p in tmp_path.iterdir()] == ["walk.fifo"]
 
+    def test_stdout_pipe_output_written_in_place(self, inputs):
+        # /dev/stdout onto a pipe resolves to no path ("pipe:[N]"); it is
+        # written where it is, as a process substitution's /dev/fd/N is.
+        graph, rot = inputs / "g.edges", inputs / "solved.rot"
+        proc = run_cli_process("walk", str(graph), str(rot), "--steps", "2", "--out", "/dev/stdout")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        expected = reference_walk(graph.read_text(), rot.read_text(), "grover", 2, (0, 0, 1.0))
+        assert proc.stdout == expected.to_csv_text()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd here")
+    def test_deleted_file_output_written_in_place(self, inputs, tmp_path):
+        # /dev/fd/N of a deleted file resolves to a path ("NAME (deleted)")
+        # that is not that file: the open file is written, no file is made.
+        gone = tmp_path / "gone.csv"
+        fd = os.open(gone, os.O_RDWR | os.O_CREAT)
+        try:
+            gone.unlink()
+            graph, rot = inputs / "g.edges", inputs / "solved.rot"
+            assert cli.main(["walk", str(graph), str(rot), "--steps", "2", "--out", f"/dev/fd/{fd}"]) == 0
+            written = os.pread(fd, 1 << 20, 0)
+        finally:
+            os.close(fd)
+        expected = reference_walk(graph.read_text(), rot.read_text(), "grover", 2, (0, 0, 1.0))
+        assert written == expected.to_csv_text().encode()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_in_missing_directory_names_the_output(self, inputs, tmp_path, capsys):
+        out = tmp_path / "missing" / "walk.out"
+        graph, rot = inputs / "g.edges", inputs / "solved.rot"
+        assert cli.main(["walk", str(graph), str(rot), "--steps", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+    def test_leftover_temporary_file_is_stepped_over(self, inputs, tmp_path):
+        # A killed run with this process id left its temporary file: the
+        # next free name is used, and the leftover is not touched.
+        out = tmp_path / "walk.out"
+        leftover = tmp_path / f".walk.out.{os.getpid()}.0.tmp"
+        leftover.write_text("partial")
+        graph, rot = inputs / "g.edges", inputs / "solved.rot"
+        assert cli.main(["walk", str(graph), str(rot), "--steps", "2", "--out", str(out)]) == 0
+        expected = reference_walk(graph.read_text(), rot.read_text(), "grover", 2, (0, 0, 1.0))
+        assert out.read_text() == expected.to_csv_text()
+        assert leftover.read_text() == "partial"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [leftover.name, "walk.out"]
+
 
 def traced_peak_mb(argv):
     """The traced peak, in MB, of one in-process CLI run."""

@@ -502,11 +502,6 @@ class TestRecordBlock:
                 rec.probabilities.setflags(write=True)
         assert not traj.records[0].probabilities.base.flags.writeable
 
-    def test_step_count_past_the_address_space_is_out_of_memory(self):
-        state = init_state(4, 2, [(0, 0, 1.0)])
-        with pytest.raises(MemoryError, match="address space"):
-            run(state, build_coin("hadamard", 2), build_shift(cycle_rotation(4)), 10**18)
-
     @pytest.mark.parametrize("t", [-10**18, 2.5, "3", None])
     def test_bad_step_count_rejected(self, t):
         state = init_state(4, 2, [(0, 0, 1.0)])
