@@ -17,13 +17,18 @@ equivalent to every rotation-map column being a permutation.
 
 Applying a shift to a state follows the same split.  When col_to_row is
 a permutation (a consistent map) the shift is one gather through the
-inverse permutation, computed once when the operator is built and kept
-read-only.  The gather indexes with it (``amplitudes[row_to_col]``)
-rather than calling ``ndarray.take``: take converts a read-only index
-into a new writeable array on every call, an extra pass over a table as
-large as the state's int64 indices, while indexing reads it in place.
+inverse permutation, computed once when the operator is built:
+``np.take(amplitudes, row_to_col, out=out, mode="clip")``, which writes
+straight into a buffer the caller owns.  Two of take's defaults would
+each add a hidden pass per call: a read-only index is converted into a
+new writeable copy, and mode "raise" with ``out`` gathers into a
+temporary copy of ``out``, so that a bad index leaves ``out`` untouched.
+The inverse table is therefore private and writeable (nothing writes it
+after the constructor), and the mode is "clip", which is exact here:
+the table is a permutation of 0..d*n-1, so no index is ever clipped.
 Only an inconsistent map, where several columns land on one row and their
-amplitudes must add up, goes through ``np.add.at``.
+amplitudes must add up, goes through ``np.add.at``, into the zeroed
+output.
 
 Coins are genuinely numeric: dense complex d x d unitaries checked to a
 1e-12 max-abs tolerance.
@@ -52,7 +57,8 @@ class ShiftOperator(_FrozenTable):
     one unit entry per column, at row ``col_to_row[c]`` of column c.
     Unitary exactly when the map's column counts, the ones the permutation
     checker reads, are all 1; then ``_row_to_col`` holds the inverse
-    permutation, else None.
+    permutation, else None.  That table stays writeable, since take would
+    copy a read-only index on every call (see the module docstring).
     """
 
     __slots__ = ("col_to_row", "_row_to_col")
@@ -68,7 +74,6 @@ class ShiftOperator(_FrozenTable):
         if (_column_counts(rot) == 1).all():
             inverse = np.empty_like(table)
             inverse[table] = np.arange(d * n)
-            inverse.setflags(write=False)
             self._row_to_col = inverse
 
     @property
@@ -84,18 +89,25 @@ class ShiftOperator(_FrozenTable):
         """S @ amplitudes, as a new array.  A permutation shift is a gather;
         otherwise amplitudes landing on the same row add up.  float64
         amplitudes stay float64 (the walk kernel evolves real states in
-        real arithmetic); any other input is converted to complex128.
-
-        The gather is fancy indexing, not ``take``: take would copy the
-        read-only inverse table on every call (see the module docstring)."""
+        real arithmetic); any other input is converted to complex128."""
         if amplitudes.shape != (self.dim,):
             raise ConfigError(f"amplitude vector must have length {self.dim}")
         dtype = np.float64 if amplitudes.dtype == np.float64 else np.complex128
-        if self._row_to_col is not None:
-            return np.asarray(amplitudes, dtype=dtype)[self._row_to_col]
-        out = np.zeros(self.dim, dtype=dtype)
-        np.add.at(out, self.col_to_row, amplitudes)
+        out = np.empty(self.dim, dtype=dtype)
+        self._apply_into(np.asarray(amplitudes, dtype=dtype), out)
         return out
+
+    def _apply_into(self, amplitudes: np.ndarray, out: np.ndarray) -> None:
+        """Write S @ amplitudes into ``out``, a contiguous array of the
+        amplitudes' dtype and shape that does not overlap them.  The gather
+        takes with the writeable inverse table and mode "clip", the one
+        form of take that makes no copy of its index or its output; no
+        index is clipped, since the table is a permutation."""
+        if self._row_to_col is not None:
+            np.take(amplitudes, self._row_to_col, out=out, mode="clip")
+        else:
+            out.fill(0)
+            np.add.at(out, self.col_to_row, amplitudes)
 
     def apply_adjoint(self, amplitudes: np.ndarray) -> np.ndarray:
         """S^T @ amplitudes (= S^-1 @ amplitudes when S is unitary)."""

@@ -516,12 +516,10 @@ def _local_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
     """
     start = time.perf_counter()
     n, d = graph.n, graph.d
-    edges = graph.edges().tolist()
+    edge_array = graph.edges()
+    edges = edge_array.tolist()
     m = len(edges)
-    edges_at = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(edges):
-        edges_at[u].append(e)
-        edges_at[v].append(e)
+    edges_at = _edges_at(edge_array, n)
 
     trace: list[int] = []
     total_iterations = 0
@@ -594,6 +592,13 @@ def _local_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
     stats = SolverStats(total_iterations, restarts_run, wall, best_conflicts, tuple(trace))
     rot = rotation_from_coloring(graph, best_labels) if best_conflicts == 0 else None
     return _outcome(graph, config, stats, rot)
+
+
+def _edges_at(edges: np.ndarray, n: int) -> list[list[int]]:
+    """Each vertex's edge ids, ascending, from an (m, 2) edge array in
+    which every vertex of 0..n-1 occurs equally often: one stable sort of
+    the endpoints by vertex, two endpoints per edge."""
+    return (np.argsort(edges.ravel(), kind="stable") // 2).reshape(n, -1).tolist()
 
 
 def _kempe_component(edges, edges_at, labels, e0, a, b):

@@ -7,9 +7,15 @@ operators module for the ordering convention.
 
 step() and run() share one kernel on raw amplitude vectors: the coin is
 a (d x d) @ (d x n) matrix product and the shift is a gather for a
-consistent map (``np.add.at`` only for an inconsistent one).  run()
-checks the operators once, keeps the amplitudes as a bare array between
-steps and wraps only the final state in a WalkState.
+consistent map (``np.add.at`` only for an inconsistent one).  step()
+allocates its result.  run() checks the operators once and evolves the
+walk in place in two buffers of the evolution dtype that its record loop
+owns: the state, and the coin's output.  Each step writes the coin
+product into the second (``np.matmul(..., out=)``) and gathers the shift
+back into the first, so no array of size d*n is allocated per step.  The
+loop never writes to the caller's state, and no record shares memory
+with either buffer: a record's probabilities are written to an array of
+their own (or a row of run()'s block), and its squared norm is a float.
 
 While the coin matrix and the amplitudes are real and finite (a Grover,
 Hadamard or identity coin from a real start), the kernel evolves float64
@@ -22,12 +28,14 @@ complex arithmetic from the first step whose squared norm (which a
 non-finite amplitude makes non-finite) is not finite.  Squared norms are
 dot products, whose real and complex forms sum in different orders:
 those of real walks may differ from a complex evolution's in the last
-digits.  The probabilities of a real state are its squares x * x, the
-bits of |x|^2 without a pass for |x|.  (Only a nan would differ, in its
-sign bit, and no real amplitude is ever nan: the walk leaves real
-arithmetic at the first step whose squared norm is not finite, and a
-step grows an amplitude by at most a factor of about d^2 from the last
-step's, all of which were below 2^512.)
+digits.  The probabilities are summed label by label, into the output
+row through one n-float scratch row, in the order sum(axis=0) adds them,
+so they keep its bits.  The probabilities of a real state are its
+squares x * x, the bits of |x|^2 without a pass for |x|.  (Only a nan
+would differ, in its sign bit, and no real amplitude is ever nan: the
+walk leaves real arithmetic at the first step whose squared norm is not
+finite, and a step grows an amplitude by at most a factor of about d^2
+from the last step's, all of which were below 2^512.)
 
 run() collects the records of one private generator, the record loop,
 into one (t + 1, n) array: each record's probabilities are a read-only
@@ -63,10 +71,12 @@ class WalkState:
 
     Amplitudes a caller supplies must be finite.  A state the evolution
     produces is data and is never refused: on an inconsistent map its
-    amplitudes may grow until they overflow.
+    amplitudes may grow until they overflow.  The amplitudes are
+    read-only, so the squared norm is computed on the first call of
+    norm2() and kept.
     """
 
-    __slots__ = ("n", "d", "amplitudes", "step_index")
+    __slots__ = ("n", "d", "amplitudes", "step_index", "_squared_norm")
 
     def __init__(self, n: int, d: int, amplitudes: np.ndarray, step_index: int = 0):
         n, d, step_index = _integers(ConfigError, "state n, d and step index", (n, d, step_index))
@@ -80,11 +90,14 @@ class WalkState:
         self.d = d
         self.amplitudes = amps
         self.step_index = step_index
+        self._squared_norm = None
 
     def norm2(self) -> float:
         """Squared norm <psi|psi>."""
-        (amps,) = _exactly_real(self.amplitudes)
-        return _norm2(amps)
+        if self._squared_norm is None:
+            (amps,) = _exactly_real(self.amplitudes)
+            self._squared_norm = _norm2(amps)
+        return self._squared_norm
 
     def __repr__(self) -> str:
         return f"WalkState(n={self.n}, d={self.d}, step={self.step_index})"
@@ -96,6 +109,7 @@ def _evolved(state: WalkState, amps: np.ndarray, step_index: int) -> WalkState:
     evolved = object.__new__(WalkState)
     amps.setflags(write=False)
     evolved.n, evolved.d, evolved.amplitudes, evolved.step_index = state.n, state.d, amps, step_index
+    evolved._squared_norm = None
     return evolved
 
 
@@ -164,7 +178,8 @@ def apply(operator, state: WalkState) -> WalkState:
         return _evolved(state, operator.apply(state.amplitudes), state.step_index)
     if isinstance(operator, CoinOperator):
         _check_coin(operator, state)
-        return _evolved(state, _coin(operator.matrix, state.amplitudes), state.step_index)
+        amps = (operator.matrix @ state.amplitudes.reshape(state.d, -1)).reshape(-1)
+        return _evolved(state, amps, state.step_index)
     raise ConfigError(f"cannot apply object of type {type(operator).__name__} to a state")
 
 
@@ -190,23 +205,30 @@ def _exactly_real(*arrays: np.ndarray) -> tuple:
     return tuple(np.ascontiguousarray(a.real) for a in arrays)
 
 
-def _coin(matrix: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    return (matrix @ amps.reshape(len(matrix), -1)).reshape(-1)
+def _evolvable(coin: CoinOperator, amplitudes: np.ndarray) -> tuple:
+    """The coin matrix and the amplitudes in the arithmetic the walk evolves
+    in (see _exactly_real), the amplitudes as a new array the evolution may
+    write: never the caller's."""
+    matrix, amps = _exactly_real(coin.matrix, amplitudes)
+    return matrix, amps.copy() if amps is amplitudes else amps
 
 
-def _step(amps: np.ndarray, matrix: np.ndarray, shift: ShiftOperator) -> np.ndarray:
-    """One coin-then-shift step on a bare amplitude vector, with the coin's
-    matrix or its real part (dimensions checked by the caller)."""
-    return shift.apply(_coin(matrix, amps))
+def _step(amps: np.ndarray, matrix: np.ndarray, shift: ShiftOperator, coined: np.ndarray) -> None:
+    """One coin-then-shift step, in place, on a bare amplitude vector: the
+    coin product (with the coin's matrix or its real part) goes into
+    ``coined``, a buffer of the amplitudes' dtype and shape, and the shift
+    gathers it back into ``amps``.  Dimensions are checked by the caller."""
+    np.matmul(matrix, amps.reshape(len(matrix), -1), out=coined.reshape(len(matrix), -1))
+    shift._apply_into(coined, amps)
 
 
 def step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
     """One evolution step: coin first, then shift."""
     _check_coin(coin, state)
     _check_shift(shift, state)
-    matrix, amps = _exactly_real(coin.matrix, state.amplitudes)
-    amps = np.asarray(_step(amps, matrix, shift), dtype=np.complex128)
-    return _evolved(state, amps, state.step_index + 1)
+    matrix, amps = _evolvable(coin, state.amplitudes)
+    _step(amps, matrix, shift, np.empty_like(amps))
+    return _evolved(state, np.asarray(amps, dtype=np.complex128), state.step_index + 1)
 
 
 def inverse_step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
@@ -234,14 +256,26 @@ def distribution(state: WalkState) -> np.ndarray:
 def _probabilities(
     amps: np.ndarray, d: int, scratch: np.ndarray | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Sum over coin labels of |amplitude|^2, the squares computed in
-    ``scratch``, a (d, n) float64 array, and the sums written to ``out``,
-    when they are given.  Real amplitudes are squared as they are: x * x
-    has the bits of |x|^2 for every x but nan, whose sign bit abs clears."""
-    squares = amps.reshape(d, -1)
-    if squares.dtype != np.float64:
-        squares = scratch = np.abs(squares, out=scratch)
-    return np.square(squares, out=scratch).sum(axis=0, out=out)
+    """Sum over coin labels of |amplitude|^2, written to ``out`` when it is
+    given.  Label 0 is squared into the output and each further label into
+    ``scratch``, an n-float64 row, then added to it: the additions
+    sum(axis=0) makes, in its order, so the sums keep its bits.  Real
+    amplitudes are squared as they are: x * x has the bits of |x|^2 for
+    every x but nan, whose sign bit abs clears."""
+    labels = amps.reshape(d, -1)
+    out = _squares(labels[0], out)
+    if d > 1 and scratch is None:
+        scratch = np.empty_like(out)
+    for label in labels[1:]:
+        np.add(out, _squares(label, scratch), out=out)
+    return out
+
+
+def _squares(amps: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """|amplitude|^2 of a 1-d array, into ``out`` when it is given."""
+    if amps.dtype != np.float64:
+        amps = out = np.abs(amps, out=out)
+    return np.square(amps, out=out)
 
 
 def _norm2(amps: np.ndarray) -> float:
@@ -456,6 +490,9 @@ def _records(
     refused walk has produced nothing.  With ``block`` the probabilities
     of every record are read-only rows of one (t + 1, n) array, allocated
     after the checks; without it each record has an array of its own.
+    The walk evolves in place in two buffers of the evolution dtype, the
+    state and the coin's output, made once (and once more, as complex128,
+    on a switch to complex arithmetic); see the module docstring.
     """
     (t,) = _integers(ConfigError, "step count", (t,))
     if t < 0:
@@ -465,15 +502,16 @@ def _records(
     rows = np.empty((t + 1, state.n)) if block else None
 
     def loop(amps: np.ndarray, start: int, d: int):
-        matrix, amps = _exactly_real(coin.matrix, amps)
-        scratch = np.empty((d, len(amps) // d))
+        matrix, amps = _evolvable(coin, amps)
+        coined = np.empty_like(amps)
+        scratch = np.empty(len(amps) // d)
         for k in range(t + 1):
             row = None if rows is None else rows[k]
             # Evolved amplitudes are data: on an inconsistent map they may
             # overflow to inf and nan, which the records carry silently.
             with np.errstate(over="ignore", invalid="ignore"):
                 if k:
-                    amps = _step(amps, matrix, shift)
+                    _step(amps, matrix, shift, coined)
                 probabilities = _probabilities(amps, d, scratch, row)
                 probabilities.setflags(write=False)
                 record = TrajectoryRecord(start + k, probabilities, _norm2(amps))
@@ -481,6 +519,7 @@ def _records(
             # there, and a complex product takes its 0 * inf to nan.
             if amps.dtype == np.float64 and not np.isfinite(record.norm2):
                 matrix, amps = coin.matrix, amps.astype(np.complex128)
+                coined = np.empty_like(amps)
             yield record
         if rows is not None:
             rows.setflags(write=False)

@@ -120,8 +120,31 @@ class TestShiftOperator:
         expected = np.zeros_like(vec)
         np.add.at(expected, shift.col_to_row, vec)
         assert np.array_equal(out, expected)
-        for table in (shift.col_to_row, shift._row_to_col):
-            assert table is None or not table.flags.writeable
+        assert not shift.col_to_row.flags.writeable
+        # take(mode="clip") would clamp a bad index silently: the private
+        # inverse table must be an exact permutation, the inverse of col_to_row.
+        if kind == "solved":
+            assert np.array_equal(shift._row_to_col, np.argsort(shift.col_to_row))
+        else:
+            assert shift._row_to_col is None
+
+    @pytest.mark.parametrize("kind", ["solved", "greedy"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_apply_into_allocates_nothing(self, large_maps, kind, dtype):
+        # With a read-only index, or with mode "raise" and an output, take
+        # would copy the index or the output on every call, 128 or 256 KB
+        # here.  np.add.at allocates about 5 KB per call at any size.
+        shift = build_shift(large_maps[kind])
+        vec = np.random.default_rng(2).normal(size=shift.dim).astype(dtype)
+        out = np.full_like(vec, np.nan)
+        tracemalloc.start()
+        try:
+            shift._apply_into(vec, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (4096 if kind == "solved" else 8192)
+        assert out.tobytes() == shift.apply(vec).tobytes()
 
     def test_apply_adjoint_matches_transpose(self):
         rng = random.Random(3)

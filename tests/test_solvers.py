@@ -40,6 +40,7 @@ from rotwalk import (
     validate_against_graph,
 )
 from rotwalk.solvers import (
+    _edges_at,
     _euler_halves,
     _kempe_component,
     _stable_order,
@@ -440,6 +441,31 @@ class TestLocalSearch:
         assert all(c >= 0 for c in trace)
 
 
+def edges_at_by_loop(n, edges):
+    """Each vertex's edge ids in ascending order, one append per endpoint."""
+    edges_at = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        edges_at[u].append(e)
+        edges_at[v].append(e)
+    return edges_at
+
+
+class TestEdgesAt:
+    """Local search reads each vertex's edge ids from one stable argsort."""
+
+    @pytest.mark.parametrize("n, d, seed", [(2, 1, 0), (10, 3, 0), (16, 5, 1), (30, 4, 2), (40, 7, 3),
+                                            (301, 6, 4), (2000, 8, 5)])
+    def test_random_graphs_equal_the_loop(self, n, d, seed):
+        g = random_regular_graph(n, d, seed=seed)
+        assert _edges_at(g.edges(), n) == edges_at_by_loop(n, g.edges().tolist())
+
+    @pytest.mark.parametrize("graph", [cycle_graph(7), complete_graph(6), hypercube_graph(5),
+                                       torus_graph(4, 5), complete_bipartite_graph(4)],
+                             ids=["cycle", "complete", "hypercube", "torus", "bipartite"])
+    def test_families_equal_the_loop(self, graph):
+        assert _edges_at(graph.edges(), graph.n) == edges_at_by_loop(graph.n, graph.edges().tolist())
+
+
 class TestKempeComponent:
     """Local search never rescores a Kempe swap.  That is sound only if the
     component holds every a- and b-labeled edge at each vertex it touches,
@@ -449,10 +475,7 @@ class TestKempeComponent:
     def test_swap_keeps_every_vertex_label_multiset(self, n, d, seed):
         g = random_regular_graph(n, d, seed=seed)
         edges = g.edges().tolist()
-        edges_at = [[] for _ in range(n)]
-        for e, (u, v) in enumerate(edges):
-            edges_at[u].append(e)
-            edges_at[v].append(e)
+        edges_at = edges_at_by_loop(n, edges)
         rng = random.Random(seed)
         for _ in range(25):
             labels = [rng.randrange(d) for _ in edges]

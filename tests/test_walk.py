@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from rotwalk import (
     uniform_state,
 )
 
+from rotwalk import walk
 from rotwalk.walk import (
     _BARE_QUADS,
     _QUADS,
@@ -451,7 +453,7 @@ class TestRecordBlock:
         wide *= rng.choice([-1.0, 1.0], d * n)
         specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, np.inf, -np.inf, 1e154, -1.4e154]
         wide[rng.choice(d * n, 200, replace=False)] = rng.choice(specials, 200)
-        scratch, out = np.empty((d, n)), np.empty(n)
+        scratch, out = np.empty(n), np.empty(n)
         with np.errstate(over="ignore", under="ignore"):
             expected = np.square(np.abs(wide.reshape(d, n))).sum(axis=0)
             assert _probabilities(wide, d).tobytes() == expected.tobytes()
@@ -492,6 +494,25 @@ class TestRecordBlock:
         assert all(rec.probabilities.base is block for rec in traj.records)
         assert all(rec.probabilities.base is None for rec in streamed)
 
+    @pytest.mark.parametrize("case", ["solved-real", "greedy-real", "solved-complex",
+                                      "greedy-complex", "overflowing"])
+    def test_final_norm2_is_the_last_record_computed_once(self, walks, case, monkeypatch):
+        rot, kind, support, steps = walks[case]
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = run(init_state(rot.n, rot.d, support), build_coin(kind, rot.d), build_shift(rot), steps)
+        calls = []
+
+        def counted(amps):
+            calls.append(len(amps))
+            return norm2(amps)
+
+        norm2 = walk._norm2
+        monkeypatch.setattr(walk, "_norm2", counted)
+        first = traj.final_state.norm2()
+        assert np.float64(first).tobytes() == np.float64(traj.records[-1].norm2).tobytes()
+        assert np.float64(traj.final_state.norm2()).tobytes() == np.float64(first).tobytes()
+        assert calls == [rot.n * rot.d]
+
     @pytest.mark.parametrize("t", [0, 1, 5])
     def test_records_and_their_block_read_only(self, t):
         traj = run(uniform_state(4, 2), build_coin("grover", 2), build_shift(cycle_rotation(4)), t)
@@ -507,6 +528,60 @@ class TestRecordBlock:
         state = init_state(4, 2, [(0, 0, 1.0)])
         with pytest.raises(ConfigError, match="step count"):
             run(state, build_coin("hadamard", 2), build_shift(cycle_rotation(4)), t)
+
+
+class TestInPlaceLoop:
+    """The record loop evolves the walk in two buffers it owns: a step
+    allocates no array of the state's size, no record shares memory with
+    the buffers, and the caller's state is never written."""
+
+    @pytest.fixture(scope="class")
+    def maps(self):
+        g = random_regular_graph(2000, 8, seed=1)
+        return {"solved": solve_permutation(g).rotation_map, "greedy": greedy_rotation(g)}
+
+    WALKS = [("grover", -0.5), ("dft", 0.5j)]
+
+    @pytest.mark.parametrize("kind", ["solved", "greedy"])
+    @pytest.mark.parametrize("coin, amplitude", WALKS, ids=["real", "complex"])
+    def test_streamed_steps_allocate_no_state(self, maps, kind, coin, amplitude):
+        # A fresh coin product and gather output per step traced 2.0x the
+        # real state's bytes on a real walk, 6.0x on a complex one.  What
+        # is left is one record's probabilities, n floats, made while the
+        # one before it is still held.
+        rot = maps[kind]
+        state = init_state(rot.n, rot.d, [(0, 17, 1.0), (1, 120, amplitude)])
+        coin, shift = build_coin(coin, rot.d), build_shift(rot)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tracemalloc.start()
+            try:
+                records = _records(state, coin, shift, 40)
+                record = next(records)
+                before = tracemalloc.get_traced_memory()[1]
+                for _ in range(40):
+                    record = next(records)
+                grown = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        assert record.step == 40
+        assert grown <= 0.25 * 8 * rot.n * rot.d
+
+    @pytest.mark.parametrize("kind", ["solved", "greedy"])
+    @pytest.mark.parametrize("coin, amplitude", WALKS, ids=["real", "complex"])
+    def test_records_own_their_memory_and_input_unchanged(self, maps, kind, coin, amplitude):
+        rot = maps[kind]
+        state = init_state(rot.n, rot.d, [(0, 17, 1.0), (1, 120, amplitude)])
+        before = state.amplitudes.tobytes()
+        coin, shift = build_coin(coin, rot.d), build_shift(rot)
+        with np.errstate(over="ignore", invalid="ignore"):
+            streamed = list(_records(state, coin, shift, 30))
+            traj = run(state, coin, shift, 30)
+        assert state.amplitudes.tobytes() == before
+        assert [rec.probabilities.tobytes() for rec in streamed] == [
+            rec.probabilities.tobytes() for rec in traj.records]
+        assert np.array([rec.norm2 for rec in streamed]).tobytes() == np.array(traj.norms()).tobytes()
+        assert not any(np.shares_memory(rec.probabilities, traj.final_state.amplitudes)
+                       for rec in traj.records)
 
 
 def float_texts(values, fallback=repr):
