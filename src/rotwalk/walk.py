@@ -30,12 +30,14 @@ dot products, whose real and complex forms sum in different orders:
 those of real walks may differ from a complex evolution's in the last
 digits.  The probabilities are summed label by label, into the output
 row through one n-float scratch row, in the order sum(axis=0) adds them,
-so they keep its bits.  The probabilities of a real state are its
-squares x * x, the bits of |x|^2 without a pass for |x|.  (Only a nan
-would differ, in its sign bit, and no real amplitude is ever nan: the
-walk leaves real arithmetic at the first step whose squared norm is not
-finite, and a step grows an amplitude by at most a factor of about d^2
-from the last step's, all of which were below 2^512.)
+so they keep its bits: a row is squared and added while it is in cache,
+where a (d, n) array of squares would be written whole and read back.
+The probabilities of a real state are its squares x * x, the bits of
+|x|^2 without a pass for |x|.  (Only a nan would differ, in its sign
+bit, and no real amplitude is ever nan: the walk leaves real arithmetic
+at the first step whose squared norm is not finite, and a step grows an
+amplitude by at most a factor of about d^2 from the last step's, all of
+which were below 2^512.)
 
 run() collects the records of one private generator, the record loop,
 into one (t + 1, n) array: each record's probabilities are a read-only
@@ -71,12 +73,10 @@ class WalkState:
 
     Amplitudes a caller supplies must be finite.  A state the evolution
     produces is data and is never refused: on an inconsistent map its
-    amplitudes may grow until they overflow.  The amplitudes are
-    read-only, so the squared norm is computed on the first call of
-    norm2() and kept.
+    amplitudes may grow until they overflow.
     """
 
-    __slots__ = ("n", "d", "amplitudes", "step_index", "_squared_norm")
+    __slots__ = ("n", "d", "amplitudes", "step_index")
 
     def __init__(self, n: int, d: int, amplitudes: np.ndarray, step_index: int = 0):
         n, d, step_index = _integers(ConfigError, "state n, d and step index", (n, d, step_index))
@@ -90,14 +90,11 @@ class WalkState:
         self.d = d
         self.amplitudes = amps
         self.step_index = step_index
-        self._squared_norm = None
 
     def norm2(self) -> float:
         """Squared norm <psi|psi>."""
-        if self._squared_norm is None:
-            (amps,) = _exactly_real(self.amplitudes)
-            self._squared_norm = _norm2(amps)
-        return self._squared_norm
+        (amps,) = _exactly_real(self.amplitudes)
+        return _norm2(amps)
 
     def __repr__(self) -> str:
         return f"WalkState(n={self.n}, d={self.d}, step={self.step_index})"
@@ -109,7 +106,6 @@ def _evolved(state: WalkState, amps: np.ndarray, step_index: int) -> WalkState:
     evolved = object.__new__(WalkState)
     amps.setflags(write=False)
     evolved.n, evolved.d, evolved.amplitudes, evolved.step_index = state.n, state.d, amps, step_index
-    evolved._squared_norm = None
     return evolved
 
 

@@ -32,7 +32,6 @@ from rotwalk import (
     uniform_state,
 )
 
-from rotwalk import walk
 from rotwalk.walk import (
     _BARE_QUADS,
     _QUADS,
@@ -493,25 +492,6 @@ class TestRecordBlock:
         assert block.shape == (steps + 1, rot.n)
         assert all(rec.probabilities.base is block for rec in traj.records)
         assert all(rec.probabilities.base is None for rec in streamed)
-
-    @pytest.mark.parametrize("case", ["solved-real", "greedy-real", "solved-complex",
-                                      "greedy-complex", "overflowing"])
-    def test_final_norm2_is_the_last_record_computed_once(self, walks, case, monkeypatch):
-        rot, kind, support, steps = walks[case]
-        with np.errstate(over="ignore", invalid="ignore"):
-            traj = run(init_state(rot.n, rot.d, support), build_coin(kind, rot.d), build_shift(rot), steps)
-        calls = []
-
-        def counted(amps):
-            calls.append(len(amps))
-            return norm2(amps)
-
-        norm2 = walk._norm2
-        monkeypatch.setattr(walk, "_norm2", counted)
-        first = traj.final_state.norm2()
-        assert np.float64(first).tobytes() == np.float64(traj.records[-1].norm2).tobytes()
-        assert np.float64(traj.final_state.norm2()).tobytes() == np.float64(first).tobytes()
-        assert calls == [rot.n * rot.d]
 
     @pytest.mark.parametrize("t", [0, 1, 5])
     def test_records_and_their_block_read_only(self, t):
