@@ -40,6 +40,7 @@ from .rotmap import (
     serialize_rotation,
     validate_against_graph,
 )
+from .textio import csv_chunks, joined_floats
 from .version import REPORT_VERSION, __version__
 
 # The operators, solvers and walk layers are imported by the commands
@@ -173,14 +174,10 @@ _PROBABILITY_SEPARATOR = ",\n        "
 
 
 def _step_items(records: Iterable[TrajectoryRecord]) -> Iterator[str]:
-    """The steps' items.  The walk's float kernel writes the probabilities;
+    """The steps' items.  textio's float kernel writes the probabilities;
     json.dumps spells the values it leaves over, NaN and Infinity among them."""
-    from .walk import _float_text, _joined_rows
-
     for rec in records:
-        probabilities = _joined_rows(
-            [_float_text(rec.probabilities, json.dumps), _PROBABILITY_SEPARATOR]
-        )[: -len(_PROBABILITY_SEPARATOR)]
+        probabilities = joined_floats(rec.probabilities, _PROBABILITY_SEPARATOR, json.dumps)
         yield _STEP_ITEM % (json.dumps(rec.step), json.dumps(rec.norm2), probabilities)
 
 
@@ -332,7 +329,7 @@ def _parse_start(specs: list[str] | None, n: int, d: int):
 
 def cmd_walk(args) -> int:
     from .operators import build_coin, build_shift
-    from .walk import _csv_chunks, _records, init_state, uniform_state
+    from .walk import init_state, stream_records, uniform_state
 
     graph = parse_graph(_read(args.graph))
     rot = parse_rotation(_read(args.map))
@@ -350,9 +347,9 @@ def cmd_walk(args) -> int:
     support = _parse_start(args.start, rot.n, rot.d)
     state = uniform_state(rot.n, rot.d) if support is None else init_state(rot.n, rot.d, support)
     # The walk's checks run here, before the output is opened.
-    records = _records(state, coin, build_shift(rot), args.steps)
+    records = stream_records(state, coin, build_shift(rot), args.steps)
     if args.format == "csv":
-        _write(args.out, _csv_chunks(rot.n, records))
+        _write(args.out, csv_chunks(rot.n, records))
     else:
         payload = {"version": REPORT_VERSION, "n": rot.n, "d": rot.d, "steps": _LIST_MARK}
         _write(args.out, _spliced_json(payload, _step_items(records)))

@@ -1,4 +1,5 @@
-"""Simple d-regular graphs: construction, validation, families, text I/O.
+"""Simple d-regular graphs: construction, validation, families, and the
+edge-list parser and serializer.
 
 Vertices are 0-based integers internally.  Every external surface (the
 edge-list text format, error messages, reports) uses 1-based vertex ids;
@@ -11,12 +12,9 @@ Edge-list text format::
     ...
 
 with ``1 <= u < v <= n``, one edge per line, '#' starting a comment line.
-Edge order is not significant; serialization writes edges sorted.
-
-This module also holds the reader and writer shared with the
-rotation-map format (``rotmap.py``): a document is read into int64 arrays
-with array operations, each parser checks its body lines as masks, and a
-format error names the first bad line in document order.
+Edge order is not significant; serialization writes edges sorted.  The
+text is read and written by textio's table reader and writer; a format
+error names the first bad line in document order.
 """
 
 from __future__ import annotations
@@ -24,11 +22,11 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FormatError, GenerationError, GraphStructureError, RegularityError, RotwalkError
+from .textio import _read_table, _write_table
 
 
 def _integer_table(values, error: type[RotwalkError], what: str) -> np.ndarray:
@@ -200,137 +198,6 @@ def _require_uniform_degrees(degrees: np.ndarray, expected: int | None = None) -
     return expected
 
 
-# ---------------------------------------------------------------------------
-# Text format
-#
-# Both text formats (edge lists here, rotation maps in rotmap.py) are an
-# 'n d' header line followed by lines of whitespace-separated integers.
-# ``_read_table`` reads either into arrays in one pass over the text;
-# each parser then runs its checks as masks over the body lines and words
-# a message only for the first bad line.  ``_write_table`` writes either.
-
-
-def _byte_table(test) -> np.ndarray:
-    return np.array([code < 128 and test(chr(code)) for code in range(256)])
-
-
-# By UTF-8 byte: whether it is whitespace (``str.isspace``), and whether it
-# ends a line (``str.splitlines``).  Only ASCII bytes are either, so a
-# non-ASCII character is part of a field.
-_IS_SPACE = _byte_table(str.isspace)
-_ENDS_LINE = _byte_table(lambda char: len(f"x{char}x".splitlines()) == 2)
-
-
-class _Table(NamedTuple):
-    """A document read as its 'n d' header and a body of integer fields.
-
-    Body line i (0-based, document order, comment and blank lines left
-    out) is line ``lines[i]`` (1-based) of the document and holds
-    ``widths[i]`` fields.  ``values`` holds every body field in order as
-    int64, 0 where a field is not an integer; ``integral[i]`` says
-    whether every field of line i is one.
-    """
-
-    n: int
-    d: int
-    header_line: int
-    lines: np.ndarray
-    widths: np.ndarray
-    integral: np.ndarray
-    values: np.ndarray
-
-    def rows(self, k: int) -> np.ndarray:
-        """The body as an (m, k) array; lines without k fields read as 0s."""
-        fit = self.widths == k
-        if fit.all():
-            return self.values.reshape(len(fit), k)
-        starts = np.cumsum(self.widths) - self.widths
-        table = np.zeros((len(fit), k), dtype=np.int64)
-        table[fit] = self.values[starts[fit, None] + np.arange(k)]
-        return table
-
-
-def _read_table(text: str | bytes) -> _Table:
-    """Read a header-plus-integer-lines document from its UTF-8 bytes
-    (``text`` itself, or a str encoded to them).
-
-    Lines end at the ASCII line ends of ``str.splitlines`` ("\\r\\n" is
-    one); fields are the runs between ASCII whitespace; a blank line, or
-    one whose first field starts with '#', is left out.  Every field of
-    the header and the body is an integer iff it matches
-    ``-?[0-9]{1,18}``.  Header errors are raised here; the body is
-    checked by the caller.
-    """
-    if isinstance(text, str):
-        text = text.encode("utf-8", "surrogatepass")
-    codes = np.frombuffer(text, dtype=np.uint8)
-    is_space = _IS_SPACE.take(codes)
-    ends = _ENDS_LINE.take(codes)
-    ends[1:] &= (codes[1:] != ord("\n")) | (codes[:-1] != ord("\r"))  # "\r\n" ends one line
-    # Fields are the runs of non-space: bounds alternate start, stop, start, ...
-    padded = np.concatenate([[True], is_space, [True]])
-    bounds = np.flatnonzero(padded[1:] != padded[:-1])
-    starts, stops = bounds[0::2], bounds[1::2]
-    # A field opens its line when it is the first one, or a line ends
-    # before it (line ends are spaces, so never inside a field).
-    breaks = np.flatnonzero(ends)
-    first = np.zeros(len(starts) + 1, dtype=bool)
-    first[np.searchsorted(starts, breaks)] = True
-    first = first[:-1]
-    first[:1] = True
-    comment = (codes[starts[first]] == ord("#"))[np.cumsum(first) - 1]
-    kept = np.flatnonzero(~comment)
-    if not kept.size:
-        raise FormatError("empty document: missing 'n d' header")
-    first = first[kept]
-    opens = np.flatnonzero(first)
-    lines = np.searchsorted(breaks, starts[kept[opens]]) + 1  # 1-based
-    widths = np.diff(opens, append=len(kept))
-    header_line = int(lines[0])
-    if widths[0] != 2:
-        raise FormatError("header must be 'n d'", line=header_line)
-    values, ok = _decimal_integers(codes, is_space, starts, stops, kept)
-    if not ok[:2].all():
-        raise FormatError("header must be two integers", line=header_line)
-    n, d = values[:2].tolist()
-    if n < 1 or d < 1:
-        raise FormatError("header requires n >= 1 and d >= 1", line=header_line)
-    line_index = np.cumsum(first[2:]) - 1  # body line of each body field
-    integral = np.bincount(line_index[~ok[2:]], minlength=len(opens) - 1) == 0
-    return _Table(n, d, header_line, lines[1:], widths[1:], integral, values[2:])
-
-
-# A field of at most this many ASCII digits is below 10**18 < 2**63.
-_MAX_DIGITS = 18
-
-
-def _decimal_integers(codes, is_space, starts, stops, fields) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 values of ``fields`` (indices into ``starts``/``stops``)
-    and whether each is an integer: an optional '-', then 1 to
-    ``_MAX_DIGITS`` ASCII digits.  A field that is not one reads 0.
-
-    Digit by digit, one ``values * 10 + digit`` pass per position."""
-    other = np.flatnonzero((codes - ord("0") > 9) & ~is_space)  # wraps below '0'
-    field_of_other = np.searchsorted(starts, other, side="right") - 1
-    sign = (other == starts[field_of_other]) & (codes[other] == ord("-"))  # a leading '-'
-    bad = np.zeros(len(starts), dtype=bool)
-    bad[field_of_other[~sign]] = True
-    stop = stops[fields]
-    negative = codes[starts[fields]] == ord("-")
-    start = starts[fields] + negative  # the first digit
-    ok = ~bad[fields] & (start < stop) & (stop - start <= _MAX_DIGITS)
-    values = np.zeros(len(fields), dtype=np.int64)
-    for k in range(int((stop - start)[ok].max(initial=0)), 0, -1):
-        at = stop - k
-        digit = codes.take(at, mode="clip") - ord("0")
-        digit[at < start] = 0
-        values *= 10
-        values += digit
-    values[~ok] = 0
-    np.negative(values, out=values, where=negative)
-    return values, ok
-
-
 def _raise_first(checks, error: type[RotwalkError] = FormatError, lines=None) -> None:
     """Raise ``error`` for the first row that fails a check.
 
@@ -346,12 +213,6 @@ def _raise_first(checks, error: type[RotwalkError] = FormatError, lines=None) ->
         if lines is None:
             raise error(message(i))
         raise error(message(i), line=int(lines[i]))
-
-
-def _write_table(n: int, d: int, rows: np.ndarray) -> str:
-    """The 'n d' header line, then one line per row of 0-based ``rows``, 1-based."""
-    template = " ".join(["%d"] * rows.shape[1]) + "\n"
-    return f"{n} {d}\n" + (template * len(rows)) % tuple((rows + 1).ravel().tolist())
 
 
 def parse_graph(text: str | bytes) -> RegularGraph:

@@ -23,9 +23,9 @@ Rotation-map text format::
     ...
     w_1 ... w_d      (row for vertex n)
 
-with '#' starting a comment line.  It is read and written by the same
-array-based reader and writer as the edge-list format (``graphs.py``);
-a format error names the first bad line in document order.
+with '#' starting a comment line.  It is read and written by textio's
+table reader and writer, as the edge-list format is; a format error
+names the first bad line in document order.
 """
 
 from __future__ import annotations
@@ -35,10 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .graphs import (
-    RegularGraph, _FrozenTable, _integer_table, _integers, _raise_first, _read_table, _row_rules,
-    _write_table,
-)
+from .graphs import RegularGraph, _FrozenTable, _integer_table, _integers, _raise_first, _row_rules
+from .textio import _read_table, _write_table
 
 # The solver methods that search for a consistent map.  They live beside
 # the checkers, as the criteria do, so that the CLI can offer them without

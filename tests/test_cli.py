@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import json
 import os
@@ -1004,7 +1005,8 @@ class TestTopLevel:
         proc = run_cli_process(code=probe)
         assert proc.returncode == 0, proc.stderr
         startup, codes, after, resolved = proc.stdout.splitlines()
-        assert startup == "rotwalk.cli rotwalk.errors rotwalk.graphs rotwalk.rotmap rotwalk.version"
+        assert startup == ("rotwalk.cli rotwalk.errors rotwalk.graphs rotwalk.rotmap rotwalk.textio "
+                           "rotwalk.version")
         assert codes == "0 0 0"
         assert after == startup.replace("rotwalk.graphs", "rotwalk.graphs rotwalk.operators")
         assert int(resolved) == len(rotwalk.__all__)
@@ -1053,3 +1055,42 @@ class TestTopLevel:
             return edges.read_text() + rot.read_text() + walk.read_text()
 
         assert pipeline("a") == pipeline("b")
+
+
+# SHA-256 of each output of gen -> rotmap -> solve -> check -> walk on
+# random-regular 300x6, recorded before the text readers, writers and
+# float kernel moved into textio.py; the solve stats without their
+# wall-clock line.
+CHAIN_DIGESTS = {
+    "rr.edges": "2a86282dd5f4be564ec3bc1921ca6bc4cab320cb8211ce06585cb466a8684b3f",
+    "rr-greedy.rot": "1d12dc977321064217414b35fdf3698812773f3a7e18c2185672af17dc4f9678",
+    "rr-solved.rot": "72edc5f1b7235a0b3f6d331d1b8ac68de6bc18bf58e1a4bd17cb4ce17a72009c",
+    "solve.json": "1102bda31934c38df2e7a65fc4684da512ba8bf4594aee33b6c3c0c08a47c668",
+    "check-greedy.json": "a03aa77f85d8196b856d4df0d428b88aff5962cfa053823eb2e9675a9192fbe4",
+    "check-solved.json": "4c0172507cd39c9bfb7f69dea139088f9d5b7b65d4c2c56d93d608d3d59ff82d",
+    "walk-solved.csv": "e97c5e796648464a5779a9050c13b8e18ca67256709d99675a62b9c21789c1c6",
+    "walk-greedy.csv": "b37b54ff44b802951b7a3579a85d6a057f6e8a4c53c84a076ba82185b60510ee",
+    "walk-solved.json": "e179a4deae540575dc3e394def48472374ed0c8859f1dcbf2cbb77a1c62c1a3d",
+    "walk-greedy.json": "5f9f3bf3afd9a5725af894598b3cc8e4ef12f8f7c5e900f2f021ed30001568cd",
+}
+
+
+def test_random_regular_chain_golden_digests(tmp_path):
+    path = {name: str(tmp_path / name) for name in CHAIN_DIGESTS}
+    argvs = [
+        ["gen", "random-regular", "300", "6", "--seed", "4", "--out", path["rr.edges"]],
+        ["rotmap", path["rr.edges"], "--out", path["rr-greedy.rot"]],
+        ["solve", path["rr.edges"], "--out", path["rr-solved.rot"], "--stats", path["solve.json"]],
+    ]
+    for kind, flags in [("solved", []), ("greedy", ["--allow-inconsistent"])]:
+        argvs.append(["check", path[f"rr-{kind}.rot"], "--out", path[f"check-{kind}.json"]])
+        for fmt in ("csv", "json"):
+            argvs.append(["walk", path["rr.edges"], path[f"rr-{kind}.rot"], *flags, "--steps", "50",
+                          "--format", fmt, "--out", path[f"walk-{kind}.{fmt}"]])
+    for argv in argvs:
+        assert cli.main(argv) == 0, argv
+    digests = {}
+    for name in CHAIN_DIGESTS:
+        lines = Path(path[name]).read_bytes().splitlines(keepends=True)
+        digests[name] = hashlib.sha256(b"".join(l for l in lines if b'"wall_ms"' not in l)).hexdigest()
+    assert digests == CHAIN_DIGESTS

@@ -54,3 +54,34 @@ def test_no_unused_imports(module):
 ])
 def test_checker(source, unused):
     assert unused_imports(source) == unused
+
+
+def private_imports(source):
+    """The underscore-prefixed names, dunders aside, that a module imports
+    from the rotwalk package (a relative import, or one from ``rotwalk``),
+    with their line numbers."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "rotwalk"):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
+
+
+def test_cli_imports_no_private_name():
+    # The CLI uses each layer through its documented names only.
+    assert private_imports((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, private", [
+    ("from .walk import _records, run\n", [(1, "_records")]),
+    ("def f():\n    from .textio import _float_text\n", [(2, "_float_text")]),
+    ("from rotwalk.graphs import _integers\n", [(1, "_integers")]),
+    ("from . import _x\n", [(1, "_x")]),
+    ("from .walk import run as _run\n", []),
+    ("from .version import __version__\n", []),
+    ("from numpy import _globals\n", []),
+    ("from __future__ import annotations\n", []),
+])
+def test_private_import_checker(source, private):
+    assert private_imports(source) == private

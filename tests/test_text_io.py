@@ -21,7 +21,7 @@ from rotwalk import (
     serialize_graph,
     serialize_rotation,
 )
-from rotwalk.graphs import _ENDS_LINE, _IS_SPACE
+from rotwalk.textio import _ENDS_LINE, _IS_SPACE
 
 from oracles import first_graph_format_error, first_rotation_format_error, integer_rows
 

@@ -32,15 +32,8 @@ from rotwalk import (
     uniform_state,
 )
 
-from rotwalk.walk import (
-    _BARE_QUADS,
-    _QUADS,
-    _exactly_real,
-    _float_text,
-    _joined_rows,
-    _probabilities,
-    _records,
-)
+from rotwalk.textio import _BARE_QUADS, _QUADS, _float_text, _joined_rows
+from rotwalk.walk import _exactly_real, _probabilities, stream_records
 
 from oracles import complex_walk, csv_by_fstring, dense_step, distribution_by_loop, random_regular_by_pairing
 
@@ -480,7 +473,7 @@ class TestRecordBlock:
         state, coin, shift = init_state(rot.n, rot.d, support), build_coin(kind, rot.d), build_shift(rot)
         with np.errstate(over="ignore", invalid="ignore"):
             traj = run(state, coin, shift, steps)
-            streamed = list(_records(state, coin, shift, steps))
+            streamed = list(stream_records(state, coin, shift, steps))
             probabilities, _, _ = complex_walk(state.amplitudes, coin.matrix, rot.entries, steps)
         assert [rec.step for rec in traj.records] == [rec.step for rec in streamed] == list(range(steps + 1))
         assert np.array(traj.norms()).tobytes() == np.array([rec.norm2 for rec in streamed]).tobytes()
@@ -535,7 +528,7 @@ class TestInPlaceLoop:
         with np.errstate(over="ignore", invalid="ignore"):
             tracemalloc.start()
             try:
-                records = _records(state, coin, shift, 40)
+                records = stream_records(state, coin, shift, 40)
                 record = next(records)
                 before = tracemalloc.get_traced_memory()[1]
                 for _ in range(40):
@@ -547,6 +540,33 @@ class TestInPlaceLoop:
         assert grown <= 0.25 * 8 * rot.n * rot.d
 
     @pytest.mark.parametrize("kind", ["solved", "greedy"])
+    def test_exhausted_real_walk_returns_its_buffer(self, maps, kind):
+        # The loop returns its float64 state buffer as it is: a complex128
+        # copy, 2x the real state's bytes, is made by run() alone.
+        rot = maps[kind]
+        state = init_state(rot.n, rot.d, [(0, 17, 1.0), (1, 120, -0.5)])
+        coin, shift = build_coin("grover", rot.d), build_shift(rot)
+        tracemalloc.start()
+        try:
+            records = stream_records(state, coin, shift, 20)
+            for _ in range(21):
+                last = next(records)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(StopIteration) as end:
+                next(records)
+            grown = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert last.step == 20
+        assert grown <= last.probabilities.nbytes
+        amps = end.value.value
+        assert amps.dtype == np.float64
+        final = run(state, coin, shift, 20).final_state.amplitudes
+        assert final.dtype == np.complex128
+        assert final.tobytes() == amps.astype(np.complex128).tobytes()
+
+    @pytest.mark.parametrize("kind", ["solved", "greedy"])
     @pytest.mark.parametrize("coin, amplitude", WALKS, ids=["real", "complex"])
     def test_records_own_their_memory_and_input_unchanged(self, maps, kind, coin, amplitude):
         rot = maps[kind]
@@ -554,7 +574,7 @@ class TestInPlaceLoop:
         before = state.amplitudes.tobytes()
         coin, shift = build_coin(coin, rot.d), build_shift(rot)
         with np.errstate(over="ignore", invalid="ignore"):
-            streamed = list(_records(state, coin, shift, 30))
+            streamed = list(stream_records(state, coin, shift, 30))
             traj = run(state, coin, shift, 30)
         assert state.amplitudes.tobytes() == before
         assert [rec.probabilities.tobytes() for rec in streamed] == [
