@@ -86,15 +86,12 @@ class ShiftOperator(_FrozenTable):
         return dense
 
     def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """S @ amplitudes, as a new array.  A permutation shift is a gather;
-        otherwise amplitudes landing on the same row add up.  float64
-        amplitudes stay float64 (the walk kernel evolves real states in
-        real arithmetic); any other input is converted to complex128."""
+        """S @ amplitudes, as a new complex128 array.  A permutation shift
+        is a gather; otherwise amplitudes landing on the same row add up."""
         if amplitudes.shape != (self.dim,):
             raise ConfigError(f"amplitude vector must have length {self.dim}")
-        dtype = np.float64 if amplitudes.dtype == np.float64 else np.complex128
-        out = np.empty(self.dim, dtype=dtype)
-        self._apply_into(np.asarray(amplitudes, dtype=dtype), out)
+        out = np.empty(self.dim, dtype=np.complex128)
+        self._apply_into(np.asarray(amplitudes, dtype=np.complex128), out)
         return out
 
     def _apply_into(self, amplitudes: np.ndarray, out: np.ndarray) -> None:
@@ -165,13 +162,21 @@ def _complex_array(values, message: str) -> np.ndarray:
     raise ConfigError(message)
 
 
+def _coin_dimension(d: int) -> int:
+    """A coin dimension as an integer, at least 1."""
+    (d,) = _integers(ConfigError, "coin dimension", (d,))
+    if d < 1:
+        raise ConfigError(f"coin dimension must be positive, got {d}")
+    return d
+
+
 class CoinOperator:
     """A d x d unitary applied on the coin space at every vertex."""
 
     __slots__ = ("d", "kind", "matrix")
 
     def __init__(self, d: int, kind: str, matrix: np.ndarray):
-        (d,) = _integers(ConfigError, "coin dimension", (d,))
+        d = _coin_dimension(d)
         mat = _complex_array(matrix, f"coin matrix must be a {d} x {d} array of numbers")
         if mat.shape != (d, d):
             raise ConfigError(f"coin matrix must be {d} x {d}")
@@ -210,9 +215,7 @@ def build_coin(kind: str, d: int, matrix=None) -> CoinOperator:
     identity: I_d.
     custom: caller-supplied d x d matrix, checked for unitarity.
     """
-    (d,) = _integers(ConfigError, "coin dimension", (d,))
-    if d < 1:
-        raise ConfigError(f"coin dimension must be positive, got {d}")
+    d = _coin_dimension(d)
     if kind == "hadamard":
         if d != 2:
             raise ConfigError(f"hadamard coin requires d=2, got d={d}")

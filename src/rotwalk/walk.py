@@ -15,7 +15,7 @@ product into the second (``np.matmul(..., out=)``) and gathers the shift
 back into the first, so no array of size d*n is allocated per step.  The
 loop never writes to the caller's state, and no record shares memory
 with either buffer: a record's probabilities are written to an array of
-their own (or a row of run()'s block), and its squared norm is a float.
+their own, and its squared norm is a float.
 
 While the coin matrix and the amplitudes are real and finite (a Grover,
 Hadamard or identity coin from a real start), the kernel evolves float64
@@ -28,8 +28,8 @@ complex arithmetic from the first step whose squared norm (which a
 non-finite amplitude makes non-finite) is not finite.  Squared norms are
 dot products, whose real and complex forms sum in different orders:
 those of real walks may differ from a complex evolution's in the last
-digits.  The probabilities are summed label by label, into the output
-row through one n-float scratch row, in the order sum(axis=0) adds them,
+digits.  The probabilities are summed label by label, into their array
+through one n-float scratch row, in the order sum(axis=0) adds them,
 so they keep its bits: a row is squared and added while it is in cache,
 where a (d, n) array of squares would be written whole and read back.
 The probabilities of a real state are its squares x * x, the bits of
@@ -39,12 +39,10 @@ at the first step whose squared norm is not finite, and a step grows an
 amplitude by at most a factor of about d^2 from the last step's, all of
 which were below 2^512.)
 
-run() collects the records of the record loop, stream_records(), into
-one (t + 1, n) array: each record's probabilities are a read-only row of
-it, so one record kept alive keeps the whole array alive.  The CLI
-streams the same records, each with an array of its own, to its output
-as they are made, so its memory stays O(n*d) at any step count.  Both
-write CSV rows with textio's csv_chunks.
+run() collects the records of the record loop, stream_records(), in a
+list; the CLI streams the same records to its output as they are made,
+so its memory stays O(n*d) at any step count.  Both write CSV rows with
+textio's csv_chunks.
 
 A trajectory records, for steps 0..t, the per-vertex probability list
 and the squared norm.  For a consistent rotation map the squared norm
@@ -78,7 +76,8 @@ class WalkState:
     __slots__ = ("n", "d", "amplitudes", "step_index")
 
     def __init__(self, n: int, d: int, amplitudes: np.ndarray, step_index: int = 0):
-        n, d, step_index = _integers(ConfigError, "state n, d and step index", (n, d, step_index))
+        n, d = _dimensions(n, d)
+        (step_index,) = _integers(ConfigError, "state step index", (step_index,))
         amps = _complex_array(amplitudes, f"amplitude vector must be d*n = {d * n} numbers")
         if amps.shape != (d * n,):
             raise ConfigError(f"amplitude vector must have length d*n = {d * n}")
@@ -99,6 +98,14 @@ class WalkState:
         return f"WalkState(n={self.n}, d={self.d}, step={self.step_index})"
 
 
+def _dimensions(n: int, d: int) -> tuple[int, int]:
+    """A state's n and d as integers, both at least 1."""
+    n, d = _integers(ConfigError, "state n and d", (n, d))
+    if n < 1 or d < 1:
+        raise ConfigError("state needs n >= 1 and d >= 1")
+    return n, d
+
+
 def _evolved(state: WalkState, amps: np.ndarray, step_index: int) -> WalkState:
     """A state of ``state``'s dimensions holding ``amps``, a new array the
     evolution computed; unchecked, so that an overflow stays data."""
@@ -117,9 +124,7 @@ def init_state(n: int, d: int, support) -> WalkState:
     non-finite amplitude and amplitudes too large to normalize are
     rejected.
     """
-    n, d = _integers(ConfigError, "state n and d", (n, d))
-    if n < 1 or d < 1:
-        raise ConfigError("state needs n >= 1 and d >= 1")
+    n, d = _dimensions(n, d)
     support = list(support)
     if not support:
         raise ConfigError("initial state needs at least one support entry")
@@ -156,9 +161,7 @@ def init_state(n: int, d: int, support) -> WalkState:
 
 def uniform_state(n: int, d: int) -> WalkState:
     """Equal amplitude 1/sqrt(d*n) on every (label, vertex) pair."""
-    n, d = _integers(ConfigError, "state n and d", (n, d))
-    if n < 1 or d < 1:
-        raise ConfigError("state needs n >= 1 and d >= 1")
+    n, d = _dimensions(n, d)
     return WalkState(n, d, np.full(d * n, 1 / np.sqrt(d * n), dtype=np.complex128))
 
 
@@ -248,17 +251,15 @@ def distribution(state: WalkState) -> np.ndarray:
     return _probabilities(state.amplitudes, state.d)
 
 
-def _probabilities(
-    amps: np.ndarray, d: int, scratch: np.ndarray | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Sum over coin labels of |amplitude|^2, written to ``out`` when it is
-    given.  Label 0 is squared into the output and each further label into
-    ``scratch``, an n-float64 row, then added to it: the additions
-    sum(axis=0) makes, in its order, so the sums keep its bits.  Real
-    amplitudes are squared as they are: x * x has the bits of |x|^2 for
-    every x but nan, whose sign bit abs clears."""
+def _probabilities(amps: np.ndarray, d: int, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Sum over coin labels of |amplitude|^2, as a new array.  Label 0 is
+    squared into it and each further label into ``scratch``, an n-float64
+    row, then added to it: the additions sum(axis=0) makes, in its order,
+    so the sums keep its bits.  Real amplitudes are squared as they are:
+    x * x has the bits of |x|^2 for every x but nan, whose sign bit abs
+    clears."""
     labels = amps.reshape(d, -1)
-    out = _squares(labels[0], out)
+    out = _squares(labels[0], None)
     if d > 1 and scratch is None:
         scratch = np.empty_like(out)
     for label in labels[1:]:
@@ -308,39 +309,36 @@ class WalkTrajectory:
 
 
 def stream_records(
-    state: WalkState, coin: CoinOperator, shift: ShiftOperator, t: int, block: bool = False
+    state: WalkState, coin: CoinOperator, shift: ShiftOperator, t: int
 ) -> Iterator[TrajectoryRecord]:
     """The record loop: the records of steps 0..t, each yielded as soon as
-    it exists.  The generator returns its state buffer as it is, float64
-    on a real walk: only run() makes a complex128 final state of it.
+    it exists, with a read-only probabilities array of its own.  The
+    generator returns its state buffer as it is, float64 on a real walk:
+    only run() makes a complex128 final state of it.
 
     t and the operators are checked here, before the first record, so a
-    refused walk has produced nothing.  With ``block`` the probabilities
-    of every record are read-only rows of one (t + 1, n) array, allocated
-    after the checks; without it each record has an array of its own.
-    The walk evolves in place in two buffers of the evolution dtype, the
-    state and the coin's output, made once (and once more, as complex128,
-    on a switch to complex arithmetic); see the module docstring.
+    refused walk has produced nothing.  The walk evolves in place in two
+    buffers of the evolution dtype, the state and the coin's output, made
+    once (and once more, as complex128, on a switch to complex
+    arithmetic); see the module docstring.
     """
     (t,) = _integers(ConfigError, "step count", (t,))
     if t < 0:
         raise ConfigError(f"step count must be >= 0, got {t}")
     _check_coin(coin, state)
     _check_shift(shift, state)
-    rows = np.empty((t + 1, state.n)) if block else None
 
     def loop(amps: np.ndarray, start: int, d: int):
         matrix, amps = _evolvable(coin, amps)
         coined = np.empty_like(amps)
         scratch = np.empty(len(amps) // d)
         for k in range(t + 1):
-            row = None if rows is None else rows[k]
             # Evolved amplitudes are data: on an inconsistent map they may
             # overflow to inf and nan, which the records carry silently.
             with np.errstate(over="ignore", invalid="ignore"):
                 if k:
                     _step(amps, matrix, shift, coined)
-                probabilities = _probabilities(amps, d, scratch, row)
+                probabilities = _probabilities(amps, d, scratch)
                 probabilities.setflags(write=False)
                 record = TrajectoryRecord(start + k, probabilities, _norm2(amps))
             # A non-finite squared norm means a non-finite amplitude may be
@@ -349,20 +347,16 @@ def stream_records(
                 matrix, amps = coin.matrix, amps.astype(np.complex128)
                 coined = np.empty_like(amps)
             yield record
-        if rows is not None:
-            rows.setflags(write=False)
         return amps
 
     return loop(state.amplitudes, state.step_index, state.d)
 
 
 def run(state: WalkState, coin: CoinOperator, shift: ShiftOperator, t: int) -> WalkTrajectory:
-    """Evolve t steps, recording the initial state and every step after it.
-
-    The records' probabilities are rows of one array, so a record that
-    outlives its trajectory keeps the probabilities of every step alive."""
+    """Evolve t steps, recording the initial state and every step after it:
+    the records of stream_records(), collected."""
     records = []
-    loop = stream_records(state, coin, shift, t, block=True)
+    loop = stream_records(state, coin, shift, t)
     try:
         while True:
             records.append(next(loop))

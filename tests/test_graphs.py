@@ -136,6 +136,8 @@ class TestConstruction:
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphStructureError):
             RegularGraph.from_edges(0, [])
+        with pytest.raises(GraphStructureError, match="3 vertices but 0 edges reach at most 0"):
+            RegularGraph.from_edges(3, [])
 
     @pytest.mark.parametrize("neighbors", [
         [[1.5], [0.2]],
@@ -143,6 +145,8 @@ class TestConstruction:
         [[1.0], [np.inf]],
         [["1"], ["0"]],
         [[Fraction(1, 2)], [0]],
+        # An object entry that int64 cannot cast at all.
+        np.array([[1], ["a"]], dtype=object),
     ])
     def test_non_integer_entries_rejected(self, neighbors):
         with pytest.raises(GraphStructureError, match="neighbor table entries must be integers"):
@@ -441,6 +445,10 @@ class TestRandomRegular:
     def test_degree_too_large_rejected(self):
         with pytest.raises(GenerationError):
             random_regular_graph(4, 4)
+
+    def test_exhausted_tries_refused(self):
+        with pytest.raises(GenerationError, match=r"^random-regular\(6, 4\) generation exhausted after 1 attempts"):
+            random_regular_graph(6, 4, seed=0, max_tries=1)
 
     # d <= 8 is every degree up to n = 9 and sparse beyond: a near-complete
     # degree such as (26, 23) exhausts max_tries for about a third of seeds.

@@ -8,6 +8,7 @@ from rotwalk import (
     ConfigError,
     RegularGraph,
     RotationMap,
+    CoinOperator,
     ShiftOperator,
     build_coin,
     build_shift,
@@ -83,12 +84,12 @@ class TestShiftOperator:
 
     @pytest.mark.parametrize("kind", ["solved", "greedy"])
     @pytest.mark.parametrize("dtype, out", [
-        (np.float64, np.float64), (np.complex128, np.complex128), (np.float32, np.complex128),
+        (np.float64, np.complex128), (np.complex128, np.complex128), (np.float32, np.complex128),
         (np.complex64, np.complex128), (np.int64, np.complex128),
     ])
     def test_apply_keeps_float64_and_converts_the_rest(self, kind, dtype, out):
-        # Real walks stay real on the gather and the np.add.at path alike;
-        # any other input is evolved as complex128.
+        # Every input is shifted as complex128, on the gather and the
+        # np.add.at path alike; the walk evolves real states by _apply_into.
         g = random_regular_graph(12, 3, seed=1)
         rot = solve_permutation(g).rotation_map if kind == "solved" else greedy_rotation(g)
         shift = build_shift(rot)
@@ -104,10 +105,10 @@ class TestShiftOperator:
         return {"solved": solve_permutation(g).rotation_map, "greedy": greedy_rotation(g)}
 
     @pytest.mark.parametrize("kind", ["solved", "greedy"])
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("dtype", [np.complex128])
     def test_apply_allocates_only_its_output(self, large_maps, kind, dtype):
         # ndarray.take copied the read-only inverse table on every call: a
-        # traced peak of 2.00x the output for float64, 1.50x for complex128.
+        # traced peak of 1.50x the output.
         shift = build_shift(large_maps[kind])
         vec = np.random.default_rng(1).normal(size=shift.dim).astype(dtype)
         tracemalloc.start()
@@ -144,7 +145,14 @@ class TestShiftOperator:
         finally:
             tracemalloc.stop()
         assert peak < (4096 if kind == "solved" else 8192)
-        assert out.tobytes() == shift.apply(vec).tobytes()
+        assert np.array_equal(out, shift.apply(vec))
+
+    @pytest.mark.parametrize("method", ["apply", "apply_adjoint"])
+    @pytest.mark.parametrize("length", [0, 7, 9])
+    def test_wrong_length_rejected(self, method, length):
+        shift = build_shift(cycle_rotation(4))
+        with pytest.raises(ConfigError, match="must have length 8"):
+            getattr(shift, method)(np.zeros(length, dtype=complex))
 
     def test_apply_adjoint_matches_transpose(self):
         rng = random.Random(3)
@@ -270,6 +278,25 @@ class TestCoins:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             build_coin("fourier", 2)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: build_coin("grover", 0), "coin dimension must be positive, got 0"),
+        (lambda: build_coin("identity", -2), "coin dimension must be positive, got -2"),
+        (lambda: CoinOperator(0, "custom", np.zeros((0, 0))), "coin dimension must be positive, got 0"),
+        (lambda: build_coin("custom", 2), "custom coin requires a matrix"),
+    ], ids=["grover 0", "identity -2", "operator 0", "custom without matrix"])
+    def test_refused(self, make, message):
+        with pytest.raises(ConfigError, match=message):
+            make()
+
+    def test_equality(self):
+        coin = build_coin("grover", 3)
+        assert coin == build_coin("grover", 3)
+        assert coin != build_coin("dft", 3)
+        assert coin != build_coin("grover", 4)
+        assert coin != CoinOperator(3, "custom", coin.matrix)
+        assert build_coin("custom", 2, np.eye(2)) != build_coin("custom", 2, [[0, 1], [1, 0]])
+        assert coin != coin.matrix.tolist() and coin.__eq__(coin.matrix) is NotImplemented
 
     def test_catalog_unitarity(self):
         for d in range(1, 9):

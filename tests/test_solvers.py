@@ -146,6 +146,12 @@ class TestPermutationMatching:
             if n * d <= 600:
                 assert defect_by_dense_product(rot.entries) == 0
 
+    def test_default_config_is_matching(self):
+        g = random_regular_graph(30, 4, seed=5)
+        outcome = solve(g)
+        assert (outcome.status, outcome.criterion, outcome.method) == ("solved", "permutation", "matching")
+        assert outcome.rotation_map == solve(g, SolverConfig()).rotation_map
+
     def test_permutation_solves_every_small_regular_graph(self):
         # Every regular graph has a permutation labeling (König 1916), and
         # the matching method finds one on each graph of the small corpus.
@@ -606,6 +612,8 @@ class TestConfigValidation:
             SolverConfig(max_iterations=0)
         with pytest.raises(ConfigError):
             SolverConfig(time_budget=0.0)
+        with pytest.raises(ConfigError, match="exhaustive ceiling must be positive"):
+            SolverConfig(exhaustive_ceiling=0)
 
     @pytest.mark.parametrize("budget", [float("nan"), float("inf"), float("-inf"), "5", None, 1j])
     def test_non_finite_time_budget_rejected(self, budget):

@@ -76,7 +76,7 @@ class TestStates:
         with pytest.raises(ConfigError, match="not finite"):
             init_state(4, 2, [(0, 0, 1.0), (1, 2, amplitude)])
 
-    @pytest.mark.parametrize("support", [[(0, 0, 1e200)], [(0, 0, 1e308), (0, 0, 1e308)]])
+    @pytest.mark.parametrize("support", [[(0, 0, 1e200)], [(0, 0, 1e308), (0, 0, 1e308)], [(0, 0, 10**400)]])
     def test_amplitudes_too_large_to_normalize_rejected(self, support):
         with pytest.raises(ConfigError, match="too large"):
             init_state(4, 2, support)
@@ -96,6 +96,17 @@ class TestStates:
     def test_state_with_non_numeric_amplitudes_rejected(self, n, amplitudes):
         with pytest.raises(ConfigError, match="numbers"):
             WalkState(n, 1, amplitudes)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: WalkState(-2, -3, np.ones(6)), "state needs n >= 1 and d >= 1"),
+        (lambda: WalkState(0, 2, []), "state needs n >= 1 and d >= 1"),
+        (lambda: init_state(2, 0, [(0, 0, 1.0)]), "state needs n >= 1 and d >= 1"),
+        (lambda: uniform_state(-1, 2), "state needs n >= 1 and d >= 1"),
+        (lambda: WalkState(2, 2, [1, 0, 0]), r"amplitude vector must have length d\*n = 4"),
+    ], ids=["negative", "no vertex", "init no label", "uniform negative", "wrong length"])
+    def test_state_with_bad_shape_rejected(self, make, message):
+        with pytest.raises(ConfigError, match=message):
+            make()
 
     def test_overflowing_evolution_reported_as_data(self):
         # The greedy 4-cycle map doubles the mass on two vertices; from
@@ -433,9 +444,9 @@ class TestRealArithmetic:
 
 
 class TestRecordBlock:
-    """run() squares real amplitudes without an abs pass and writes every
-    record's probabilities into one block; its records must be those of
-    the streamed record loop and of a complex evolution, bit for bit."""
+    """The record loop squares real amplitudes without an abs pass, and
+    run() collects its records; they must be the streamed records and
+    those of a complex evolution, bit for bit."""
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_real_squares_equal_abs_then_square(self, d):
@@ -445,12 +456,10 @@ class TestRecordBlock:
         wide *= rng.choice([-1.0, 1.0], d * n)
         specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, np.inf, -np.inf, 1e154, -1.4e154]
         wide[rng.choice(d * n, 200, replace=False)] = rng.choice(specials, 200)
-        scratch, out = np.empty(n), np.empty(n)
         with np.errstate(over="ignore", under="ignore"):
             expected = np.square(np.abs(wide.reshape(d, n))).sum(axis=0)
             assert _probabilities(wide, d).tobytes() == expected.tobytes()
-            assert _probabilities(wide, d, scratch, out) is out
-            assert out.tobytes() == expected.tobytes()
+            assert _probabilities(wide, d, np.empty(n)).tobytes() == expected.tobytes()
             assert _probabilities(wide.astype(np.complex128), d).tobytes() == expected.tobytes()
 
     @pytest.fixture(scope="class")
@@ -480,11 +489,8 @@ class TestRecordBlock:
         rows = [rec.probabilities.tobytes() for rec in traj.records]
         assert rows == [rec.probabilities.tobytes() for rec in streamed]
         assert rows == [p.tobytes() for p in probabilities]
-        # One block for run(), an array of its own for each streamed record.
-        block = traj.records[0].probabilities.base
-        assert block.shape == (steps + 1, rot.n)
-        assert all(rec.probabilities.base is block for rec in traj.records)
-        assert all(rec.probabilities.base is None for rec in streamed)
+        # An array of its own for each record, collected or streamed.
+        assert all(rec.probabilities.base is None for rec in traj.records + streamed)
 
     @pytest.mark.parametrize("t", [0, 1, 5])
     def test_records_and_their_block_read_only(self, t):
@@ -492,9 +498,8 @@ class TestRecordBlock:
         assert len(traj.records) == t + 1
         for rec in traj.records:
             assert not rec.probabilities.flags.writeable
-            with pytest.raises(ValueError):
-                rec.probabilities.setflags(write=True)
-        assert not traj.records[0].probabilities.base.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rec.probabilities[0] = 1.0
 
     @pytest.mark.parametrize("t", [-10**18, 2.5, "3", None])
     def test_bad_step_count_rejected(self, t):
@@ -538,6 +543,25 @@ class TestInPlaceLoop:
                 tracemalloc.stop()
         assert record.step == 40
         assert grown <= 0.25 * 8 * rot.n * rot.d
+
+    @pytest.mark.parametrize("kind", ["solved", "greedy"])
+    @pytest.mark.parametrize("coin, amplitude", WALKS, ids=["real", "complex"])
+    def test_kept_record_holds_only_its_probabilities(self, maps, kind, coin, amplitude):
+        # A record whose probabilities were a row of one (t + 1, n) array
+        # would hold all 201 steps' probabilities here, about 201x.
+        rot = maps[kind]
+        state = init_state(rot.n, rot.d, [(0, 17, 1.0), (1, 120, amplitude)])
+        coin, shift = build_coin(coin, rot.d), build_shift(rot)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                last = run(state, coin, shift, 200).records[-1]
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert last.step == 200
+        assert held <= 2 * last.probabilities.nbytes
 
     @pytest.mark.parametrize("kind", ["solved", "greedy"])
     def test_exhausted_real_walk_returns_its_buffer(self, maps, kind):
