@@ -26,7 +26,6 @@ _EXPORTS = {
     ),
     "graphs": (
         "RegularGraph",
-        "FamilySpec",
         "FAMILIES",
         "generate_graph",
         "parse_graph",
@@ -72,6 +71,7 @@ _EXPORTS = {
         "step",
         "inverse_step",
         "run",
+        "stream_records",
         "distribution",
     ),
     "solvers": (

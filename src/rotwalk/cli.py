@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, FormatError, RotwalkError
-from .graphs import FAMILIES, FamilySpec, generate_graph, parse_graph, serialize_graph
+from .graphs import FAMILIES, generate_graph, parse_graph, serialize_graph
 from .rotmap import (
     CHECKERS,
     CRITERIA,
@@ -124,7 +124,8 @@ def _is_file(path: str, found: os.stat_result) -> bool:
 
 
 def _write_json(path: str | None, payload: dict) -> None:
-    _write(path, [json.dumps(payload, indent=2) + "\n"])
+    """Write the report of ``payload``, the "version" field first."""
+    _write(path, [json.dumps({"version": REPORT_VERSION, **payload}, indent=2) + "\n"])
 
 
 # A report's long list (the witnesses of a check, the steps of a walk) is
@@ -135,10 +136,11 @@ _LIST_MARK = "\0list"
 
 
 def _spliced_json(payload: dict, items: Iterable[str]) -> Iterator[str]:
-    """``json.dumps(payload, indent=2) + "\n"`` in chunks, where the one
+    """What _write_json writes of ``payload``, in chunks, where the one
     top-level value ``_LIST_MARK`` of ``payload`` stands for the list whose
     items (or runs of items joined by ",\n") ``items`` yields."""
-    head, tail = json.dumps(payload, indent=2).split(json.dumps(_LIST_MARK))
+    report = json.dumps({"version": REPORT_VERSION, **payload}, indent=2)
+    head, tail = report.split(json.dumps(_LIST_MARK))
     yield head
     opening = "[\n"
     for item in items:
@@ -182,8 +184,7 @@ def _step_items(records: Iterable[TrajectoryRecord]) -> Iterator[str]:
 
 
 def cmd_gen(args) -> int:
-    spec = FamilySpec(args.family, tuple(args.params), seed=args.seed)
-    graph = generate_graph(spec, max_tries=args.max_tries)
+    graph = generate_graph(args.family, args.params, seed=args.seed, max_tries=args.max_tries)
     _write(args.out, [serialize_graph(graph)])
     return 0
 
@@ -206,7 +207,6 @@ def cmd_check(args) -> int:
     report = CHECKERS[args.criterion](rot)
     unitarity = unitarity_defect(rot)
     payload = {
-        "version": REPORT_VERSION,
         "criterion": args.criterion,
         "n": rot.n,
         "d": rot.d,
@@ -245,7 +245,6 @@ def cmd_solve(args) -> int:
         _write(args.out, [serialize_rotation(outcome.rotation_map)])
     stats = outcome.stats
     _write_json(args.stats, {
-        "version": REPORT_VERSION,
         "status": outcome.status,
         "criterion": outcome.criterion,
         "method": outcome.method,
@@ -275,7 +274,6 @@ def cmd_shift(args) -> int:
         )
     dense = build_shift(rot).to_dense()
     payload = {
-        "version": REPORT_VERSION,
         "n": rot.n,
         "d": rot.d,
         "ordering": "coin-major",
@@ -351,7 +349,7 @@ def cmd_walk(args) -> int:
     if args.format == "csv":
         _write(args.out, csv_chunks(rot.n, records))
     else:
-        payload = {"version": REPORT_VERSION, "n": rot.n, "d": rot.d, "steps": _LIST_MARK}
+        payload = {"n": rot.n, "d": rot.d, "steps": _LIST_MARK}
         _write(args.out, _spliced_json(payload, _step_items(records)))
     return 0
 

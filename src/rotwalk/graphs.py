@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +55,17 @@ def _integer_table(values, error: type[RotwalkError], what: str) -> np.ndarray:
             if (table == array).all():
                 return table
     raise error(f"{what} entries must be integers")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, new memory that nothing else writes, as a read-only view
+    of a read-only base.  An array that owns its memory accepts
+    ``setflags(write=True)``, and so does a view of a writeable base; a
+    view of a read-only base refuses it."""
+    (array if array.base is None else array.base).setflags(write=False)
+    view = array.view()
+    view.setflags(write=False)
+    return view
 
 
 class _FrozenTable:
@@ -127,8 +137,7 @@ class RegularGraph(_FrozenTable):
         tails = np.repeat(np.arange(n), d)
         if not np.array_equal(tails * n + nbrs.ravel(), np.sort(nbrs.ravel() * n + tails)):
             raise GraphStructureError("adjacency is not symmetric")
-        nbrs.setflags(write=False)
-        self.n, self.d, self.neighbors = n, d, nbrs
+        self.n, self.d, self.neighbors = n, d, _read_only(nbrs)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "RegularGraph":
@@ -140,6 +149,7 @@ class RegularGraph(_FrozenTable):
         exists.  All vertices must end up with equal degree; otherwise a
         RegularityError names the first deviant vertex (1-based).
         """
+        (n,) = _integers(GraphStructureError, "vertex count", (n,))
         if n < 1:
             raise GraphStructureError("graph must have at least one vertex")
         pairs = _integer_table(edges, GraphStructureError, "edge")
@@ -270,37 +280,26 @@ def serialize_graph(graph: RegularGraph) -> str:
 # Families
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named graph family plus its integer parameters.
+def generate_graph(family: str, params, seed: int = 0, max_tries: int = 100) -> RegularGraph:
+    """Build the graph of a named family from its integer parameters.
 
     ``params`` meaning per family: cycle (n), complete (n),
     complete-bipartite (m, giving K_{m,m}), hypercube (k, giving 2^k
     vertices), torus (rows, cols), circulant (n, offset...), and
-    random-regular (n, d).  ``seed`` only matters for random-regular.
-    Each parameter and the seed must be an integer (an ``operator.index``
-    value, so not a float such as 5.0 or a string), and the graph's n*d
-    must stay below ``MAX_STUBS``.
+    random-regular (n, d).  ``seed`` and ``max_tries`` only matter for
+    random-regular.  Each parameter and the seed must be an integer (an
+    ``operator.index`` value, so not a float such as 5.0 or a string),
+    and the graph's n*d must stay below ``MAX_STUBS``.
+
+    Deterministic: equal arguments give identical graphs.  Invalid
+    parameters raise GenerationError with a diagnostic.
     """
-
-    family: str
-    params: tuple[int, ...]
-    seed: int = 0
-
-
-def generate_graph(spec: FamilySpec, max_tries: int = 100) -> RegularGraph:
-    """Build the graph a FamilySpec describes.
-
-    Deterministic: equal specs (including seed) give identical graphs.
-    Invalid parameters raise GenerationError with a diagnostic.
-    """
-    family = spec.family
     if family not in _FAMILY_BUILDERS:
         raise GenerationError(
             f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}"
         )
-    params = _integers(GenerationError, f"{family} parameters", spec.params)
-    (seed,) = _integers(GenerationError, f"{family} seed", (spec.seed,))
+    params = _integers(GenerationError, f"{family} parameters", params)
+    (seed,) = _integers(GenerationError, f"{family} seed", (seed,))
     usage, build = _FAMILY_BUILDERS[family]
     count = len(usage.split())
     if len(params) < count or (len(params) > count and not usage.endswith("...")):

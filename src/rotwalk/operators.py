@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import _FrozenTable, _integers
+from .graphs import _FrozenTable, _integers, _read_only
 from .rotmap import RotationMap, _column_counts
 
 UNITARY_TOL = 1e-12
@@ -67,8 +67,7 @@ class ShiftOperator(_FrozenTable):
     def __init__(self, rot: RotationMap):
         n, d = rot.n, rot.d
         offsets = (np.arange(d, dtype=np.int64) * n)[:, None]
-        table = (rot.entries.T + offsets).reshape(-1)
-        table.setflags(write=False)
+        table = _read_only((rot.entries.T + offsets).reshape(-1))
         self.n, self.d, self.col_to_row = n, d, table
         self._row_to_col = None
         if (_column_counts(rot) == 1).all():
@@ -190,10 +189,9 @@ class CoinOperator:
             raise ConfigError(
                 f"coin matrix is not unitary: max |C C* - I| = {residual:.3e} > {UNITARY_TOL}"
             )
-        mat.setflags(write=False)
         self.d = d
         self.kind = kind
-        self.matrix = mat
+        self.matrix = _read_only(mat)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoinOperator):

@@ -35,7 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .graphs import RegularGraph, _FrozenTable, _integer_table, _integers, _raise_first, _row_rules
+from .graphs import (
+    RegularGraph, _FrozenTable, _integer_table, _integers, _raise_first, _read_only, _row_rules,
+)
 from .textio import _read_table, _write_table
 
 # The solver methods that search for a consistent map.  They live beside
@@ -63,8 +65,7 @@ class RotationMap(_FrozenTable):
         if n < 1 or d < 1:
             raise ValidationError("rotation map needs n >= 1 and d >= 1")
         _raise_first(_row_rules(table, n), ValidationError)
-        table.setflags(write=False)
-        self.n, self.d, self.entries = n, d, table
+        self.n, self.d, self.entries = n, d, _read_only(table)
 
 
 # The columns of a witness row, the keys of each witness in a report.
@@ -73,7 +74,7 @@ WITNESS_FIELDS = ("label", "vertex", "count")
 
 @dataclass(frozen=True, eq=False)
 class ConsistencyReport:
-    """A checker's verdict and its witnesses, in report order.
+    """A checker's witnesses, in report order, and the verdict read from them.
 
     ``violations`` is a read-only (k, 3) int64 array of 1-based
     (label, vertex, count) rows (``WITNESS_FIELDS``), of shape (0, 3) when
@@ -85,23 +86,24 @@ class ConsistencyReport:
     """
 
     criterion: str
-    consistent: bool
     violations: np.ndarray
 
     def __post_init__(self):
         witnesses = np.array(self.violations, dtype=np.int64).reshape(-1, 3)
-        witnesses.setflags(write=False)
-        object.__setattr__(self, "violations", witnesses)
+        object.__setattr__(self, "violations", _read_only(witnesses))
+
+    @property
+    def consistent(self) -> bool:
+        """Whether the map meets the criterion: it has no witness."""
+        return not len(self.violations)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.criterion, self.consistent) == (other.criterion, other.consistent) and (
-            np.array_equal(self.violations, other.violations)
-        )
+        return self.criterion == other.criterion and np.array_equal(self.violations, other.violations)
 
     def __hash__(self):
-        return hash((self.criterion, self.consistent, self.violations.tobytes()))
+        return hash((self.criterion, self.violations.tobytes()))
 
 
 def greedy_rotation(graph: RegularGraph) -> RotationMap:
@@ -170,8 +172,7 @@ CRITERIA = tuple(CHECKERS)
 
 def _consistency_report(criterion: str, labels, vertices, counts) -> ConsistencyReport:
     """A report from 0-based label and vertex arrays, already in witness order."""
-    witnesses = np.column_stack([labels + 1, vertices + 1, counts])
-    return ConsistencyReport(criterion, not len(witnesses), witnesses)
+    return ConsistencyReport(criterion, np.column_stack([labels + 1, vertices + 1, counts]))
 
 
 def validate_against_graph(rot: RotationMap, graph: RegularGraph) -> None:

@@ -27,11 +27,12 @@ different difficulty:
   infeasibility.
 
 ``solve`` is the one dispatcher from (criterion, method) to a solver,
-and every solver returns through one outcome rule: a map means
-``solved``, a certificate ``infeasible-proven``, anything else
-``budget-exhausted``.  The rule runs the rotmap checker of the config's
-criterion once on every map, and a map that fails it is an internal
-defect: the checker, not the solver, is the source of truth.
+and an outcome's status is one rule read from what it holds: a map
+means ``solved``, a certificate ``infeasible-proven``, anything else
+``budget-exhausted``.  Every solver returns through one gate that runs
+the rotmap checker of the config's criterion once on every map, and a
+map that fails it is an internal defect: the checker, not the solver,
+is the source of truth.
 
 The hand-written searches break ties by lowest vertex index then lowest
 label, the Euler split pairs arcs in table and stable-sort order, SciPy's
@@ -120,7 +121,6 @@ class SolverStats:
 
 @dataclass(frozen=True)
 class SolverOutcome:
-    status: str
     criterion: str
     method: str
     seed: int
@@ -129,6 +129,14 @@ class SolverOutcome:
     rotation_map: RotationMap | None
     certificate: str | None
     stats: SolverStats
+
+    @property
+    def status(self) -> str:
+        """The one outcome rule: a map means solved, else a certificate
+        infeasible-proven, else budget-exhausted."""
+        if self.rotation_map is not None:
+            return "solved"
+        return "budget-exhausted" if self.certificate is None else "infeasible-proven"
 
 
 def solve(graph: RegularGraph, config: SolverConfig | None = None) -> SolverOutcome:
@@ -149,20 +157,14 @@ def solve(graph: RegularGraph, config: SolverConfig | None = None) -> SolverOutc
 
 
 def _outcome(graph, config, stats, rot=None, certificate=None) -> SolverOutcome:
-    """The outcome of one solve under ``config``: a map means solved, a
-    certificate infeasible-proven, anything else budget-exhausted.  A map
-    that fails the checker of the config's criterion is a defect."""
-    if rot is not None:
-        if not CHECKERS[config.criterion](rot).consistent:
-            raise RotwalkError(
-                f"internal defect: {config.method} output failed the {config.criterion} checker"
-            )
-        status = "solved"
-    else:
-        status = "infeasible-proven" if certificate is not None else "budget-exhausted"
+    """The outcome of one solve under ``config``.  A map that fails the
+    checker of the config's criterion is a defect."""
+    if rot is not None and not CHECKERS[config.criterion](rot).consistent:
+        raise RotwalkError(
+            f"internal defect: {config.method} output failed the {config.criterion} checker"
+        )
     return SolverOutcome(
-        status, config.criterion, config.method, config.seed, graph.n, graph.d,
-        rot, certificate, stats,
+        config.criterion, config.method, config.seed, graph.n, graph.d, rot, certificate, stats,
     )
 
 

@@ -60,7 +60,7 @@ from numbers import Number
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import _integers
+from .graphs import _integers, _read_only
 from .operators import CoinOperator, ShiftOperator, _complex_array
 from .textio import csv_chunks
 
@@ -83,10 +83,9 @@ class WalkState:
             raise ConfigError(f"amplitude vector must have length d*n = {d * n}")
         if not np.isfinite(amps).all():
             raise ConfigError("amplitudes must be finite")
-        amps.setflags(write=False)
         self.n = n
         self.d = d
-        self.amplitudes = amps
+        self.amplitudes = _read_only(amps)
         self.step_index = step_index
 
     def norm2(self) -> float:
@@ -110,8 +109,8 @@ def _evolved(state: WalkState, amps: np.ndarray, step_index: int) -> WalkState:
     """A state of ``state``'s dimensions holding ``amps``, a new array the
     evolution computed; unchecked, so that an overflow stays data."""
     evolved = object.__new__(WalkState)
-    amps.setflags(write=False)
-    evolved.n, evolved.d, evolved.amplitudes, evolved.step_index = state.n, state.d, amps, step_index
+    evolved.n, evolved.d, evolved.step_index = state.n, state.d, step_index
+    evolved.amplitudes = _read_only(amps)
     return evolved
 
 
@@ -287,13 +286,19 @@ class TrajectoryRecord:
 
 
 class WalkTrajectory:
-    """Per-step records of a walk run, plus the final state."""
+    """Per-step records of a walk run, plus the final state, which gives n and d."""
 
-    def __init__(self, n: int, d: int, records: list[TrajectoryRecord], final_state: WalkState):
-        self.n = n
-        self.d = d
+    def __init__(self, records: list[TrajectoryRecord], final_state: WalkState):
         self.records = records
         self.final_state = final_state
+
+    @property
+    def n(self) -> int:
+        return self.final_state.n
+
+    @property
+    def d(self) -> int:
+        return self.final_state.d
 
     def norms(self) -> list[float]:
         return [rec.norm2 for rec in self.records]
@@ -338,8 +343,7 @@ def stream_records(
             with np.errstate(over="ignore", invalid="ignore"):
                 if k:
                     _step(amps, matrix, shift, coined)
-                probabilities = _probabilities(amps, d, scratch)
-                probabilities.setflags(write=False)
+                probabilities = _read_only(_probabilities(amps, d, scratch))
                 record = TrajectoryRecord(start + k, probabilities, _norm2(amps))
             # A non-finite squared norm means a non-finite amplitude may be
             # there, and a complex product takes its 0 * inf to nan.
@@ -363,4 +367,4 @@ def run(state: WalkState, coin: CoinOperator, shift: ShiftOperator, t: int) -> W
     except StopIteration as end:
         amps = np.asarray(end.value, dtype=np.complex128)
     final = _evolved(state, amps, state.step_index + t) if t else state
-    return WalkTrajectory(state.n, state.d, records, final)
+    return WalkTrajectory(records, final)

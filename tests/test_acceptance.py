@@ -14,7 +14,6 @@ from itertools import permutations, product
 import numpy as np
 
 from rotwalk import (
-    FamilySpec,
     RegularGraph,
     RotationMap,
     SolverConfig,
@@ -189,7 +188,7 @@ class TestAcceptance:
 
     def test_criterion_5_stress_instance(self, cli_solve):
         start = time.perf_counter()
-        graph = generate_graph(FamilySpec("random-regular", (80, 12), seed=0))
+        graph = generate_graph("random-regular", (80, 12), seed=0)
         perm_outcome = solve(graph, SolverConfig())
         perm_ok = (
             perm_outcome.status == "solved"

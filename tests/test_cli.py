@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -942,6 +943,15 @@ class TestTopLevel:
     def test_version_flag(self, capsys):
         assert cli.main(["--version"]) == 0
         assert "rotwalk 0.1.0" in capsys.readouterr().out
+
+    def test_version_matches_pyproject(self):
+        # The version is written twice: in pyproject.toml, which packaging
+        # reads, and in version.py, which --version reads.  A regex, since
+        # tomllib is not in Python 3.10.
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(encoding="utf-8"), re.M)
+        assert declared is not None
+        assert declared.group(1) == rotwalk.__version__
 
     def test_unknown_command_exit_2(self, capsys):
         assert cli.main(["frobnicate"]) == 2

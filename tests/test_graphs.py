@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotwalk import (
-    FamilySpec,
     FormatError,
     GenerationError,
     GraphStructureError,
@@ -285,23 +284,23 @@ class TestFamilies:
             circulant_graph(8, (1, 2))  # offsets not closed under negation
 
     def test_generate_graph_dispatch(self):
-        g = generate_graph(FamilySpec("cycle", (6,)))
+        g = generate_graph("cycle", (6,))
         assert g == cycle_graph(6)
         with pytest.raises(GenerationError):
-            generate_graph(FamilySpec("cycle", (6, 7)))
+            generate_graph("cycle", (6, 7))
         with pytest.raises(GenerationError):
-            generate_graph(FamilySpec("moebius", (6,)))
+            generate_graph("moebius", (6,))
 
 
 # Every deterministic family on a grid of sizes, including a circulant
 # with an n/2 offset (a perfect matching alongside the other offsets).
 FAMILY_GRID = (
-    [FamilySpec("cycle", (n,)) for n in range(3, 41)]
-    + [FamilySpec("complete", (n,)) for n in range(2, 41)]
-    + [FamilySpec("complete-bipartite", (m,)) for m in range(1, 21)]
-    + [FamilySpec("hypercube", (k,)) for k in range(1, 13)]
-    + [FamilySpec("torus", (r, c)) for r in range(3, 13) for c in range(3, 13)]
-    + [FamilySpec("circulant", params) for params in [
+    [("cycle", (n,)) for n in range(3, 41)]
+    + [("complete", (n,)) for n in range(2, 41)]
+    + [("complete-bipartite", (m,)) for m in range(1, 21)]
+    + [("hypercube", (k,)) for k in range(1, 13)]
+    + [("torus", (r, c)) for r in range(3, 13) for c in range(3, 13)]
+    + [("circulant", params) for params in [
         (8, 1, 7, 4), (12, 1, 11, 6), (10, 5), (9, 1, -1, 3, -3), (7, 1, 2, 3, 4, 5, 6),
         (12, 13, -13, 5, 7), (20, 1, 19, 4, 16, 10), (31, 2, 29, 15, 16), (40, 20, 3, 37),
     ]]
@@ -314,15 +313,15 @@ def _digest(table):
 
 
 class TestFamilyTables:
-    @pytest.mark.parametrize("family", sorted({spec.family for spec in FAMILY_GRID}))
+    @pytest.mark.parametrize("family", sorted({family for family, _ in FAMILY_GRID}))
     def test_tables_match_edge_list_oracle(self, family):
-        for spec in FAMILY_GRID:
-            if spec.family != family:
+        for name, params in FAMILY_GRID:
+            if name != family:
                 continue
-            n, edges = family_by_edges(spec.family, spec.params)
-            graph = generate_graph(spec)
-            assert _digest(graph.neighbors) == _digest(table_from_edges(n, edges)), spec
-            assert serialize_graph(graph) == edge_list_text(n, edges), spec
+            n, edges = family_by_edges(name, params)
+            graph = generate_graph(name, params)
+            assert _digest(graph.neighbors) == _digest(table_from_edges(n, edges)), params
+            assert serialize_graph(graph) == edge_list_text(n, edges), params
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(st.data())
@@ -346,36 +345,35 @@ class TestFamilyTables:
             params = (n, *offsets)
         else:
             params = (data.draw(small, label="parameter"),)
-        spec = FamilySpec(family, params)
         expected = family_by_edges(family, params)
         if expected is None:
             with pytest.raises(GenerationError):
-                generate_graph(spec)
+                generate_graph(family, params)
             return
         n, edges = expected
-        graph = generate_graph(spec)
+        graph = generate_graph(family, params)
         assert common_degree(adjacency_by_loop(graph.n, graph.edges())) == graph.d
         assert graph == RegularGraph.from_edges(n, edges)
-        assert generate_graph(spec) == graph
+        assert generate_graph(family, params) == graph
 
     @pytest.mark.parametrize("spec, message", [
-        (FamilySpec("cycle", (2**30,)), r"^cycle needs n\*d < 2\*\*31 \(the stub ceiling\), got n\*d=2147483648$"),
-        (FamilySpec("cycle", (10**20,)), r"^cycle needs .*, got n\*d=200000000000000000000$"),
-        (FamilySpec("complete", (46342,)), r"^complete needs .*, got n\*d=2147534622$"),
-        (FamilySpec("complete", (10**6,)), r"^complete needs n\*d < 2\*\*31"),
-        (FamilySpec("complete-bipartite", (2**15,)), r"^complete-bipartite needs .*, got n\*d=2147483648$"),
-        (FamilySpec("hypercube", (27,)), r"^hypercube needs .*, got n\*d=3623878656$"),
-        (FamilySpec("hypercube", (64,)), r"^hypercube needs n\*d < 2\*\*31 \(the stub ceiling\), got n=2\*\*64$"),
-        (FamilySpec("hypercube", (10**18,)), r"^hypercube needs n\*d < 2\*\*31"),
-        (FamilySpec("torus", (2**14, 2**15)), r"^torus needs .*, got n\*d=2147483648$"),
-        (FamilySpec("circulant", (2**30, 1, -1)), r"^circulant needs .*, got n\*d=2147483648$"),
-        (FamilySpec("random-regular", (2**30, 2)), r"^random-regular needs .*, got n\*d=2147483648$"),
+        (("cycle", (2**30,)), r"^cycle needs n\*d < 2\*\*31 \(the stub ceiling\), got n\*d=2147483648$"),
+        (("cycle", (10**20,)), r"^cycle needs .*, got n\*d=200000000000000000000$"),
+        (("complete", (46342,)), r"^complete needs .*, got n\*d=2147534622$"),
+        (("complete", (10**6,)), r"^complete needs n\*d < 2\*\*31"),
+        (("complete-bipartite", (2**15,)), r"^complete-bipartite needs .*, got n\*d=2147483648$"),
+        (("hypercube", (27,)), r"^hypercube needs .*, got n\*d=3623878656$"),
+        (("hypercube", (64,)), r"^hypercube needs n\*d < 2\*\*31 \(the stub ceiling\), got n=2\*\*64$"),
+        (("hypercube", (10**18,)), r"^hypercube needs n\*d < 2\*\*31"),
+        (("torus", (2**14, 2**15)), r"^torus needs .*, got n\*d=2147483648$"),
+        (("circulant", (2**30, 1, -1)), r"^circulant needs .*, got n\*d=2147483648$"),
+        (("random-regular", (2**30, 2)), r"^random-regular needs .*, got n\*d=2147483648$"),
     ])
     def test_stub_ceiling_refused_before_allocating(self, spec, message):
         tracemalloc.start()
         try:
             with pytest.raises(GenerationError, match=message):
-                generate_graph(spec)
+                generate_graph(*spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -384,21 +382,21 @@ class TestFamilyTables:
     @pytest.mark.parametrize("params", [(5.9,), (5.0,), ("x",), ("5",), (None,), (np.float64(6),)])
     def test_non_integer_parameters_refused(self, params):
         with pytest.raises(GenerationError, match=r"^cycle parameters must be integers"):
-            generate_graph(FamilySpec("cycle", params))
+            generate_graph("cycle", params)
 
     def test_integer_like_parameters_accepted(self):
-        assert generate_graph(FamilySpec("cycle", (np.int64(5),))) == cycle_graph(5)
-        assert generate_graph(FamilySpec("torus", (np.uint8(3), 4))) == torus_graph(3, 4)
+        assert generate_graph("cycle", (np.int64(5),)) == cycle_graph(5)
+        assert generate_graph("torus", (np.uint8(3), 4)) == torus_graph(3, 4)
 
     @pytest.mark.parametrize("spec, message", [
-        (FamilySpec("cycle", ()), r"^cycle needs parameters: n; got 0$"),
-        (FamilySpec("torus", (3, 4, 5)), r"^torus needs parameters: rows cols; got 3$"),
-        (FamilySpec("circulant", (8,)), r"^circulant needs parameters: n offset\.\.\.; got 1$"),
-        (FamilySpec("random-regular", (8,)), r"^random-regular needs parameters: n d; got 1$"),
+        (("cycle", ()), r"^cycle needs parameters: n; got 0$"),
+        (("torus", (3, 4, 5)), r"^torus needs parameters: rows cols; got 3$"),
+        (("circulant", (8,)), r"^circulant needs parameters: n offset\.\.\.; got 1$"),
+        (("random-regular", (8,)), r"^random-regular needs parameters: n d; got 1$"),
     ])
     def test_parameter_count_refused(self, spec, message):
         with pytest.raises(GenerationError, match=message):
-            generate_graph(spec)
+            generate_graph(*spec)
 
 
 class FixedWords(random.Random):
@@ -462,7 +460,7 @@ class TestRandomRegular:
         # A multi-edge would lower a row's sum of the oracle's matrix.
         assert common_degree(adjacency_by_loop(g.n, g.edges())) == d
         assert random_regular_graph(n, d, seed=seed) == g
-        assert generate_graph(FamilySpec("random-regular", (n, d), seed=seed)) == g
+        assert generate_graph("random-regular", (n, d), seed=seed) == g
 
     # The neighbor table's bytes for a seed depend only on Python's Mersenne
     # Twister stream, not on NumPy's version or sort algorithm.

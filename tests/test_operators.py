@@ -87,7 +87,7 @@ class TestShiftOperator:
         (np.float64, np.complex128), (np.complex128, np.complex128), (np.float32, np.complex128),
         (np.complex64, np.complex128), (np.int64, np.complex128),
     ])
-    def test_apply_keeps_float64_and_converts_the_rest(self, kind, dtype, out):
+    def test_apply_converts_every_dtype_to_complex128(self, kind, dtype, out):
         # Every input is shifted as complex128, on the gather and the
         # np.add.at path alike; the walk evolves real states by _apply_into.
         g = random_regular_graph(12, 3, seed=1)

@@ -226,28 +226,35 @@ class TestConsistency:
 
     def test_report_is_a_frozen_record(self):
         # The report compares and hashes as the record (criterion,
-        # consistent, violations), the witnesses by value.
+        # violations), the witnesses by value.
         report = check_permutation_consistent(greedy_rotation(cycle_graph(4)))
-        record = ConsistencyReport("permutation", False, report.violations.tolist())
+        record = ConsistencyReport("permutation", report.violations.tolist())
         assert report == record and hash(report) == hash(record)
-        assert repr(report).startswith(
-            "ConsistencyReport(criterion='permutation', consistent=False, violations=array("
-        )
-        assert report != ConsistencyReport("permutation", False, report.violations[:-1])
-        assert report != ConsistencyReport("permutation", False, report.violations[::-1])
+        assert repr(report).startswith("ConsistencyReport(criterion='permutation', violations=array(")
+        assert report != ConsistencyReport("permutation", report.violations[:-1])
+        assert report != ConsistencyReport("permutation", report.violations[::-1])
         assert report != check_involution_consistent(greedy_rotation(cycle_graph(4)))
         with pytest.raises(AttributeError):
             report.consistent = True
         with pytest.raises(AttributeError):
             report.violations = ()
 
+    def test_verdict_is_read_from_the_witnesses(self):
+        # A report has no verdict argument, so it cannot contradict its
+        # witnesses: consistent exactly when there is none.
+        with pytest.raises(TypeError):
+            ConsistencyReport("permutation", True, [[1, 1, 2]])
+        assert not ConsistencyReport("permutation", [[1, 1, 2]]).consistent
+        assert ConsistencyReport("permutation", np.zeros((0, 3))).consistent
+
     def test_given_witnesses_are_copied(self):
         rows = np.array([[1, 2, 0]])
-        report = ConsistencyReport("involution", False, rows)
+        report = ConsistencyReport("involution", rows)
         rows[0, 0] = 5
         assert rows.flags.writeable and report.violations.tolist() == [[1, 2, 0]]
-        empty = ConsistencyReport("permutation", True, ())
+        empty = ConsistencyReport("permutation", ())
         assert empty.violations.shape == (0, 3) and empty.violations.dtype == np.int64
+        assert empty.consistent
 
     def test_matches_sorting_oracle(self):
         rng = random.Random(5)

@@ -11,10 +11,12 @@ import rotwalk
 from rotwalk import (
     CoinOperator,
     ConfigError,
-    FamilySpec,
     GenerationError,
+    GraphStructureError,
     RegularGraph,
     SolverConfig,
+    SolverOutcome,
+    SolverStats,
     ValidationError,
     WalkState,
     build_coin,
@@ -248,7 +250,10 @@ NON_INTEGER_COUNTS = {
     "random-regular seed 2.5": (GenerationError, lambda: random_regular_graph(10, 3, seed=2.5)),
     "random-regular seed list": (GenerationError, lambda: random_regular_graph(10, 3, seed=[1])),
     "random-regular seed str": (GenerationError, lambda: random_regular_graph(10, 3, seed="a")),
-    "family seed": (GenerationError, lambda: generate_graph(FamilySpec("random-regular", (10, 3), seed=1.5))),
+    "family seed": (GenerationError, lambda: generate_graph("random-regular", (10, 3), seed=1.5)),
+    "from_edges n float": (GraphStructureError, lambda: RegularGraph.from_edges(4.0, [(0, 1), (2, 3)])),
+    "from_edges n str": (GraphStructureError, lambda: RegularGraph.from_edges("4", [(0, 1), (2, 3)])),
+    "from_edges n None": (GraphStructureError, lambda: RegularGraph.from_edges(None, [(0, 1), (2, 3)])),
     "cycle rotation n": (ValidationError, lambda: cycle_rotation(4.0)),
     "coin d": (ConfigError, lambda: build_coin("grover", 2.5)),
     "coin operator d": (ConfigError, lambda: CoinOperator(2.0, "identity", np.eye(2))),
@@ -623,22 +628,37 @@ class TestConfigValidation:
 
 class TestStressRun:
     def test_permutation_stress(self, cli_solve):
-        spec = FamilySpec("random-regular", (20, 4), seed=2)
-        code, report, _ = cli_solve(generate_graph(spec))
+        code, report, _ = cli_solve(generate_graph("random-regular", (20, 4), seed=2))
         assert code == 0 and report["status"] == "solved"
         assert list(report) == REPORT_KEYS
         assert report["n"] == 20 and report["d"] == 4
 
     def test_involution_stress_records_outcome(self, cli_solve):
-        spec = FamilySpec("random-regular", (16, 4), seed=2)
         code, report, rot = cli_solve(
-            generate_graph(spec), "--criterion", "involution", "--method", "local-search",
+            generate_graph("random-regular", (16, 4), seed=2),
+            "--criterion", "involution", "--method", "local-search",
             "--seed", "0", "--max-iterations", "2000", "--max-restarts", "5",
         )
         assert report["status"] in {"solved", "budget-exhausted"}
         assert code == (0 if report["status"] == "solved" else 3)
         if report["status"] == "solved":
             assert check_involution_consistent(rot).consistent
+
+
+@pytest.mark.parametrize("has_map, certificate, status", [
+    (True, None, "solved"),
+    (True, "odd n", "solved"),
+    (False, "odd n", "infeasible-proven"),
+    (False, None, "budget-exhausted"),
+])
+def test_status_is_read_from_map_and_certificate(has_map, certificate, status):
+    # An outcome has no status argument, so "solved" always comes with a map.
+    rot = cycle_rotation(4) if has_map else None
+    stats = SolverStats(2, 0, 0.0, 0)
+    outcome = SolverOutcome("permutation", "matching", 0, 4, 2, rot, certificate, stats)
+    assert outcome.status == status
+    with pytest.raises(TypeError):
+        SolverOutcome("solved", "permutation", "matching", 0, 4, 2, None, None, stats)
 
 
 def test_every_exported_name_resolves():

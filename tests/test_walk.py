@@ -12,6 +12,7 @@ from rotwalk import (
     RegularGraph,
     RotationMap,
     WalkState,
+    WalkTrajectory,
     apply,
     build_coin,
     build_shift,
@@ -29,11 +30,12 @@ from rotwalk import (
     serialize_rotation,
     solve_permutation,
     step,
+    stream_records,
     uniform_state,
 )
 
 from rotwalk.textio import _BARE_QUADS, _QUADS, _float_text, _joined_rows
-from rotwalk.walk import _exactly_real, _probabilities, stream_records
+from rotwalk.walk import _exactly_real, _probabilities
 
 from oracles import complex_walk, csv_by_fstring, dense_step, distribution_by_loop, random_regular_by_pairing
 
@@ -290,6 +292,16 @@ class TestTrajectories:
         first, second = traj.records[:2]
         assert first != second
 
+    def test_dimensions_are_the_final_states(self):
+        traj = run(uniform_state(6, 3), build_coin("grover", 3),
+                   build_shift(greedy_rotation(random_regular_graph(6, 3, seed=4))), 2)
+        assert (traj.n, traj.d) == (traj.final_state.n, traj.final_state.d) == (6, 3)
+        rebuilt = WalkTrajectory(traj.records, traj.final_state)
+        assert (rebuilt.n, rebuilt.d) == (6, 3) and rebuilt.to_csv_text() == traj.to_csv_text()
+        # n and d are not arguments, so they cannot disagree with the state.
+        with pytest.raises(TypeError):
+            WalkTrajectory(5, 3, traj.records, traj.final_state)
+
     def test_negative_step_count_rejected(self):
         state = init_state(4, 2, [(0, 0, 1.0)])
         with pytest.raises(ConfigError):
@@ -489,23 +501,80 @@ class TestRecordBlock:
         rows = [rec.probabilities.tobytes() for rec in traj.records]
         assert rows == [rec.probabilities.tobytes() for rec in streamed]
         assert rows == [p.tobytes() for p in probabilities]
-        # An array of its own for each record, collected or streamed.
-        assert all(rec.probabilities.base is None for rec in traj.records + streamed)
+        # An array of its own for each record, collected or streamed: a
+        # read-only view of a base that owns exactly its memory.
+        for rec in traj.records + streamed:
+            assert rec.probabilities.base.base is None
+            assert rec.probabilities.base.nbytes == rec.probabilities.nbytes
 
     @pytest.mark.parametrize("t", [0, 1, 5])
-    def test_records_and_their_block_read_only(self, t):
+    def test_records_stay_read_only(self, t):
         traj = run(uniform_state(4, 2), build_coin("grover", 2), build_shift(cycle_rotation(4)), t)
         assert len(traj.records) == t + 1
         for rec in traj.records:
             assert not rec.probabilities.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 rec.probabilities[0] = 1.0
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                rec.probabilities.setflags(write=True)
 
     @pytest.mark.parametrize("t", [-10**18, 2.5, "3", None])
     def test_bad_step_count_rejected(self, t):
         state = init_state(4, 2, [(0, 0, 1.0)])
         with pytest.raises(ConfigError, match="step count"):
             run(state, build_coin("hadamard", 2), build_shift(cycle_rotation(4)), t)
+
+
+def _square_operators():
+    return build_coin("grover", 2), build_shift(cycle_rotation(4))
+
+
+def _square_walk(t):
+    return run(uniform_state(4, 2), *_square_operators(), t)
+
+
+# Every array a public type hands out, and the states each evolution
+# makes: a read-only view of a read-only base, so that none of them can be
+# made writeable again (a base that owns its memory would accept it).
+HANDED_OUT = {
+    "graph neighbors": lambda: cycle_graph(4).neighbors,
+    "map entries": lambda: cycle_rotation(4).entries,
+    "shift col_to_row": lambda: build_shift(greedy_rotation(cycle_graph(4))).col_to_row,
+    "report violations": lambda: (
+        check_permutation_consistent(greedy_rotation(cycle_graph(4))).violations),
+    "coin matrix": lambda: build_coin("grover", 2).matrix,
+    "state amplitudes": lambda: uniform_state(4, 2).amplitudes,
+    "record probabilities": lambda: _square_walk(3).records[-1].probabilities,
+    "run final state": lambda: _square_walk(3).final_state.amplitudes,
+    "step": lambda: step(uniform_state(4, 2), *_square_operators()).amplitudes,
+    "inverse step": lambda: inverse_step(uniform_state(4, 2), *_square_operators()).amplitudes,
+    "apply coin": lambda: apply(build_coin("dft", 2), uniform_state(4, 2)).amplitudes,
+    "apply shift": lambda: apply(build_shift(cycle_rotation(4)), uniform_state(4, 2)).amplitudes,
+}
+
+
+class TestReadOnlyArrays:
+    @pytest.mark.parametrize("name", list(HANDED_OUT))
+    def test_refuses_to_become_writeable(self, name):
+        array = HANDED_OUT[name]()
+        assert not array.flags.writeable and array.size
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            array.setflags(write=True)
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+    @pytest.mark.parametrize("build", [
+        lambda g: g, greedy_rotation, lambda g: build_shift(greedy_rotation(g)),
+    ])
+    def test_hash_is_fixed_at_construction(self, build):
+        table = build(random_regular_graph(10, 3, seed=1))
+        before = hash(table)
+        array = getattr(table, table._TABLE)
+        with pytest.raises(ValueError):
+            array.setflags(write=True)
+        with pytest.raises(ValueError):
+            array[0] = 0
+        assert hash(table) == before
 
 
 class TestInPlaceLoop:
