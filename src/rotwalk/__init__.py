@@ -67,9 +67,7 @@ _EXPORTS = {
         "TrajectoryRecord",
         "init_state",
         "uniform_state",
-        "apply",
         "step",
-        "inverse_step",
         "run",
         "stream_records",
         "distribution",

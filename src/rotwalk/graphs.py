@@ -61,7 +61,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     """``array``, new memory that nothing else writes, as a read-only view
     of a read-only base.  An array that owns its memory accepts
     ``setflags(write=True)``, and so does a view of a writeable base; a
-    view of a read-only base refuses it."""
+    view of a read-only base refuses it.  This guards against accidental
+    writes only: the base, reached through ``.base``, still accepts
+    ``setflags(write=True)``, and a write through it changes the table
+    and its hash."""
     (array if array.base is None else array.base).setflags(write=False)
     view = array.view()
     view.setflags(write=False)

@@ -84,15 +84,6 @@ class ShiftOperator(_FrozenTable):
         dense[self.col_to_row, np.arange(self.dim)] = 1
         return dense
 
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """S @ amplitudes, as a new complex128 array.  A permutation shift
-        is a gather; otherwise amplitudes landing on the same row add up."""
-        if amplitudes.shape != (self.dim,):
-            raise ConfigError(f"amplitude vector must have length {self.dim}")
-        out = np.empty(self.dim, dtype=np.complex128)
-        self._apply_into(np.asarray(amplitudes, dtype=np.complex128), out)
-        return out
-
     def _apply_into(self, amplitudes: np.ndarray, out: np.ndarray) -> None:
         """Write S @ amplitudes into ``out``, a contiguous array of the
         amplitudes' dtype and shape that does not overlap them.  The gather
@@ -104,12 +95,6 @@ class ShiftOperator(_FrozenTable):
         else:
             out.fill(0)
             np.add.at(out, self.col_to_row, amplitudes)
-
-    def apply_adjoint(self, amplitudes: np.ndarray) -> np.ndarray:
-        """S^T @ amplitudes (= S^-1 @ amplitudes when S is unitary)."""
-        if amplitudes.shape != (self.dim,):
-            raise ConfigError(f"amplitude vector must have length {self.dim}")
-        return np.asarray(amplitudes, dtype=np.complex128)[self.col_to_row]
 
 
 def build_shift(rot: RotationMap) -> ShiftOperator:

@@ -130,6 +130,12 @@ class SolverOutcome:
     certificate: str | None
     stats: SolverStats
 
+    def __post_init__(self):
+        # n and d are fields for the outcomes that have no map.
+        rot = self.rotation_map
+        if rot is not None and (rot.n, rot.d) != (self.n, self.d):
+            raise ConfigError(f"rotation map is {rot.n} x {rot.d}, outcome is {self.n} x {self.d}")
+
     @property
     def status(self) -> str:
         """The one outcome rule: a map means solved, else a certificate

@@ -164,28 +164,9 @@ def uniform_state(n: int, d: int) -> WalkState:
     return WalkState(n, d, np.full(d * n, 1 / np.sqrt(d * n), dtype=np.complex128))
 
 
-def apply(operator, state: WalkState) -> WalkState:
-    """Apply a shift, or a coin extended over positions, to a state.
-
-    The step counter is unchanged; use step() for one full coin+shift
-    evolution step.
-    """
-    if isinstance(operator, ShiftOperator):
-        _check_shift(operator, state)
-        return _evolved(state, operator.apply(state.amplitudes), state.step_index)
-    if isinstance(operator, CoinOperator):
-        _check_coin(operator, state)
-        amps = (operator.matrix @ state.amplitudes.reshape(state.d, -1)).reshape(-1)
-        return _evolved(state, amps, state.step_index)
-    raise ConfigError(f"cannot apply object of type {type(operator).__name__} to a state")
-
-
-def _check_coin(coin: CoinOperator, state: WalkState) -> None:
+def _check_operators(coin: CoinOperator, shift: ShiftOperator, state: WalkState) -> None:
     if coin.d != state.d:
         raise ConfigError(f"coin dimension {coin.d} != state coin dimension {state.d}")
-
-
-def _check_shift(shift: ShiftOperator, state: WalkState) -> None:
     if (shift.n, shift.d) != (state.n, state.d):
         raise ConfigError(f"shift is {shift.d} x {shift.n}, state is {state.d} x {state.n}")
 
@@ -221,24 +202,10 @@ def _step(amps: np.ndarray, matrix: np.ndarray, shift: ShiftOperator, coined: np
 
 def step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
     """One evolution step: coin first, then shift."""
-    _check_coin(coin, state)
-    _check_shift(shift, state)
+    _check_operators(coin, shift, state)
     matrix, amps = _evolvable(coin, state.amplitudes)
     _step(amps, matrix, shift, np.empty_like(amps))
     return _evolved(state, np.asarray(amps, dtype=np.complex128), state.step_index + 1)
-
-
-def inverse_step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
-    """Undo one step: shift transpose first, then coin inverse.
-
-    Exactly inverts step() when the shift is unitary (consistent map).
-    """
-    _check_coin(coin, state)
-    _check_shift(shift, state)
-    amps = shift.apply_adjoint(state.amplitudes)
-    blocks = amps.reshape(state.d, state.n)
-    amps = (coin.matrix.conj().T @ blocks).reshape(-1)
-    return _evolved(state, amps, state.step_index - 1)
 
 
 def distribution(state: WalkState) -> np.ndarray:
@@ -286,9 +253,16 @@ class TrajectoryRecord:
 
 
 class WalkTrajectory:
-    """Per-step records of a walk run, plus the final state, which gives n and d."""
+    """Per-step records of a walk run, plus the final state, which gives n
+    and d: every record must hold n probabilities."""
 
     def __init__(self, records: list[TrajectoryRecord], final_state: WalkState):
+        for rec in records:
+            if rec.probabilities.shape != (final_state.n,):
+                raise ConfigError(
+                    f"record of step {rec.step} has probabilities of shape"
+                    f" {rec.probabilities.shape}; the final state has n = {final_state.n}"
+                )
         self.records = records
         self.final_state = final_state
 
@@ -330,8 +304,7 @@ def stream_records(
     (t,) = _integers(ConfigError, "step count", (t,))
     if t < 0:
         raise ConfigError(f"step count must be >= 0, got {t}")
-    _check_coin(coin, state)
-    _check_shift(shift, state)
+    _check_operators(coin, shift, state)
 
     def loop(amps: np.ndarray, start: int, d: int):
         matrix, amps = _evolvable(coin, amps)

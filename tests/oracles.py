@@ -33,11 +33,26 @@ def lift_coin(coin_matrix, n):
     return np.kron(np.asarray(coin_matrix), np.eye(n))
 
 
-def dense_step(amplitudes, coin_matrix, entries):
-    """One walk step as an explicit matrix-vector product: shift after coin."""
+def dense_walk_operator(coin_matrix, entries):
+    """One walk step as a dense matrix, U = S (C (x) I_n): shift after coin."""
     n, d = entries.shape
-    full = dense_shift(entries).astype(complex) @ lift_coin(coin_matrix, n)
-    return full @ np.asarray(amplitudes, dtype=complex)
+    return dense_shift(entries).astype(complex) @ lift_coin(coin_matrix, n)
+
+
+def dense_step(amplitudes, coin_matrix, entries):
+    """One walk step as an explicit matrix-vector product."""
+    return dense_walk_operator(coin_matrix, entries) @ np.asarray(amplitudes, dtype=complex)
+
+
+def dense_unwalk(amplitudes, coin_matrix, entries, steps):
+    """U^H applied ``steps`` times: undoes that many walk steps exactly
+    when U is unitary, that is when every rotation-map column is a
+    permutation."""
+    adjoint = dense_walk_operator(coin_matrix, entries).conj().T
+    amps = np.asarray(amplitudes, dtype=complex)
+    for _ in range(steps):
+        amps = adjoint @ amps
+    return amps
 
 
 def permutation_consistent_by_sorting(entries):

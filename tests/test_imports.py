@@ -1,4 +1,5 @@
-"""Every import in the package is used: a deletion that leaves an import
+"""Every import in the package is used, and every private function,
+class and method is read: a deletion that leaves an import or a helper
 behind fails here.  Standard library only, reading the sources with ast.
 
 The package's lazy exports (``_EXPORTS`` in ``__init__.py``) are module
@@ -6,6 +7,7 @@ and attribute names as strings, imported on first access, so they are
 not imports that this check sees."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -85,3 +87,55 @@ def test_cli_imports_no_private_name():
 ])
 def test_private_import_checker(source, private):
     assert private_imports(source) == private
+
+
+def _reads(tree):
+    """How often each name is read in ``tree``: as a name or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def unread_privates(source, package_sources):
+    """The underscore-prefixed names, dunders aside, of the functions and
+    classes that ``source`` defines at module level and of the methods of
+    its module-level classes, that no source in ``package_sources`` reads
+    outside their own definition, with their line numbers."""
+    reads = sum((_reads(ast.parse(text)) for text in package_sources), Counter())
+    definitions = []
+    for node in ast.parse(source).body:
+        definitions.append(node)
+        if isinstance(node, ast.ClassDef):
+            definitions += node.body
+    return [
+        (node.lineno, node.name) for node in definitions
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and reads[node.name] == _reads(node)[node.name]
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_unread_private_definitions(module):
+    # Reads from the tests do not count: a helper only a test calls is dead.
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
+    assert unread_privates((PACKAGE / module).read_text(encoding="utf-8"), sources) == []
+
+
+@pytest.mark.parametrize("source, others, unread", [
+    ("def _f(): pass\n", [], [(1, "_f")]),
+    ("def _f(): pass\n_f()\n", [], []),
+    ("def _f(): pass\n", ["from .m import _f\n_f()\n"], []),
+    ("def _f(): pass\n", ["from .m import _f\n"], [(1, "_f")]),
+    ("def _f(n):\n    return _f(n - 1)\n", [], [(1, "_f")]),
+    ("class _C:\n    def _m(self): pass\n    def run(self): self._m()\n", [], [(1, "_C")]),
+    ("class C:\n    def _m(self): pass\n    def __len__(self): return 0\n", [], [(2, "_m")]),
+    ("class C:\n    def _m(self): pass\n", ["C()._m()\n"], []),
+    ("def f():\n    def _inner(): pass\n", [], []),
+    ("def _f(): pass\nx._f = 1\n", [], [(1, "_f")]),
+    ("def __getattr__(name): pass\n", [], []),
+])
+def test_unread_private_checker(source, others, unread):
+    assert unread_privates(source, [source, *others]) == unread

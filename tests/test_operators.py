@@ -10,6 +10,7 @@ from rotwalk import (
     RotationMap,
     CoinOperator,
     ShiftOperator,
+    WalkState,
     build_coin,
     build_shift,
     check_permutation_consistent,
@@ -18,6 +19,7 @@ from rotwalk import (
     greedy_rotation,
     random_regular_graph,
     solve_permutation,
+    step,
     unitarity_defect,
 )
 
@@ -32,6 +34,13 @@ def random_rotation(rng, n, d):
     return RotationMap(np.array(rows))
 
 
+def shifted(shift, vec):
+    """S @ vec, written by the shift kernel into a new array of vec's dtype."""
+    out = np.empty_like(vec)
+    shift._apply_into(vec, out)
+    return out
+
+
 class TestShiftOperator:
     def test_canonical_square_dense(self):
         shift = build_shift(cycle_rotation(4))
@@ -43,7 +52,7 @@ class TestShiftOperator:
         shift = build_shift(cycle_rotation(4))
         state = np.zeros(8, dtype=complex)
         state[0] = 1.0
-        out = shift.apply(state)
+        out = shifted(shift, state)
         expected = np.zeros(8, dtype=complex)
         expected[1] = 1.0
         assert (out == expected).all()
@@ -53,7 +62,7 @@ class TestShiftOperator:
         shift = build_shift(greedy_rotation(cycle_graph(4)))
         state = np.zeros(8, dtype=complex)
         state[2] = 1.0
-        out = shift.apply(state)
+        out = shifted(shift, state)
         expected = np.zeros(8, dtype=complex)
         expected[1] = 1.0
         assert (out == expected).all()
@@ -79,7 +88,7 @@ class TestShiftOperator:
                 assert (shift._row_to_col is not None) == consistent
                 vec = npr.normal(size=shift.dim) + 1j * npr.normal(size=shift.dim)
                 direct = shift.to_dense().astype(complex) @ vec
-                assert np.abs(shift.apply(vec) - direct).max() < 1e-12
+                assert np.abs(shifted(shift, vec) - direct).max() < 1e-12
         assert paths == {True, False}
 
     @pytest.mark.parametrize("kind", ["solved", "greedy"])
@@ -88,16 +97,17 @@ class TestShiftOperator:
         (np.complex64, np.complex128), (np.int64, np.complex128),
     ])
     def test_apply_converts_every_dtype_to_complex128(self, kind, dtype, out):
-        # Every input is shifted as complex128, on the gather and the
-        # np.add.at path alike; the walk evolves real states by _apply_into.
+        # A step with the identity coin is the shift alone.  A state of any
+        # dtype is shifted and handed out as complex128, on the gather and
+        # the np.add.at path alike; the integers here evolve in real
+        # arithmetic and stay exact.
         g = random_regular_graph(12, 3, seed=1)
         rot = solve_permutation(g).rotation_map if kind == "solved" else greedy_rotation(g)
         shift = build_shift(rot)
         vec = np.arange(-18, 18).astype(dtype)
-        result = shift.apply(vec)
+        result = step(WalkState(12, 3, vec), build_coin("identity", 3), shift).amplitudes
         assert result.dtype == out
         assert np.array_equal(result, shift.to_dense() @ np.arange(-18, 18))
-        assert shift.apply_adjoint(vec).dtype == np.complex128
 
     @pytest.fixture(scope="class")
     def large_maps(self):
@@ -113,7 +123,7 @@ class TestShiftOperator:
         vec = np.random.default_rng(1).normal(size=shift.dim).astype(dtype)
         tracemalloc.start()
         try:
-            out = shift.apply(vec)
+            out = shifted(shift, vec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -145,24 +155,9 @@ class TestShiftOperator:
         finally:
             tracemalloc.stop()
         assert peak < (4096 if kind == "solved" else 8192)
-        assert np.array_equal(out, shift.apply(vec))
-
-    @pytest.mark.parametrize("method", ["apply", "apply_adjoint"])
-    @pytest.mark.parametrize("length", [0, 7, 9])
-    def test_wrong_length_rejected(self, method, length):
-        shift = build_shift(cycle_rotation(4))
-        with pytest.raises(ConfigError, match="must have length 8"):
-            getattr(shift, method)(np.zeros(length, dtype=complex))
-
-    def test_apply_adjoint_matches_transpose(self):
-        rng = random.Random(3)
-        npr = np.random.default_rng(3)
-        for _ in range(30):
-            rot = random_rotation(rng, rng.choice([4, 6]), rng.choice([2, 3]))
-            shift = build_shift(rot)
-            vec = npr.normal(size=shift.dim) + 1j * npr.normal(size=shift.dim)
-            direct = shift.to_dense().T.astype(complex) @ vec
-            assert np.abs(shift.apply_adjoint(vec) - direct).max() < 1e-12
+        expected = np.zeros_like(vec)
+        np.add.at(expected, shift.col_to_row, vec)
+        assert np.array_equal(out, expected)
 
     def test_consistent_map_gives_permutation_matrix(self):
         shift = build_shift(cycle_rotation(6))
@@ -192,6 +187,7 @@ class TestUnitarityDefect:
 
     def test_matches_dense_oracle(self):
         rng = random.Random(4)
+        seen = set()
         for _ in range(60):
             rot = random_rotation(rng, rng.choice([4, 5, 6]), 2)
             report = unitarity_defect(rot)
@@ -199,6 +195,11 @@ class TestUnitarityDefect:
             dense = dense_shift(rot.entries)
             assert report.product.dtype == np.int64
             assert np.array_equal(report.product, dense @ dense.T)
+            # S.S^T = I exactly when the defect is 0, and not otherwise.
+            orthogonal = np.array_equal(dense @ dense.T, np.eye(2 * rot.n, dtype=np.int64))
+            assert orthogonal == (report.defect == 0)
+            seen.add(orthogonal)
+        assert seen == {True, False}
 
     def test_zero_defect_iff_consistent(self):
         rng = random.Random(6)

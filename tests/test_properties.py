@@ -189,7 +189,8 @@ class TestWalkInvariants:
     def test_colliding_pair_distorts_in_one_shift(self):
         # whenever the defect is positive some column sends two vertices
         # to one place; the even superposition on that pair doubles its
-        # squared norm after a single shift application
+        # squared norm after a single shift application (a step with the
+        # identity coin)
         rng = random.Random(40)
         found = 0
         for _ in range(60):
@@ -207,9 +208,8 @@ class TestWalkInvariants:
                 if len(pair) >= 2
             )
             state = init_state(g.n, g.d, [(label, u, 1.0), (label, v, 1.0)])
-            out = build_shift(rot).apply(state.amplitudes)
-            norm2 = float(np.vdot(out, out).real)
-            assert abs(norm2 - 2.0) < 1e-12
+            out = step(state, build_coin("identity", g.d), build_shift(rot))
+            assert abs(out.norm2() - 2.0) < 1e-12
         assert found > 10
 
     def test_distribution_total_equals_norm2(self):

@@ -661,6 +661,15 @@ def test_status_is_read_from_map_and_certificate(has_map, certificate, status):
         SolverOutcome("solved", "permutation", "matching", 0, 4, 2, None, None, stats)
 
 
+@pytest.mark.parametrize("n, d", [(9, 7), (4, 3), (5, 2)])
+def test_outcome_refuses_a_map_of_another_shape(n, d):
+    # n and d stay fields for outcomes without a map; a map must agree.
+    stats = SolverStats(2, 0, 0.0, 0)
+    with pytest.raises(ConfigError, match=rf"^rotation map is 4 x 2, outcome is {n} x {d}$"):
+        SolverOutcome("permutation", "matching", 0, n, d, cycle_rotation(4), None, stats)
+    assert SolverOutcome("permutation", "matching", 0, n, d, None, None, stats).status == "budget-exhausted"
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in rotwalk.__all__ if not hasattr(rotwalk, name)]
     assert missing == []

@@ -13,7 +13,6 @@ from rotwalk import (
     RotationMap,
     WalkState,
     WalkTrajectory,
-    apply,
     build_coin,
     build_shift,
     check_permutation_consistent,
@@ -23,7 +22,6 @@ from rotwalk import (
     distribution,
     greedy_rotation,
     init_state,
-    inverse_step,
     random_regular_graph,
     run,
     serialize_graph,
@@ -37,7 +35,14 @@ from rotwalk import (
 from rotwalk.textio import _BARE_QUADS, _QUADS, _float_text, _joined_rows
 from rotwalk.walk import _exactly_real, _probabilities
 
-from oracles import complex_walk, csv_by_fstring, dense_step, distribution_by_loop, random_regular_by_pairing
+from oracles import (
+    complex_walk,
+    csv_by_fstring,
+    dense_step,
+    dense_unwalk,
+    distribution_by_loop,
+    random_regular_by_pairing,
+)
 
 
 class TestStates:
@@ -186,9 +191,10 @@ class TestSingleSteps:
     def test_inconsistent_shift_doubles_uniform_mass(self):
         # both greedy columns of the 4-cycle are 2-to-1, so a single shift
         # of the flat state adds equal amplitudes pairwise: norm2 becomes 2
+        # (a step with the identity coin is the shift alone)
         state = uniform_state(4, 2)
         shift = build_shift(greedy_rotation(cycle_graph(4)))
-        out = apply(shift, state)
+        out = step(state, build_coin("identity", 2), shift)
         assert abs(out.norm2() - 2.0) < 1e-12
 
     def test_step_matches_dense_oracle(self):
@@ -209,47 +215,32 @@ class TestSingleSteps:
             reference = dense_step(state.amplitudes, coin.matrix, rot.entries)
             assert np.abs(ours - reference).max() < 1e-12
 
-    def test_apply_coin_only_keeps_step_index(self):
-        state = init_state(4, 2, [(0, 0, 1.0)])
-        out = apply(build_coin("hadamard", 2), state)
-        assert out.step_index == 0
-        assert abs(out.norm2() - 1.0) < 1e-15
-
     def test_dimension_mismatch_rejected(self):
         state = init_state(4, 2, [(0, 0, 1.0)])
-        with pytest.raises(ConfigError):
-            apply(build_shift(cycle_rotation(5)), state)
-        with pytest.raises(ConfigError):
-            apply(build_coin("grover", 3), state)
-        with pytest.raises(ConfigError):
-            apply("not an operator", state)
-        # step and inverse_step refuse a mismatched operator alike.
         coin, shift = build_coin("grover", 2), build_shift(cycle_rotation(4))
         for bad_coin, bad_shift, message in [
             (build_coin("grover", 3), shift, r"^coin dimension 3 != state coin dimension 2$"),
             (coin, build_shift(cycle_rotation(5)), r"^shift is 2 x 5, state is 2 x 4$"),
         ]:
-            for evolve in (step, inverse_step):
-                with pytest.raises(ConfigError, match=message):
-                    evolve(state, bad_coin, bad_shift)
+            with pytest.raises(ConfigError, match=message):
+                step(state, bad_coin, bad_shift)
 
     def test_reversibility_on_consistent_maps(self):
+        # t steps of run() are undone by t applications of U^H, the dense
+        # oracle's adjoint step.  A cycle's labels are not involutions, so
+        # a shift replaced by its transpose does not come back.
         rng = random.Random(13)
-        for _ in range(10):
-            n = rng.choice([6, 8, 10])
-            g = random_regular_graph(n, 3, seed=rng.randrange(10**6))
-            rot = solve_permutation(g).rotation_map
-            coin = build_coin(rng.choice(["grover", "dft"]), 3)
-            shift = build_shift(rot)
-            state = init_state(n, 3, [(0, 0, 1.0), (2, 1, 1.0)])
-            forward = state
-            for _ in range(5):
-                forward = step(forward, coin, shift)
-            back = forward
-            for _ in range(5):
-                back = inverse_step(back, coin, shift)
-            assert back.step_index == 0
-            assert np.abs(back.amplitudes - state.amplitudes).max() < 1e-9
+        maps = [cycle_rotation(5), cycle_rotation(8)]
+        for _ in range(8):
+            g = random_regular_graph(rng.choice([6, 8, 10]), 3, seed=rng.randrange(10**6))
+            maps.append(solve_permutation(g).rotation_map)
+        for rot in maps:
+            coin = build_coin(rng.choice(["grover", "dft"]), rot.d)
+            state = init_state(rot.n, rot.d, [(0, 0, 1.0), (rot.d - 1, 1, 1.0)])
+            final = run(state, coin, build_shift(rot), 5).final_state
+            assert final.step_index == 5
+            back = dense_unwalk(final.amplitudes, coin.matrix, rot.entries, 5)
+            assert np.abs(back - state.amplitudes).max() < 1e-9
 
 
 class TestTrajectories:
@@ -301,6 +292,15 @@ class TestTrajectories:
         # n and d are not arguments, so they cannot disagree with the state.
         with pytest.raises(TypeError):
             WalkTrajectory(5, 3, traj.records, traj.final_state)
+
+    def test_records_of_another_width_rejected(self):
+        # Records of another width would otherwise fail later, inside
+        # NumPy's hstack in to_csv_text.
+        records = run(uniform_state(4, 2), build_coin("grover", 2), build_shift(cycle_rotation(4)), 2).records
+        with pytest.raises(ConfigError, match=r"^record of step 0 has probabilities of shape \(4,\); "
+                                              r"the final state has n = 6$"):
+            WalkTrajectory(records, uniform_state(6, 2))
+        assert WalkTrajectory([], uniform_state(6, 2)).records == []
 
     def test_negative_step_count_rejected(self):
         state = init_state(4, 2, [(0, 0, 1.0)])
@@ -534,8 +534,10 @@ def _square_walk(t):
 
 
 # Every array a public type hands out, and the states each evolution
-# makes: a read-only view of a read-only base, so that none of them can be
-# made writeable again (a base that owns its memory would accept it).
+# makes: a read-only view of a read-only base, so that the array itself
+# refuses setflags(write=True) (a base that owns its memory would accept
+# it).  The guard is against accidental writes only: the base, reached
+# through ``.base``, can still be made writeable.
 HANDED_OUT = {
     "graph neighbors": lambda: cycle_graph(4).neighbors,
     "map entries": lambda: cycle_rotation(4).entries,
@@ -547,9 +549,6 @@ HANDED_OUT = {
     "record probabilities": lambda: _square_walk(3).records[-1].probabilities,
     "run final state": lambda: _square_walk(3).final_state.amplitudes,
     "step": lambda: step(uniform_state(4, 2), *_square_operators()).amplitudes,
-    "inverse step": lambda: inverse_step(uniform_state(4, 2), *_square_operators()).amplitudes,
-    "apply coin": lambda: apply(build_coin("dft", 2), uniform_state(4, 2)).amplitudes,
-    "apply shift": lambda: apply(build_shift(cycle_rotation(4)), uniform_state(4, 2)).amplitudes,
 }
 
 
