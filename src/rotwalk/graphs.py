@@ -28,15 +28,18 @@ from .errors import FormatError, GenerationError, GraphStructureError, Regularit
 from .textio import _read_table, _write_table
 
 
-def _integer_table(values, error: type[RotwalkError], what: str) -> np.ndarray:
+def _integer_table(values, error: type[RotwalkError], what: str, table: str | None = None) -> np.ndarray:
     """``values`` as a new int64 array.  Raises ``error`` when the rows are
     ragged or an entry is not an exact int64 value (a fraction, NaN, inf,
     a huge float, a string); an integer beyond int64, Python or uint64,
-    is out of range of any table."""
+    is out of range of any table.  Its entries, the n*d stubs of the
+    ``table`` (default: ``what``) it holds or makes, must stay below
+    ``MAX_STUBS``: that is refused from the shape, before the copy."""
     try:
         array = np.asarray(values)
     except ValueError:
         raise error(f"{what} rows must all have the same length") from None
+    _require_below_ceiling(table or what, array.size, error)
     if array.dtype.kind in "biu":
         if array.dtype == np.uint64 and (array > np.iinfo(np.int64).max).any():
             raise error(f"{what} entry out of range")
@@ -127,7 +130,7 @@ class RegularGraph(_FrozenTable):
     _TABLE = "neighbors"
 
     def __init__(self, neighbors: np.ndarray):
-        nbrs = _integer_table(neighbors, GraphStructureError, "neighbor table")
+        nbrs = _integer_table(neighbors, GraphStructureError, "neighbor table", "graph")
         if nbrs.ndim != 2:
             raise GraphStructureError("neighbor table must be 2-dimensional")
         n, d = nbrs.shape
@@ -146,24 +149,26 @@ class RegularGraph(_FrozenTable):
     def from_edges(cls, n: int, edges) -> "RegularGraph":
         """Build from a sequence (or (m, 2) array) of 0-based (u, v) pairs.
 
-        The first bad pair in input order is named, 1-based: out of range,
-        self-loop, or a repeat of an earlier pair.  Then more than twice
-        as many vertices as edges is refused before anything of size n
-        exists.  All vertices must end up with equal degree; otherwise a
-        RegularityError names the first deviant vertex (1-based).
+        An n or a 2m (the stubs n*d of the graph the edges make) that
+        reaches ``MAX_STUBS`` is refused first.  Then the first bad pair in
+        input order is named, 1-based: out of range, self-loop, or a repeat
+        of an earlier pair.  Then more than twice as many vertices as edges
+        is refused; all before anything of size n exists.  All vertices
+        must end up with equal degree; otherwise a RegularityError names
+        the first deviant vertex (1-based).
         """
         (n,) = _integers(GraphStructureError, "vertex count", (n,))
         if n < 1:
             raise GraphStructureError("graph must have at least one vertex")
-        pairs = _integer_table(edges, GraphStructureError, "edge")
+        _require_below_ceiling("graph", n, GraphStructureError, got=f"n={n}")
+        pairs = _integer_table(edges, GraphStructureError, "edge", "graph")
         if not pairs.size:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise GraphStructureError("edges must be (u, v) pairs")
         m = len(pairs)
         lo, hi = pairs.min(axis=1), pairs.max(axis=1)
-        # Pair keys lo*n+hi, exact also past int64.
-        keys = lo * n + hi if n < 2**31 else lo.astype(object) * n + hi
+        keys = lo * n + hi
         repeats = ~_first_occurrences(keys)
         _raise_first([
             (((pairs < 0) | (pairs >= n)).any(axis=1),
@@ -233,12 +238,15 @@ def parse_graph(text: str | bytes) -> RegularGraph:
     RegularGraph.
 
     A format error names the first bad line (1-based) in document order.
-    A header with more than twice as many vertices as edge lines is an
-    error of the header line, raised before anything of size n exists.
-    A non-regular edge list raises RegularityError naming the first
-    vertex whose degree is not the header's d.
+    A header whose n*d reaches ``MAX_STUBS`` is refused before any body
+    line is checked; one with more than twice as many vertices as edge
+    lines is an error of the header line too.  Both are raised before
+    anything of size n exists.  A non-regular edge list raises
+    RegularityError naming the first vertex whose degree is not the
+    header's d.
     """
     table = _read_table(text)
+    _require_below_ceiling("header", table.n * table.d, FormatError, line=table.header_line)
     n, lines = table.n, table.lines
     edges = table.rows(2)
     u, v = edges.T
@@ -247,10 +255,8 @@ def parse_graph(text: str | bytes) -> RegularGraph:
     loop = u == v
     unordered = ~((1 <= u) & (u < v) & (v <= n))
     clean = np.flatnonzero(~(wrong_width | not_integral | loop | unordered))
-    # Pair keys u*(n+1)+v of the clean lines, exact also past int64.
+    # Pair keys u*(n+1)+v of the clean lines.
     cu, cv = u[clean], v[clean]
-    if n >= 2**31:
-        cu, cv = cu.astype(object), cv.astype(object)
     duplicate = np.zeros(len(lines), dtype=bool)
     duplicate[clean] = ~_first_occurrences(cu * (n + 1) + cv)
     _raise_first([
@@ -319,17 +325,24 @@ def _integers(error: type[RotwalkError], what: str, values) -> tuple[int, ...]:
         raise error(f"{what} must be integers, got {values!r}") from None
 
 
-# A graph's stub (half-edge) count n*d, the entries of its neighbor
-# table, must stay below this.  Then vertex ids and stub indices fit in
-# 32 bits, and the keys u*n+v of its arcs stay below 2**62: int64 throughout.
+# Every table's stub (half-edge) count n*d, the entries of a neighbor
+# table, a rotation map or a shift, stays below this: each family, both
+# text formats, RegularGraph.from_edges and both table constructors refuse
+# it.  Then vertex ids and stub indices fit in 32 bits, and the keys u*n+v
+# of the arcs stay below 2**62: int64 throughout.  It bounds ids, not
+# memory (validation traces several tables' worth); the CLI turns a
+# MemoryError into exit 2.
 MAX_STUBS = 2**31
 
 
-def _require_below_ceiling(family: str, n: int, d: int) -> None:
-    """Refuse an n-vertex, d-regular ``family`` graph whose n*d reaches
-    ``MAX_STUBS``, before anything of size n exists."""
-    if n * d >= MAX_STUBS:
-        raise GenerationError(f"{family} needs n*d < 2**31 (the stub ceiling), got n*d={n * d}")
+def _require_below_ceiling(what: str, stubs: int, error: type[RotwalkError] = GenerationError,
+                           got: str | None = None, **where) -> None:
+    """Refuse a ``what`` whose ``stubs`` reach ``MAX_STUBS``, before
+    anything of size n exists.  ``stubs`` is its n*d, or a lower bound on
+    it that ``got`` names for the message (n, before d is known).
+    ``where`` is passed on to ``error``: a FormatError's line."""
+    if stubs >= MAX_STUBS:
+        raise error(f"{what} needs n*d < 2**31 (the stub ceiling), got {got or f'n*d={stubs}'}", **where)
 
 
 def _circulant(n: int, offsets) -> RegularGraph:
@@ -343,7 +356,7 @@ def cycle_graph(n: int) -> RegularGraph:
     (n,) = _integers(GenerationError, "cycle parameters", (n,))
     if n < 3:
         raise GenerationError(f"cycle needs n >= 3, got {n}")
-    _require_below_ceiling("cycle", n, 2)
+    _require_below_ceiling("cycle", n * 2)
     return _circulant(n, (1, -1))
 
 
@@ -352,7 +365,7 @@ def complete_graph(n: int) -> RegularGraph:
     (n,) = _integers(GenerationError, "complete parameters", (n,))
     if n < 2:
         raise GenerationError(f"complete needs n >= 2, got {n}")
-    _require_below_ceiling("complete", n, n - 1)
+    _require_below_ceiling("complete", n * (n - 1))
     return _circulant(n, np.arange(1, n))
 
 
@@ -361,7 +374,7 @@ def complete_bipartite_graph(m: int) -> RegularGraph:
     (m,) = _integers(GenerationError, "complete-bipartite parameters", (m,))
     if m < 1:
         raise GenerationError(f"complete-bipartite needs m >= 1, got {m}")
-    _require_below_ceiling("complete-bipartite", 2 * m, m)
+    _require_below_ceiling("complete-bipartite", 2 * m * m)
     left, right = np.arange(m), np.arange(m, 2 * m)
     return RegularGraph(np.concatenate([np.broadcast_to(right, (m, m)), np.broadcast_to(left, (m, m))]))
 
@@ -372,10 +385,10 @@ def hypercube_graph(k: int) -> RegularGraph:
     (k,) = _integers(GenerationError, "hypercube parameters", (k,))
     if k < 1:
         raise GenerationError(f"hypercube needs k >= 1, got {k}")
-    if k >= 31:  # 2^k vertices alone reach the ceiling; 2^k is never formed
-        raise GenerationError(f"hypercube needs n*d < 2**31 (the stub ceiling), got n=2**{k}")
+    # From k = 31 on, 2^k vertices alone reach the ceiling: 2^k is never formed.
+    _require_below_ceiling("hypercube", 1 << min(k, 31), got=f"n=2**{k}")
     n = 1 << k
-    _require_below_ceiling("hypercube", n, k)
+    _require_below_ceiling("hypercube", n * k)
     return RegularGraph(np.arange(n)[:, None] ^ (1 << np.arange(k)))
 
 
@@ -389,7 +402,7 @@ def torus_graph(rows: int, cols: int) -> RegularGraph:
     rows, cols = _integers(GenerationError, "torus parameters", (rows, cols))
     if rows < 3 or cols < 3:
         raise GenerationError(f"torus needs both sides >= 3, got {rows} x {cols}")
-    _require_below_ceiling("torus", rows * cols, 4)
+    _require_below_ceiling("torus", rows * cols * 4)
     r, c = divmod(np.arange(rows * cols), cols)
     return RegularGraph(np.stack([
         (r + 1) % rows * cols + c,
@@ -421,7 +434,7 @@ def circulant_graph(n: int, offsets) -> RegularGraph:
             "circulant offsets must be closed under negation mod n; "
             f"missing {', '.join(str(n - s) for s in missing)}"
         )
-    _require_below_ceiling("circulant", n, len(reduced))
+    _require_below_ceiling("circulant", n * len(reduced))
     return _circulant(n, reduced)
 
 
@@ -453,7 +466,7 @@ def random_regular_graph(n: int, d: int, seed: int = 0, max_tries: int = 100) ->
         raise GenerationError(f"random-regular needs d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
         raise GenerationError(f"random-regular needs n*d even, got n={n}, d={d}")
-    _require_below_ceiling("random-regular", n, d)
+    _require_below_ceiling("random-regular", n * d)
     if max_tries < 1:
         raise GenerationError(f"random-regular needs max_tries >= 1, got {max_tries}")
     rng = random.Random(seed)

@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .graphs import (
-    RegularGraph, _FrozenTable, _integer_table, _integers, _raise_first, _read_only, _row_rules,
+    RegularGraph, _FrozenTable, _integer_table, _integers, _raise_first, _read_only,
+    _require_below_ceiling, _row_rules,
 )
 from .textio import _read_table, _write_table
 
@@ -204,9 +205,12 @@ def parse_rotation(text: str | bytes) -> RotationMap:
     """Parse the rotation-map text format, from a str or its UTF-8 bytes.
 
     A format error names the first bad line (1-based) in document order;
-    a missing row is an error of the document as a whole.
+    a header whose n*d reaches ``MAX_STUBS`` is refused before any body
+    line is checked, and a missing row is an error of the document as a
+    whole.
     """
     table = _read_table(text)
+    _require_below_ceiling("header", table.n * table.d, FormatError, line=table.header_line)
     n, d, lines = table.n, table.d, table.lines
     m = len(lines)
     wrong_width = table.widths != d

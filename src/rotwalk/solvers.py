@@ -225,13 +225,12 @@ def _euler_halves(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first half when its label is below its left partner's.
     """
     n, width = table.shape
-    m = n * width
-    index = np.int32 if m < 2**31 else np.int64
     heads = table.ravel()
-    arcs = np.arange(m, dtype=index)
+    # Every table stays below the stub ceiling, so arc indices fit int32.
+    arcs = np.arange(n * width, dtype=np.int32)
     left = arcs ^ 1
-    by_head = _stable_order(heads, n).astype(index, copy=False)
-    right = np.empty(m, dtype=index)
+    by_head = _stable_order(heads, n).astype(np.int32, copy=False)
+    right = np.empty_like(arcs)
     right[by_head[0::2]] = by_head[1::2]
     right[by_head[1::2]] = by_head[0::2]
     jump = right.take(left)

@@ -23,6 +23,7 @@ It depends on NumPy and the errors module only.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -215,16 +216,37 @@ def _repeated(text: str, rows: int) -> np.ndarray:
 # Every other value (-0.0, inf, nan, |x| <= 1e-6, |x| >= 1e17) goes to a
 # per-value fallback formatter; 0.0 is written "0.0".
 _FLOAT_WIDTH = 24  # the longest repr of a float, "-1.2345678901234567e-308"
-_POW10 = np.array([float(10**k) for k in range(23)])
-_POW5 = np.array([5**k for k in range(23)], dtype=np.int64)
 _DIGITS_LO, _DIGITS_HI = 10**16, 10**17
-# "0000" .. "9999" as uint32 words, to write four digits with one gather,
-# and the same without their trailing zeros, NUL-padded.
-_QUAD_DIGITS = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-_QUADS = (_QUAD_DIGITS + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-_BARE_QUADS = np.where(
-    np.logical_or.accumulate(_QUAD_DIGITS[:, ::-1] > 0, axis=1)[:, ::-1], _QUAD_DIGITS + ord("0"), 0
-).astype(np.uint8).view(np.uint32).ravel()
+
+
+class _KernelTables(NamedTuple):
+    """The float kernel's tables: 10^k as doubles, k = 0..22, and their
+    Veltkamp halves; 5^k as int64; "0000" .. "9999" as uint32 words, to
+    write four digits with one gather, and the same without their
+    trailing zeros, NUL-padded."""
+
+    pow10: np.ndarray
+    pow10_hi: np.ndarray
+    pow10_lo: np.ndarray
+    pow5: np.ndarray
+    quads: np.ndarray
+    bare_quads: np.ndarray
+
+
+@cache
+def _kernel_tables() -> _KernelTables:
+    """The tables, built on the first float write: a command that writes
+    no float never pays for them."""
+    pow10 = np.array([float(10**k) for k in range(23)])
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    significant = np.logical_or.accumulate(digits[:, ::-1] > 0, axis=1)[:, ::-1]
+    return _KernelTables(
+        pow10,
+        *_split(pow10),
+        np.array([5**k for k in range(23)], dtype=np.int64),
+        (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel(),
+        np.where(significant, digits + ord("0"), 0).astype(np.uint8).view(np.uint32).ravel(),
+    )
 
 
 def _split(a):
@@ -234,15 +256,13 @@ def _split(a):
     return hi, a - hi
 
 
-_POW10_HI, _POW10_LO = _split(_POW10)
-
-
 def _scaled(ax: np.ndarray, e: np.ndarray):
     """ax * 10^(16-e) as an exact int64 part and fraction (Dekker 1971)."""
     k = 16 - e
-    p = ax * _POW10[k]
+    tables = _kernel_tables()
+    p = ax * tables.pow10[k]
     ahi, alo = _split(ax)
-    bhi, blo = _POW10_HI[k], _POW10_LO[k]
+    bhi, blo = tables.pow10_hi[k], tables.pow10_lo[k]
     err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
     whole = np.floor(err)
     return p.astype(np.int64) + whole.astype(np.int64), err - whole
@@ -266,7 +286,7 @@ def _shortest(ax: np.ndarray):
     t = exp2 - 53 + k
     sh = 1 - np.minimum(t, 0)
     f = np.ldexp(fr, sh.astype(np.intc)).astype(np.int64)  # ldexp has a C int loop everywhere
-    gap = _POW5[k] << np.maximum(t, 0)
+    gap = _kernel_tables().pow5[k] << np.maximum(t, 0)
     odd = np.ldexp(mant, 53).astype(np.int64) % 2 == 1
     below, above = f - gap, f + gap
     lo = whole + np.where(odd, (below >> sh) + 1, -(-below >> sh))
@@ -294,13 +314,14 @@ def _float_text(values: np.ndarray, fallback=repr) -> np.ndarray:
     # 17 digits: one, then four quads of four, each written by one gather.
     head, tail = np.divmod(c, 10**8)
     quads = [head // 10**8, head // 10**4 % 10**4, head % 10**4, tail // 10**4, tail % 10**4]
-    words = np.stack([_QUADS[q] for q in quads], axis=1)
+    tables = _kernel_tables()
+    words = np.stack([tables.quads[q] for q in quads], axis=1)
     # The same with the trailing zeros of the last nonzero quad, and every
     # quad after it, written as NULs.
     bare = words.copy()
     zeros_after = np.ones(len(c), bool)
     for j in range(4, 0, -1):
-        bare[zeros_after, j] = _BARE_QUADS[quads[j][zeros_after]]
+        bare[zeros_after, j] = tables.bare_quads[quads[j][zeros_after]]
         zeros_after &= quads[j] == 0
     digits, significant = words.view(np.uint8)[:, 3:], bare.view(np.uint8)[:, 3:]
     for exponent in np.flatnonzero(np.bincount(e + 6)) - 6:

@@ -278,6 +278,8 @@ def csv_by_fstring(records):
 LINE_END = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e]")
 SPACE = re.compile(r"[\t\n\x0b\x0c\r\x1c-\x20]+")
 INTEGER = re.compile(r"-?[0-9]{1,18}")
+# A header's n*d, the stubs of the table it declares, must stay below this.
+STUB_CEILING = 2**31
 
 
 def _reference_lines(text):
@@ -296,7 +298,9 @@ def _reference_integers(fields):
 
 
 def _reference_header(fields, lineno):
-    """(n, d) from a header line's fields, or (line, message) when malformed."""
+    """(n, d) from a header line's fields, or (line, message) when malformed
+    or when n*d reaches the stub ceiling: an error of the header line,
+    found before any body line is read."""
     if len(fields) != 2:
         return None, (lineno, "header must be 'n d'")
     values = _reference_integers(fields)
@@ -305,6 +309,8 @@ def _reference_header(fields, lineno):
     n, d = values
     if n < 1 or d < 1:
         return None, (lineno, "header requires n >= 1 and d >= 1")
+    if n * d >= STUB_CEILING:
+        return None, (lineno, f"header needs n*d < 2**31 (the stub ceiling), got n*d={n * d}")
     return (n, d), None
 
 

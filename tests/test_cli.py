@@ -44,10 +44,13 @@ from rotwalk import (
 
 from oracles import complex_walk, edge_list_text, family_by_edges, random_regular_by_pairing
 
+# n = 10**9, d = 2 is under the stub ceiling: refused for its missing
+# lines.  n = 10**11 reaches the ceiling: refused from the header alone.
 HUGE_HEADER_ERROR = (
-    "error: line 1: header declares 100000000000 vertices but 0 edge lines "
+    "error: line 1: header declares 1000000000 vertices but 0 edge lines "
     "reach at most 0: some vertex would be isolated"
 )
+CEILING_HEADER_ERROR = "error: line 1: header needs n*d < 2**31 (the stub ceiling), got n*d=200000000000\n"
 
 SQUARE_TEXT = "4 2\n1 2\n1 4\n2 3\n3 4\n"
 CANONICAL_TEXT = "4 2\n2 4\n3 1\n4 2\n1 3\n"
@@ -201,9 +204,17 @@ class TestRotmap:
 
     def test_huge_header_exit_2(self, tmp_path, capsys):
         huge = tmp_path / "huge.edges"
-        huge.write_text("100000000000 2\n")
+        huge.write_text("1000000000 2\n")
         assert cli.main(["rotmap", str(huge)]) == 2
         assert HUGE_HEADER_ERROR in capsys.readouterr().err
+
+    def test_header_past_stub_ceiling_exit_2(self, square, tmp_path, capsys):
+        huge = tmp_path / "huge.edges"
+        huge.write_text("100000000000 2\n")
+        assert cli.main(["rotmap", str(huge)]) == 2
+        assert capsys.readouterr().err == CEILING_HEADER_ERROR
+        assert cli.main(["rotmap", square, "--map", str(huge)]) == 2
+        assert capsys.readouterr().err == CEILING_HEADER_ERROR
 
     def test_mismatch_exit_2(self, square, tmp_path, capsys):
         bad = tmp_path / "bad.rot"
@@ -289,9 +300,15 @@ class TestCheck:
 
     def test_huge_header_exit_2(self, tmp_path, capsys):
         huge = tmp_path / "huge.rot"
+        huge.write_text("1000000000 2\n")
+        assert cli.main(["check", str(huge)]) == 2
+        assert "error: expected 1000000000 rows, got 0" in capsys.readouterr().err
+
+    def test_header_past_stub_ceiling_exit_2(self, tmp_path, capsys):
+        huge = tmp_path / "huge.rot"
         huge.write_text("100000000000 2\n")
         assert cli.main(["check", str(huge)]) == 2
-        assert "error: expected 100000000000 rows, got 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == CEILING_HEADER_ERROR
 
 
 def reference_check_payload(text, criterion="permutation", product=False):
@@ -488,9 +505,15 @@ class TestSolve:
 
     def test_huge_header_exit_2(self, tmp_path, capsys):
         huge = tmp_path / "huge.edges"
-        huge.write_text("100000000000 2\n")
+        huge.write_text("1000000000 2\n")
         assert cli.main(["solve", str(huge)]) == 2
         assert HUGE_HEADER_ERROR in capsys.readouterr().err
+
+    def test_header_past_stub_ceiling_exit_2(self, tmp_path, capsys):
+        huge = tmp_path / "huge.edges"
+        huge.write_text("100000000000 2\n")
+        assert cli.main(["solve", str(huge)]) == 2
+        assert capsys.readouterr().err == CEILING_HEADER_ERROR
 
     def test_seed_flag_deterministic(self, petersen, capsys):
         argv = ["solve", petersen, "--criterion", "involution", "--method",
@@ -595,12 +618,20 @@ class TestWalk:
 
     def test_huge_header_exit_2(self, square, canonical, tmp_path, capsys):
         huge_graph, huge_map = tmp_path / "huge.edges", tmp_path / "huge.rot"
-        huge_graph.write_text("100000000000 2\n")
-        huge_map.write_text("100000000000 2\n")
+        huge_graph.write_text("1000000000 2\n")
+        huge_map.write_text("1000000000 2\n")
         assert cli.main(["walk", str(huge_graph), canonical]) == 2
         assert HUGE_HEADER_ERROR in capsys.readouterr().err
         assert cli.main(["walk", square, str(huge_map)]) == 2
-        assert "error: expected 100000000000 rows, got 0" in capsys.readouterr().err
+        assert "error: expected 1000000000 rows, got 0" in capsys.readouterr().err
+
+    def test_header_past_stub_ceiling_exit_2(self, square, canonical, tmp_path, capsys):
+        huge = tmp_path / "huge"
+        huge.write_text("100000000000 2\n")
+        assert cli.main(["walk", str(huge), canonical]) == 2
+        assert capsys.readouterr().err == CEILING_HEADER_ERROR
+        assert cli.main(["walk", square, str(huge)]) == 2
+        assert capsys.readouterr().err == CEILING_HEADER_ERROR
 
     def test_map_graph_mismatch_exit_2(self, square, tmp_path, capsys):
         other = tmp_path / "c5.rot"

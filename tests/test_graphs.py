@@ -111,25 +111,53 @@ class TestConstruction:
             RegularGraph.from_edges(3, [(5, 5)])
 
     def test_duplicate_check_exact_at_huge_n(self):
-        # Keys lo*n+hi wrap past int64 here: 2**24 * 2**40 + (2**24 + 5) is
-        # 2**24 + 5 modulo 2**64, the key of the first pair.  With the
-        # duplicate check exact, the refusal is the isolated-vertex one.
+        # The largest n the stub ceiling admits: keys lo*n+hi stay below
+        # 2**62, so distinct pairs never share one and repeats are found.
+        # Past it, n is refused before any key is formed.
+        n = 2**31 - 1
         with pytest.raises(GraphStructureError, match="some vertex would be isolated"):
-            RegularGraph.from_edges(2**40, [(0, 2**24 + 5), (2**24, 2**24 + 5)])
+            RegularGraph.from_edges(n, [(0, n - 1), (n - 2, n - 1)])
         with pytest.raises(GraphStructureError, match=r"^duplicate edge \(1, 6\)$"):
+            RegularGraph.from_edges(n, [(0, 5), (5, 0)])
+        with pytest.raises(GraphStructureError, match=r"\(the stub ceiling\), got n=1099511627776$"):
             RegularGraph.from_edges(2**40, [(0, 5), (5, 0)])
 
     def test_huge_n_refused_without_allocating(self):
         tracemalloc.start()
         try:
             with pytest.raises(GraphStructureError) as exc:
-                RegularGraph.from_edges(10**11, [(0, 1)])
+                RegularGraph.from_edges(10**9, [(0, 1)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert str(exc.value) == (
-            "100000000000 vertices but 1 edges reach at most 2: some vertex would be isolated"
+            "1000000000 vertices but 1 edges reach at most 2: some vertex would be isolated"
         )
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: RegularGraph.from_edges(2**31, [(0, 1)]),
+         "graph needs n*d < 2**31 (the stub ceiling), got n=2147483648"),
+        (lambda: RegularGraph.from_edges(10**11, [(0, 1)]),
+         "graph needs n*d < 2**31 (the stub ceiling), got n=100000000000"),
+        # 2m = n*d reaches the ceiling: 2**30 edges (u, v), as a read-only
+        # broadcast view of one pair, refused before the int64 copy.
+        (lambda: RegularGraph.from_edges(3, np.broadcast_to(np.array([0, 1]), (2**30, 2))),
+         "graph needs n*d < 2**31 (the stub ceiling), got n*d=2147483648"),
+        (lambda: RegularGraph(np.broadcast_to(np.int64(1), (2**31, 1))),
+         "graph needs n*d < 2**31 (the stub ceiling), got n*d=2147483648"),
+        (lambda: RegularGraph(np.broadcast_to(np.int64(1), (2**30, 3))),
+         "graph needs n*d < 2**31 (the stub ceiling), got n*d=3221225472"),
+    ])
+    def test_past_stub_ceiling_refused_without_allocating(self, build, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphStructureError) as exc:
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == message
         assert peak < 1 << 20
 
     def test_empty_graph_rejected(self):

@@ -287,8 +287,9 @@ class TestSolveCommand:
 
 # Family parameters stay at most 64 (hypercube k at most 12: 2**k vertices),
 # or reach the 2**31 stub ceiling, which is refused before anything is
-# allocated.  Nothing in between is drawn: gen complete 46341 is under the
-# ceiling and asks for 17 GB.
+# allocated; so do the header n of the documents drawn past it.  Nothing in
+# between is drawn: gen complete 46341 is under the ceiling and asks for
+# 17 GB.
 _SMALL = {"hypercube": st.integers(-3, 12)}
 _HUGE = st.integers(2**31, 2**64)
 
@@ -305,23 +306,29 @@ _START = st.one_of(
 
 
 def _document(data, graph, label, expected):
-    """The bytes of one input file: mostly the ``expected`` document of
-    ``graph`` ("graph", "greedy" or "solved" map), else another (the
-    5-cycle's map among them) or random bytes, non-UTF-8 ones among them;
-    a quarter of the documents are truncated."""
+    """The bytes of one input file and whether its header reaches the stub
+    ceiling: mostly the ``expected`` document of ``graph`` ("graph",
+    "greedy" or "solved" map), else another (the 5-cycle's map among them),
+    random bytes, non-UTF-8 ones among them, or an ``expected`` document
+    whose header n is drawn from ``_HUGE``; a quarter of the documents
+    other than those are truncated."""
     valid = {
         "graph": lambda: serialize_graph(graph),
         "greedy": lambda: serialize_rotation(greedy_rotation(graph)),
         "solved": lambda: serialize_rotation(solve_permutation(graph).rotation_map),
         "cycle": lambda: serialize_rotation(cycle_rotation(5)),
     }
-    kind = data.draw(st.sampled_from([*expected * 4, *valid, "bytes"]), label=f"{label} kind")
+    kind = data.draw(st.sampled_from([*expected * 4, *valid, "bytes", "huge"]), label=f"{label} kind")
     if kind == "bytes":
-        return data.draw(st.binary(max_size=40), label=label)
+        return data.draw(st.binary(max_size=40), label=label), False
+    if kind == "huge":
+        header, body = valid[data.draw(st.sampled_from(expected), label=f"{label} huge kind")]().split("\n", 1)
+        n = data.draw(_HUGE, label=f"{label} huge n")
+        return f"{n} {header.split()[1]}\n{body}".encode(), True
     text = valid[kind]().encode()
     if data.draw(st.integers(0, 3), label=f"{label} truncated") == 0:
         text = text[:data.draw(st.integers(0, len(text) - 1), label=f"{label} length")]
-    return text
+    return text, False
 
 
 # How many parameters each family takes (circulant: n and two offsets),
@@ -342,7 +349,8 @@ def _gen_argv(data):
 class TestOtherCommands:
     """gen, rotmap, check, shift and walk keep the exit-code contract on
     drawn arguments and input files: exit 0, 2, 3 or 4, never a traceback,
-    and on exit 2 exactly one 'error:' line."""
+    and on exit 2 exactly one 'error:' line.  An input file whose header
+    reaches the stub ceiling is always refused with exit 2."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(st.data())
@@ -352,10 +360,13 @@ class TestOtherCommands:
         d = data.draw(st.integers(1, min(n - 1, 5)), label="d")
         n += (n * d) % 2
         graph = random_regular_graph(n, d, seed=data.draw(st.integers(0, 10**6), label="graph seed"))
+        past_ceiling = []
         with tempfile.TemporaryDirectory() as tmp:
             def path(name, *expected):
                 file = Path(tmp, name)
-                file.write_bytes(_document(data, graph, name, expected))
+                text, huge = _document(data, graph, name, expected)
+                file.write_bytes(text)
+                past_ceiling.append(huge)
                 return str(file)
 
             out = str(Path(tmp, "out"))
@@ -387,6 +398,8 @@ class TestOtherCommands:
             stderr = err.getvalue()
             assert code in (0, 2, 3, 4)
             assert "Traceback" not in stderr
+            if any(past_ceiling):
+                assert code == 2
             if code == 2:
                 assert re.fullmatch(r"error: [^\n]*\n", stderr)
             if code == 0 and (command in ("check", "shift") or "json" in argv):

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -109,6 +110,19 @@ class TestConstruction:
     def test_first_bad_row_named(self, entries, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             RotationMap(entries)
+
+    @pytest.mark.parametrize("shape, stubs", [((2**31, 1), 2**31), ((2**30, 3), 3 * 2**30)])
+    def test_past_stub_ceiling_refused_without_allocating(self, shape, stubs):
+        # A read-only broadcast view: refused from its shape, before the int64 copy.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError) as exc:
+                RotationMap(np.broadcast_to(np.int64(1), shape))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == f"rotation map needs n*d < 2**31 (the stub ceiling), got n*d={stubs}"
+        assert peak < 1 << 20
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(st.data())

@@ -54,7 +54,10 @@ ROTATION_DEFECTS = {
     "self-map": None,
     "repeated": "REPEATED",
 }
-HEADER_DEFECTS = ["8", "8 2 1", "8 x", "0 2", "8 0", "8 -2", "8 99999999999999999999", "+8 2"]
+# The last two reach the stub ceiling, n*d = 2**31, exactly.
+HEADER_DEFECTS = [
+    "8", "8 2 1", "8 x", "0 2", "8 0", "8 -2", "8 99999999999999999999", "+8 2", "1073741824 2", "2147483648 1",
+]
 
 
 def graph_document(body, header="8 2"):
@@ -139,8 +142,8 @@ def graph_corpus():
     rng = random.Random(11)
     docs = ["", "\n\n", "# only a comment\n", "8 2\n"]
     docs += [graph_document(CYCLE_EDGES, header) for header in HEADER_DEFECTS]
-    docs += [graph_document(CYCLE_EDGES, header) for header in ("17 2", "16 2", "8 3")]
-    docs.append(graph_document(CYCLE_EDGES[:3], "100000000000 2"))
+    docs += [graph_document(CYCLE_EDGES, header) for header in ("17 2", "16 2", "8 3", "1073741823 2")]
+    docs.append(graph_document(CYCLE_EDGES[:3], "1000000000 2"))
     docs.append(graph_document(CYCLE_EDGES[:3] + ["1 99999999999999999999"],
                                "99999999999999999999 2"))
     positions = (0, len(CYCLE_EDGES) // 2, len(CYCLE_EDGES) - 1)
@@ -155,6 +158,7 @@ def graph_corpus():
             if first_kind != second_kind:
                 body = with_graph_defect(CYCLE_EDGES, 2, first_kind)
                 docs.append(graph_document(with_graph_defect(body, 6, second_kind)))
+    docs.append(graph_document(["3 x"] + CYCLE_EDGES[1:], "1000000000 2"))
     docs.append(graph_document(["3 x"] + CYCLE_EDGES[1:], "100000000000 2"))
     docs.append(graph_document(CYCLE_EDGES + ["1 2"]))
     docs.append(graph_document(CYCLE_EDGES[:-1]))
@@ -166,8 +170,10 @@ def graph_corpus():
 
 def rotation_corpus():
     rng = random.Random(12)
-    docs = ["", "# only a comment\n", "8 2\n", "100000000000 2\n",
-            rotation_document(CYCLE_ROWS[:2], "100000000000 2"),
+    docs = ["", "# only a comment\n", "8 2\n", "1000000000 2\n", "100000000000 2\n",
+            rotation_document(CYCLE_ROWS[:2], "1000000000 2"),
+            rotation_document(CYCLE_ROWS[:2], "1073741823 2"),
+            rotation_document(["x"] + CYCLE_ROWS[1:], "100000000000 2"),
             rotation_document(CYCLE_ROWS, "8 99999999999999999999")]
     docs += [rotation_document(CYCLE_ROWS, header) for header in HEADER_DEFECTS]
     positions = (0, len(CYCLE_ROWS) // 2, len(CYCLE_ROWS) - 1)
@@ -358,15 +364,24 @@ def test_non_ascii_comment_costs_no_memory(parse, serialize):
     assert abs(peaks[1] - peaks[0]) < 0.5 * 2**20, peaks
 
 
+# n = 10**9, d = 2 is under the stub ceiling and refused by the body's
+# count; n = 10**11 reaches the ceiling and is refused from the header.
+CEILING = "header needs n*d < 2**31 (the stub ceiling), got n*d=200000000000"
+
+
 @pytest.mark.parametrize("parse, text, message", [
-    (parse_graph, "100000000000 2\n",
-     "line 1: header declares 100000000000 vertices but 0 edge lines reach at most 0: "
+    (parse_graph, "1000000000 2\n",
+     "line 1: header declares 1000000000 vertices but 0 edge lines reach at most 0: "
      "some vertex would be isolated"),
-    (parse_graph, "# big\n100000000000 2\n1 2\n3 4\n",
-     "line 2: header declares 100000000000 vertices but 2 edge lines reach at most 4: "
+    (parse_graph, "100000000000 2\n", f"line 1: {CEILING}"),
+    (parse_graph, "# big\n1000000000 2\n1 2\n3 4\n",
+     "line 2: header declares 1000000000 vertices but 2 edge lines reach at most 4: "
      "some vertex would be isolated"),
-    (parse_rotation, "100000000000 2\n", "expected 100000000000 rows, got 0"),
-    (parse_rotation, "100000000000 2\n2 3\n3 1\n", "expected 100000000000 rows, got 2"),
+    (parse_graph, "# big\n100000000000 2\n1 2\n3 4\n", f"line 2: {CEILING}"),
+    (parse_rotation, "1000000000 2\n", "expected 1000000000 rows, got 0"),
+    (parse_rotation, "100000000000 2\n", f"line 1: {CEILING}"),
+    (parse_rotation, "1000000000 2\n2 3\n3 1\n", "expected 1000000000 rows, got 2"),
+    (parse_rotation, "100000000000 2\n2 3\n3 1\n", f"line 1: {CEILING}"),
     (parse_graph, "1000000000000000000 2\n1 2\n", "line 1: header must be two integers"),
     (parse_rotation, "1000000000000000000 2\n2 3\n", "line 1: header must be two integers"),
 ])

@@ -32,7 +32,7 @@ from rotwalk import (
     uniform_state,
 )
 
-from rotwalk.textio import _BARE_QUADS, _QUADS, _float_text, _joined_rows
+from rotwalk.textio import _float_text, _joined_rows, _kernel_tables
 from rotwalk.walk import _exactly_real, _probabilities
 
 from oracles import (
@@ -734,9 +734,10 @@ class TestFloatText:
 
     def test_digit_tables_equal_formatted_quads(self):
         quads = [b"%04d" % i for i in range(10000)]
-        assert np.array_equal(_QUADS, np.array(quads).view(np.uint32))
+        tables = _kernel_tables()
+        assert np.array_equal(tables.quads, np.array(quads).view(np.uint32))
         bare = np.array([quad.rstrip(b"0") for quad in quads], dtype="S4").view(np.uint32)
-        assert np.array_equal(_BARE_QUADS, bare)
+        assert np.array_equal(tables.bare_quads, bare)
 
     def test_fallback_spells_non_finite_values(self):
         values = [0.25, np.nan, np.inf, -np.inf, -0.0, 1e-300]
