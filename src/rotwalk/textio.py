@@ -31,15 +31,13 @@ import numpy as np
 from .errors import FormatError
 
 
-def _byte_table(test) -> np.ndarray:
-    return np.array([code < 128 and test(chr(code)) for code in range(256)])
-
-
-# By UTF-8 byte: whether it is whitespace (``str.isspace``), and whether it
-# ends a line (``str.splitlines``).  Only ASCII bytes are either, so a
-# non-ASCII character is part of a field.
-_IS_SPACE = _byte_table(str.isspace)
-_ENDS_LINE = _byte_table(lambda char: len(f"x{char}x".splitlines()) == 2)
+def _byte_classes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each UTF-8 byte is whitespace (ASCII ``str.isspace``: 9-13,
+    28-32) and whether it ends a line (ASCII ``str.splitlines``: 10-13,
+    28-30); a byte >= 128 is neither.  ``codes - lo`` wraps for a byte below lo."""
+    is_space = (codes - 9 <= 4) | (codes - 28 <= 4)
+    ends = (codes - 10 <= 3) | (codes - 28 <= 2)
+    return is_space, ends
 
 
 class _Table(NamedTuple):
@@ -85,8 +83,7 @@ def _read_table(text: str | bytes) -> _Table:
     if isinstance(text, str):
         text = text.encode("utf-8", "surrogatepass")
     codes = np.frombuffer(text, dtype=np.uint8)
-    is_space = _IS_SPACE.take(codes)
-    ends = _ENDS_LINE.take(codes)
+    is_space, ends = _byte_classes(codes)
     ends[1:] &= (codes[1:] != ord("\n")) | (codes[:-1] != ord("\r"))  # "\r\n" ends one line
     # Fields are the runs of non-space: bounds alternate start, stop, start, ...
     padded = np.concatenate([[True], is_space, [True]])
@@ -116,8 +113,8 @@ def _read_table(text: str | bytes) -> _Table:
     n, d = values[:2].tolist()
     if n < 1 or d < 1:
         raise FormatError("header requires n >= 1 and d >= 1", line=header_line)
-    line_index = np.cumsum(first[2:]) - 1  # body line of each body field
-    integral = np.bincount(line_index[~ok[2:]], minlength=len(opens) - 1) == 0
+    # A body line is integral when all its fields are; opens[0] is the header.
+    integral = np.logical_and.reduceat(ok, opens)[1:]
     return _Table(n, d, header_line, lines[1:], widths[1:], integral, values[2:])
 
 

@@ -542,3 +542,78 @@ def edge_list_text(n, edges):
     d = 2 * len(edges) // n
     lines = [f"{n} {d}\n"] + [f"{u + 1} {v + 1}\n" for u, v in sorted((min(e), max(e)) for e in edges)]
     return "".join(lines)
+
+
+# Known answers by construction.  Class 1: an involution map of each
+# family by formula, an (n, d) table of 0-based vertices whose label i
+# pairs the vertices of one perfect matching, written with plain loops
+# and no library code.  Class 2: graphs with no proper d-edge-coloring,
+# so no involution map, as edge lists.
+
+
+def hypercube_involution(k):
+    """Label b flips bit b."""
+    return np.array([[x ^ (1 << b) for b in range(k)] for x in range(1 << k)], dtype=np.int64)
+
+
+def complete_bipartite_involution(m):
+    """K_{m,m} with a_j = j and b_j = m + j: label i pairs a_j with
+    b_{(j+i) mod m} (Koenig)."""
+    rows = [[m + (j + i) % m for i in range(m)] for j in range(m)]
+    rows += [[(j - i) % m for i in range(m)] for j in range(m)]
+    return np.array(rows, dtype=np.int64)
+
+
+def complete_involution(n):
+    """K_n for even n by the circle method (Lucas 1883): in round i, vertex
+    n-1 meets i, and (i+k) mod (n-1) meets (i-k) mod (n-1) for
+    k = 1..n/2-1."""
+    table = [[None] * (n - 1) for _ in range(n)]
+    for i in range(n - 1):
+        table[n - 1][i], table[i][i] = i, n - 1
+        for k in range(1, n // 2):
+            u, v = (i + k) % (n - 1), (i - k) % (n - 1)
+            table[u][i], table[v][i] = v, u
+    return np.array(table, dtype=np.int64)
+
+
+def _alternating(x, length):
+    """The two partners of x on the even cycle 0, 1, ..., length-1 whose
+    edges alternate labels: (2j, 2j+1) first, (2j+1, 2j+2 mod length) second."""
+    return [x ^ 1, (x + 1 if x % 2 else x - 1) % length]
+
+
+def cycle_involution(n):
+    """The even n-cycle, its labels alternating."""
+    return np.array([_alternating(v, n) for v in range(n)], dtype=np.int64)
+
+
+def torus_involution(rows, cols):
+    """The rows x cols torus, both even, vertex r*cols + c: labels 0 and 1
+    alternate along each column cycle, 2 and 3 along each row cycle."""
+    table = []
+    for r in range(rows):
+        for c in range(cols):
+            table.append([s * cols + c for s in _alternating(r, rows)]
+                         + [r * cols + t for t in _alternating(c, cols)])
+    return np.array(table, dtype=np.int64)
+
+
+def petersen_edges():
+    """The Petersen graph (Petersen 1898): the outer 5-cycle, five spokes
+    and the inner pentagram."""
+    return ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def flower_snark_edges(k):
+    """Isaacs' flower snark J_k, odd k >= 3, on 4k vertices: a_i = i,
+    b_i = k + i, c_i = 2k + i, d_i = 3k + i.  Each a_i meets b_i, c_i and
+    d_i; the b_i form a k-cycle; c_0 .. c_{k-1} d_0 .. d_{k-1} form one
+    2k-cycle."""
+    edges = []
+    for i in range(k):
+        edges += [(i, k + i), (i, 2 * k + i), (i, 3 * k + i), (k + i, k + (i + 1) % k)]
+    outer = range(2 * k, 4 * k)  # c_0 .. c_{k-1}, then d_0 .. d_{k-1}
+    edges += [(outer[j], outer[(j + 1) % (2 * k)]) for j in range(2 * k)]
+    return edges

@@ -6,8 +6,10 @@ the same line number.
 """
 
 import random
+import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from rotwalk import (
@@ -20,8 +22,8 @@ from rotwalk import (
     random_regular_graph,
     serialize_graph,
     serialize_rotation,
+    textio,
 )
-from rotwalk.textio import _ENDS_LINE, _IS_SPACE
 
 from oracles import first_graph_format_error, first_rotation_format_error, integer_rows
 
@@ -122,9 +124,11 @@ def canonical_documents(document, body, bad_body, far_line):
 
 def decorate(text, rng, style=None):
     """The same document with comments, blank lines, odd spacing or line
-    ends.  The 'unicode' style separates fields by U+3000 and ends lines
+    ends.  The 'ascii-ends' style ends each line by one of the ASCII line
+    ends no other style writes: a lone '\\r', '\\v', '\\x1c', '\\x1d' or
+    '\\x1e'.  The 'unicode' style separates fields by U+3000 and ends lines
     by U+2028, neither of which the grammar reads as a separator."""
-    style = style or rng.choice(["plain", "comments", "tabs", "crlf", "unicode", "mixed"])
+    style = style or rng.choice(["plain", "comments", "tabs", "crlf", "ascii-ends", "unicode", "mixed"])
     lines = text.splitlines()
     if style in ("comments", "mixed"):
         for _ in range(3):
@@ -132,6 +136,8 @@ def decorate(text, rng, style=None):
                 ["", "   ", "# a comment", "  # 1 2 3", "#", "\t#x"]))
     if style in ("tabs", "mixed"):
         lines = [" \t ".join(line.split(" ")) + rng.choice(["", "\t", "  "]) for line in lines]
+    if style == "ascii-ends":
+        return "".join(line + rng.choice("\r\x0b\x1c\x1d\x1e") for line in lines)
     if style == "unicode":
         lines = ["\u3000".join(line.split(" ")) + "\x1f" for line in lines]
     ending = {"crlf": "\r\n", "unicode": "\u2028", "mixed": "\x0c\n\x85"}.get(style, "\n")
@@ -310,15 +316,28 @@ def test_corpus_is_mostly_malformed():
     assert {e[0] for e in rotations if e} >= {1, 2, 6, 9}
 
 
+def test_corpus_ends_lines_every_ascii_way():
+    # Each ASCII line end of str.splitlines ends some line of each corpus.
+    for corpus in (graph_corpus(), rotation_corpus()):
+        text = "".join(corpus)
+        assert "\r\n" in text and re.search("\r(?!\n)", text)
+        assert all(end in text for end in "\n\x0b\x0c\x1c\x1d\x1e")
+
+
 def test_code_point_tables_match_str():
-    # The tables are indexed by UTF-8 byte: an ASCII byte as str reads
-    # its character, and no other byte is whitespace or a line end.
-    assert len(_IS_SPACE) == len(_ENDS_LINE) == 256
-    for code in range(128):
+    # The classes of every UTF-8 byte: an ASCII byte as str reads its
+    # character, and no other byte is whitespace or a line end.
+    is_space, ends = textio._byte_classes(np.arange(256, dtype=np.uint8))
+    for code in range(256):
         char = chr(code)
-        assert _IS_SPACE[code] == char.isspace()
-        assert _ENDS_LINE[code] == (f"x{char}x".splitlines() == ["x", "x"])
-    assert not _IS_SPACE[128:].any() and not _ENDS_LINE[128:].any()
+        assert is_space[code] == (code < 128 and char.isspace()), code
+        assert ends[code] == (code < 128 and f"x{char}x".splitlines() == ["x", "x"]), code
+
+
+def test_no_array_at_import():
+    # The byte classes are comparisons and the float kernel's tables are
+    # built on first use: importing the module builds no array.
+    assert [name for name, value in vars(textio).items() if isinstance(value, np.ndarray)] == []
 
 
 @pytest.mark.parametrize("parse, document, body, message", [
