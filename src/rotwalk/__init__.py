@@ -78,12 +78,8 @@ _EXPORTS = {
         "SolverOutcome",
         "CRITERIA",
         "METHODS",
-        "STATUSES",
         "solve",
         "solve_permutation",
-        "greedy_coloring",
-        "vizing_color",
-        "rotation_from_coloring",
         "exhaustive_search",
     ),
 }

@@ -48,8 +48,7 @@ from .version import REPORT_VERSION, __version__
 if TYPE_CHECKING:
     from .walk import TrajectoryRecord
 
-# operators.COIN_KINDS but "custom", copied so that start-up does not
-# import operators.
+# operators.COIN_KINDS, copied so that start-up does not import operators.
 COINS = ("hadamard", "grover", "dft", "identity")
 
 

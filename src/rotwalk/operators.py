@@ -49,7 +49,8 @@ UNITARY_TOL = 1e-12
 # Largest dimension d*n for which reports include the dense product matrix.
 PRODUCT_DIM_LIMIT = 64
 
-COIN_KINDS = ("hadamard", "grover", "dft", "identity", "custom")
+# The named coins of build_coin; cli.COINS is a copy.
+COIN_KINDS = ("hadamard", "grover", "dft", "identity")
 
 
 class ShiftOperator(_FrozenTable):
@@ -106,17 +107,27 @@ def build_shift(rot: RotationMap) -> ShiftOperator:
 
 @dataclass(frozen=True, eq=False)
 class UnitarityReport:
-    """Exact unitarity measurement of a rotation map's shift S.
+    """Exact unitarity measurement of a rotation map's shift S, held as one
+    read-only fact: ``counts``, the diagonal of S.S^T (entry j*n + w counts
+    how often w occurs in column j of the map; off the diagonal S.S^T is 0).
 
     ``defect`` is the largest absolute entry of S.S^T - I (an exact
-    integer; 0 means unitary).  ``product`` is S.S^T, the diagonal matrix of
-    the column counts, when the dimension is <= PRODUCT_DIM_LIMIT, else None.
+    integer; 0 means unitary).  ``product`` is S.S^T, read-only, when the
+    dimension is <= PRODUCT_DIM_LIMIT, else None.
     """
 
-    n: int
-    d: int
-    defect: int
-    product: np.ndarray | None
+    counts: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "counts", _read_only(np.array(self.counts, dtype=np.int64)))
+
+    @property
+    def defect(self) -> int:
+        return int(np.abs(self.counts - 1).max())
+
+    @property
+    def product(self) -> np.ndarray | None:
+        return _read_only(np.diag(self.counts)) if len(self.counts) <= PRODUCT_DIM_LIMIT else None
 
 
 def unitarity_defect(rot: RotationMap) -> UnitarityReport:
@@ -127,10 +138,7 @@ def unitarity_defect(rot: RotationMap) -> UnitarityReport:
     |count - 1|, read from the counts without forming S.  The defect is 0
     iff every column of the rotation map is a permutation of the vertices.
     """
-    counts = _column_counts(rot)
-    defect = int(np.abs(counts - 1).max())
-    product = np.diag(counts) if len(counts) <= PRODUCT_DIM_LIMIT else None
-    return UnitarityReport(rot.n, rot.d, defect, product)
+    return UnitarityReport(_column_counts(rot))
 
 
 def _complex_array(values, message: str) -> np.ndarray:
@@ -155,15 +163,16 @@ def _coin_dimension(d: int) -> int:
 
 
 class CoinOperator:
-    """A d x d unitary applied on the coin space at every vertex."""
+    """A d x d unitary applied on the coin space at every vertex; d is read
+    from the square matrix, and two coins are equal when their matrices are."""
 
-    __slots__ = ("d", "kind", "matrix")
+    __slots__ = ("matrix",)
 
-    def __init__(self, d: int, kind: str, matrix: np.ndarray):
-        d = _coin_dimension(d)
-        mat = _complex_array(matrix, f"coin matrix must be a {d} x {d} array of numbers")
-        if mat.shape != (d, d):
-            raise ConfigError(f"coin matrix must be {d} x {d}")
+    def __init__(self, matrix):
+        mat = _complex_array(matrix, "coin matrix must be a square array of numbers")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ConfigError(f"coin matrix must be square, got shape {mat.shape}")
+        d = _coin_dimension(len(mat))
         if not np.isfinite(mat).all():
             raise ConfigError("coin matrix entries must be finite")
         # Huge finite entries overflow the product; the residual is then
@@ -174,29 +183,28 @@ class CoinOperator:
             raise ConfigError(
                 f"coin matrix is not unitary: max |C C* - I| = {residual:.3e} > {UNITARY_TOL}"
             )
-        self.d = d
-        self.kind = kind
         self.matrix = _read_only(mat)
+
+    @property
+    def d(self) -> int:
+        return len(self.matrix)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoinOperator):
             return NotImplemented
-        return self.d == other.d and self.kind == other.kind and bool(
-            (self.matrix == other.matrix).all()
-        )
+        return np.array_equal(self.matrix, other.matrix)
 
     def __repr__(self) -> str:
-        return f"CoinOperator(d={self.d}, kind={self.kind!r})"
+        return f"CoinOperator(d={self.d})"
 
 
-def build_coin(kind: str, d: int, matrix=None) -> CoinOperator:
-    """Construct a named coin.
+def build_coin(kind: str, d: int) -> CoinOperator:
+    """Construct a named coin; any other unitary is ``CoinOperator(matrix)``.
 
     hadamard (d=2 only): the standard 2x2 Hadamard.
     grover: 2/d J - I, the diffusion about the uniform coin state.
     dft: discrete Fourier transform, entries omega^(jk) / sqrt(d).
     identity: I_d.
-    custom: caller-supplied d x d matrix, checked for unitarity.
     """
     d = _coin_dimension(d)
     if kind == "hadamard":
@@ -210,10 +218,6 @@ def build_coin(kind: str, d: int, matrix=None) -> CoinOperator:
         mat = np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
     elif kind == "identity":
         mat = np.eye(d, dtype=np.complex128)
-    elif kind == "custom":
-        if matrix is None:
-            raise ConfigError("custom coin requires a matrix")
-        mat = matrix
     else:
         raise ConfigError(f"unknown coin kind {kind!r}; expected one of {', '.join(COIN_KINDS)}")
-    return CoinOperator(d, kind, mat)
+    return CoinOperator(mat)

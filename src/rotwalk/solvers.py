@@ -51,11 +51,9 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ConfigError, RotwalkError, ValidationError
-from .graphs import RegularGraph, _first_occurrences, _integer_table, _integers, _raise_first
+from .errors import ConfigError, RotwalkError
+from .graphs import RegularGraph, _integers
 from .rotmap import CHECKERS, CRITERIA, METHODS, RotationMap
-
-STATUSES = ("solved", "infeasible-proven", "budget-exhausted")
 
 
 @dataclass(frozen=True)
@@ -69,6 +67,8 @@ class SolverConfig:
     ``matching`` reads no budget: it is one whole-array polynomial kernel
     that always solves and has no partial result to stop at, so its time
     grows with the graph (14.7 s at n = 10**6, d = 8 on a 2-vCPU host).
+    ``greedy-coloring`` and ``vizing`` read none either: each colors every
+    edge once.
     The seed and the three counts must be integers (``operator.index``
     values, so not 2.5, NaN or a string).
     """
@@ -284,32 +284,20 @@ def _perfect_matching(table: np.ndarray) -> np.ndarray:
 # Involution criterion: edge colorings
 
 
-def rotation_from_coloring(graph: RegularGraph, labels) -> RotationMap:
-    """Convert a proper d-edge-coloring (labels over graph.edges() order)
-    into the rotation map whose label classes are the color classes.  Edge
-    (u, v) of color c takes the slots (u, c) and (v, c); an error names the
-    first edge whose color is out of range or whose slot is taken."""
+def _rotation_from_coloring(graph: RegularGraph, labels) -> RotationMap:
+    """The rotation map whose label classes are the color classes of a
+    proper d-edge-coloring (labels over graph.edges() order): edge (u, v)
+    of color c takes the slots (u, c) and (v, c).  The caller proves the
+    coloring proper; ``_outcome``'s checker re-checks the map."""
     n, d = graph.n, graph.d
     pairs = graph.edges()
-    if len(labels) != len(pairs):
-        raise ValidationError(f"coloring has {len(labels)} labels for {len(pairs)} edges")
-    colors = _integer_table(labels, ValidationError, "coloring")
-    bad_color = (colors < 0) | (colors >= d)
-    # A color out of range takes no slot: -1, which no edge in range takes.
-    slots = np.where(bad_color[:, None], -1, pairs * d + colors[:, None])
-    taken = ~_first_occurrences(slots.ravel()).reshape(-1, 2)
-    _raise_first([
-        (bad_color, lambda i: f"color {colors[i]} out of range 0..{d - 1}"),
-        (taken[:, 0], lambda i: f"color {colors[i]} repeats at vertex {pairs[i, 0] + 1}"),
-        (taken[:, 1], lambda i: f"color {colors[i]} repeats at vertex {pairs[i, 1] + 1}"),
-    ], ValidationError)
     # m = n*d/2 edges placed without a repeat fill all n*d slots.
     entries = np.empty(n * d, dtype=np.int64)
-    entries[slots] = pairs[:, ::-1]
+    entries[pairs * d + np.asarray(labels, dtype=np.int64)[:, None]] = pairs[:, ::-1]
     return RotationMap(entries.reshape(n, d))
 
 
-def greedy_coloring(graph: RegularGraph) -> np.ndarray:
+def _greedy_coloring(graph: RegularGraph) -> np.ndarray:
     """Smallest free color per edge, edges in sorted order, open palette:
     the int64 labels over ``graph.edges()``, colors dense from 0."""
     busy = [set() for _ in range(graph.n)]
@@ -340,7 +328,7 @@ def _alternating_path(at, start, first_color, second_color):
     return path
 
 
-def vizing_color(graph: RegularGraph) -> np.ndarray:
+def _vizing_color(graph: RegularGraph) -> np.ndarray:
     """Proper edge coloring with at most d+1 colors, deterministic: the
     int64 labels over ``graph.edges()``, colors dense from 0.
 
@@ -497,14 +485,14 @@ def _color(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
     into 0..d-1; a forced labeling with no conflict left is still solved."""
     start = time.perf_counter()
     d = graph.d
-    labels = greedy_coloring(graph) if config.method == "greedy-coloring" else vizing_color(graph)
+    labels = _greedy_coloring(graph) if config.method == "greedy-coloring" else _vizing_color(graph)
     best = 0
     if (labels >= d).any():
         labels, counts = _least_damage(
             graph.n, d, graph.edges().tolist(), labels.tolist(), range(len(labels))
         )
         best = sum(map(_excess, counts))
-    rot = rotation_from_coloring(graph, labels) if best == 0 else None
+    rot = _rotation_from_coloring(graph, labels) if best == 0 else None
     stats = SolverStats(len(labels), 0, (time.perf_counter() - start) * 1000.0, best)
     return _outcome(graph, config, stats, rot)
 
@@ -600,7 +588,7 @@ def _local_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
 
     wall = (time.perf_counter() - start) * 1000.0
     stats = SolverStats(total_iterations, restarts_run, wall, best_conflicts, tuple(trace))
-    rot = rotation_from_coloring(graph, best_labels) if best_conflicts == 0 else None
+    rot = _rotation_from_coloring(graph, best_labels) if best_conflicts == 0 else None
     return _outcome(graph, config, stats, rot)
 
 
@@ -645,6 +633,10 @@ def exhaustive_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcom
     Symmetry pruning fixes vertex 1's labels: its edges come first in
     ``graph.edges()`` and can always be brought to canonical order by
     renaming labels, so the restricted search is still complete.
+    Edges are tried in ``graph.edges()`` order, so the labels placed
+    (``stats.iterations``) depend on the vertex numbering, not only on
+    the graph: renumberings of the flower snark J5 are proven infeasible
+    after 595 to 8782 labels.
     """
     config = replace(config, criterion="involution", method="exhaustive")
     n, d = graph.n, graph.d
@@ -656,7 +648,7 @@ def exhaustive_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcom
     start = time.perf_counter()
     ends = graph.edges().tolist()
     labels, nodes, deepest, timed_out = _proper_coloring(ends, n, d, config, start)
-    rot = rotation_from_coloring(graph, labels) if labels is not None else None
+    rot = _rotation_from_coloring(graph, labels) if labels is not None else None
     stats = SolverStats(nodes, 0, (time.perf_counter() - start) * 1000.0, len(ends) - deepest)
     if rot is not None or timed_out:
         return _outcome(graph, config, stats, rot)

@@ -200,16 +200,10 @@ def brute_force_edge_coloring(n, d, edges):
 
 
 def rotation_from_coloring_by_loop(n, d, edges, labels):
-    """The (n, d) table of a d-edge-coloring, one edge at a time, or the
-    message of the first bad edge: a color out of 0..d-1, or a color
-    that an endpoint (the lower one first) already holds."""
+    """The (n, d) table of a proper d-edge-coloring, one edge at a time."""
     entries = np.full((n, d), -1, dtype=np.int64)
     for (u, v), c in zip(edges, labels):
-        if not (0 <= c < d):
-            return f"color {c} out of range 0..{d - 1}"
-        for x in (u, v):
-            if entries[x, c] != -1:
-                return f"color {c} repeats at vertex {x + 1}"
+        assert 0 <= c < d and entries[u, c] == entries[v, c] == -1, "coloring is not proper"
         entries[u, c] = v
         entries[v, c] = u
     return entries
@@ -599,6 +593,13 @@ def torus_involution(rows, cols):
     return np.array(table, dtype=np.int64)
 
 
+def circulant_permutation(n, offsets):
+    """The circulant with these offsets: label i moves v to v + offsets[i]
+    mod n, one rotation of the vertices per column, so a permutation map
+    at every n (an involution only where 2 * offsets[i] = 0 mod n)."""
+    return np.array([[(v + s) % n for s in offsets] for v in range(n)], dtype=np.int64)
+
+
 def petersen_edges():
     """The Petersen graph (Petersen 1898): the outer 5-cycle, five spokes
     and the inner pentagram."""
@@ -617,3 +618,14 @@ def flower_snark_edges(k):
     outer = range(2 * k, 4 * k)  # c_0 .. c_{k-1}, then d_0 .. d_{k-1}
     edges += [(outer[j], outer[(j + 1) % (2 * k)]) for j in range(2 * k)]
     return edges
+
+
+def bridged_cubic_edges():
+    """Two copies of K_4 on vertices 0-3 and 5-8, each with its edge (0, 1)
+    subdivided by vertex 4 (9 in the copy), joined by the bridge (4, 9).
+    A cubic graph with a bridge is class 2: each color class of a proper
+    3-edge-coloring is a perfect matching, so it crosses the bridge's cut
+    an odd number of times (each side has 5 vertices), and three odd
+    counts cannot sum to 1 (the parity lemma)."""
+    side = [(0, 4), (4, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    return side + [(u + 5, v + 5) for u, v in side] + [(4, 9)]

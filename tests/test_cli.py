@@ -649,7 +649,7 @@ class TestWalk:
 
 def test_coin_choices_are_the_named_kinds():
     # cli keeps its own tuple so that it never imports operators at start-up.
-    assert cli.COINS == tuple(kind for kind in COIN_KINDS if kind != "custom")
+    assert cli.COINS == COIN_KINDS
 
 
 @pytest.mark.parametrize("argv", [

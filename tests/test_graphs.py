@@ -464,6 +464,15 @@ class TestRandomRegular:
             g = random_regular_graph(n, d, seed=rng.randrange(10**6))
             assert common_degree(adjacency_by_loop(g.n, g.edges())) == d
 
+    @pytest.mark.parametrize("n, d, message", [
+        (0, 3, r"^random-regular needs n >= 1 and d >= 1$"),
+        (6, 0, r"^random-regular needs n >= 1 and d >= 1$"),
+        (-4, -2, r"^random-regular needs n >= 1 and d >= 1$"),
+    ])
+    def test_sizes_refused(self, n, d, message):
+        with pytest.raises(GenerationError, match=message):
+            random_regular_graph(n, d)
+
     def test_odd_degree_sum_rejected(self):
         with pytest.raises(GenerationError):
             random_regular_graph(5, 3)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -8,8 +9,10 @@ from rotwalk import (
     ConfigError,
     RegularGraph,
     RotationMap,
+    COIN_KINDS,
     CoinOperator,
     ShiftOperator,
+    UnitarityReport,
     WalkState,
     build_coin,
     build_shift,
@@ -185,6 +188,18 @@ class TestUnitarityDefect:
         assert unitarity_defect(cycle_rotation(32)).product.shape == (64, 64)
         assert unitarity_defect(cycle_rotation(33)).product is None
 
+    def test_report_holds_only_the_counts(self):
+        # The column counts are the report's one fact; the defect and the
+        # product are read from them, so no write can make them disagree.
+        assert [field.name for field in dataclasses.fields(UnitarityReport)] == ["counts"]
+        report = unitarity_defect(greedy_rotation(cycle_graph(4)))
+        assert report.counts.tolist() == [2, 2, 0, 0, 0, 0, 2, 2]
+        counts = np.array([1, 3, 0, 1])
+        built = UnitarityReport(counts)
+        counts[1] = 1  # the report keeps a copy of its own
+        assert built.defect == 2 and built.product.diagonal().tolist() == [1, 3, 0, 1]
+        assert built.counts.dtype == np.int64 and not built.counts.flags.writeable
+
     def test_matches_dense_oracle(self):
         rng = random.Random(4)
         seen = set()
@@ -245,36 +260,37 @@ class TestCoins:
 
     def test_custom_coin(self):
         mat = np.array([[0, 1], [1, 0]], dtype=complex)
-        coin = build_coin("custom", 2, matrix=mat)
-        assert (coin.matrix == mat).all()
+        coin = CoinOperator(mat)
+        assert coin.d == 2 and (coin.matrix == mat).all()
 
     def test_custom_requires_unitary(self):
         with pytest.raises(ConfigError):
-            build_coin("custom", 2, matrix=np.array([[1, 1], [0, 1.0]]))
+            CoinOperator(np.array([[1, 1], [0, 1.0]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_custom_requires_finite_entries(self, bad):
         mat = np.eye(2, dtype=complex)
         mat[0, 1] = bad
         with pytest.raises(ConfigError, match="finite"):
-            build_coin("custom", 2, matrix=mat)
+            CoinOperator(mat)
         with pytest.raises(ConfigError, match="finite"):
-            build_coin("custom", 2, matrix=np.full((2, 2), bad))
+            CoinOperator(np.full((2, 2), bad))
 
     def test_custom_overflowing_product_rejected(self):
         # Finite entries whose products overflow leave an inf or nan residual.
         for mat in ([[1e200, 0], [0, 1]], [[1e200, 1e200], [1e200, -1e200]]):
             with pytest.raises(ConfigError, match="not unitary"):
-                build_coin("custom", 2, matrix=np.array(mat))
+                CoinOperator(np.array(mat))
 
     def test_custom_requires_square_of_right_size(self):
-        with pytest.raises(ConfigError):
-            build_coin("custom", 3, matrix=np.eye(2))
+        for mat in (np.ones((2, 3)), np.ones(2), np.ones((1, 1, 1)), 1.0):
+            with pytest.raises(ConfigError, match=r"^coin matrix must be square, got shape"):
+                CoinOperator(mat)
 
-    @pytest.mark.parametrize("d, matrix", [(1, [["a"]]), (2, [[1, 0], [0]]), (1, [[{}]]), (1, [[None]])])
-    def test_custom_requires_numbers(self, d, matrix):
-        with pytest.raises(ConfigError, match="array of numbers"):
-            build_coin("custom", d, matrix)
+    @pytest.mark.parametrize("matrix", [[["a"]], [[1, 0], [0]], [[{}]], [[None]]])
+    def test_custom_requires_numbers(self, matrix):
+        with pytest.raises(ConfigError, match=r"^coin matrix must be a square array of numbers$"):
+            CoinOperator(matrix)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -283,8 +299,10 @@ class TestCoins:
     @pytest.mark.parametrize("make, message", [
         (lambda: build_coin("grover", 0), "coin dimension must be positive, got 0"),
         (lambda: build_coin("identity", -2), "coin dimension must be positive, got -2"),
-        (lambda: CoinOperator(0, "custom", np.zeros((0, 0))), "coin dimension must be positive, got 0"),
-        (lambda: build_coin("custom", 2), "custom coin requires a matrix"),
+        (lambda: CoinOperator(np.zeros((0, 0))), "coin dimension must be positive, got 0"),
+        # A custom coin is CoinOperator(matrix); build_coin names no such kind.
+        (lambda: build_coin("custom", 2),
+         r"^unknown coin kind 'custom'; expected one of hadamard, grover, dft, identity$"),
     ], ids=["grover 0", "identity -2", "operator 0", "custom without matrix"])
     def test_refused(self, make, message):
         with pytest.raises(ConfigError, match=message):
@@ -295,9 +313,21 @@ class TestCoins:
         assert coin == build_coin("grover", 3)
         assert coin != build_coin("dft", 3)
         assert coin != build_coin("grover", 4)
-        assert coin != CoinOperator(3, "custom", coin.matrix)
-        assert build_coin("custom", 2, np.eye(2)) != build_coin("custom", 2, [[0, 1], [1, 0]])
+        assert coin == CoinOperator(coin.matrix)
+        assert CoinOperator(np.eye(2)) != CoinOperator([[0, 1], [1, 0]])
         assert coin != coin.matrix.tolist() and coin.__eq__(coin.matrix) is NotImplemented
+
+    def test_coin_is_its_matrix(self):
+        # The matrix is the coin's one fact: d is read from it, and a coin
+        # built from a named coin's matrix is that coin.
+        assert CoinOperator(np.eye(2)) == build_coin("identity", 2)
+        assert CoinOperator(np.eye(2)) != build_coin("hadamard", 2)
+        for kind in COIN_KINDS:
+            coin = build_coin(kind, 2)
+            assert CoinOperator(coin.matrix.tolist()) == coin
+        assert CoinOperator(np.eye(5)).d == 5
+        assert repr(build_coin("dft", 3)) == "CoinOperator(d=3)"
+        assert CoinOperator.__slots__ == ("matrix",)
 
     def test_catalog_unitarity(self):
         for d in range(1, 9):

@@ -248,6 +248,7 @@ class TestConsistency:
         assert report != ConsistencyReport("permutation", report.violations[:-1])
         assert report != ConsistencyReport("permutation", report.violations[::-1])
         assert report != check_involution_consistent(greedy_rotation(cycle_graph(4)))
+        assert report != report.violations.tolist() and report.__eq__(record.violations) is NotImplemented
         with pytest.raises(AttributeError):
             report.consistent = True
         with pytest.raises(AttributeError):

@@ -9,7 +9,6 @@ import pytest
 
 import rotwalk
 from rotwalk import (
-    CoinOperator,
     ConfigError,
     GenerationError,
     GraphStructureError,
@@ -44,11 +43,11 @@ from rotwalk import (
 from rotwalk.solvers import (
     _edges_at,
     _euler_halves,
+    _greedy_coloring,
     _kempe_component,
+    _rotation_from_coloring,
     _stable_order,
-    greedy_coloring,
-    rotation_from_coloring,
-    vizing_color,
+    _vizing_color,
 )
 
 from oracles import (
@@ -256,7 +255,6 @@ NON_INTEGER_COUNTS = {
     "from_edges n None": (GraphStructureError, lambda: RegularGraph.from_edges(None, [(0, 1), (2, 3)])),
     "cycle rotation n": (ValidationError, lambda: cycle_rotation(4.0)),
     "coin d": (ConfigError, lambda: build_coin("grover", 2.5)),
-    "coin operator d": (ConfigError, lambda: CoinOperator(2.0, "identity", np.eye(2))),
     "walk state n": (ConfigError, lambda: WalkState(2.0, 2, [1, 0, 0, 0])),
 }
 
@@ -288,59 +286,34 @@ def test_malformed_support_refused(support, message):
 class TestEdgeColoringConversion:
     def test_proper_coloring_becomes_involution_map(self):
         g = cycle_graph(6)
-        rot = rotation_from_coloring(g, vizing_color(g))
+        rot = _rotation_from_coloring(g, _vizing_color(g))
         assert check_involution_consistent(rot).consistent
         validate_against_graph(rot, g)
 
-    def test_improper_coloring_rejected(self):
-        with pytest.raises(ValidationError):
-            rotation_from_coloring(cycle_graph(4), [0, 0, 1, 1])
-
-    def test_incomplete_coloring_rejected(self):
-        with pytest.raises(ValidationError):
-            rotation_from_coloring(cycle_graph(4), [0, 1, 0])
-
-    def test_extra_labels_rejected(self):
-        with pytest.raises(ValidationError, match=r"^coloring has 6 labels for 4 edges$"):
-            rotation_from_coloring(cycle_graph(4), [0, 1, 0, 1, 0, 1])
-
     def test_scatter_matches_loop_oracle(self):
+        # Proper d-colorings only: the solvers prove a coloring proper
+        # before they convert it.  Vizing's colorings that fit in d colors,
+        # with their colors shuffled, which keeps them proper.
         rng = random.Random(15)
-        kinds = Counter()
+        converted = 0
         for _ in range(400):
             g = random_regular_graph(2 * rng.randrange(2, 9), rng.randrange(1, 4), seed=rng.randrange(99))
-            labels = vizing_color(g).tolist()
-            kind = rng.choice(["valid", "out of range", "repeated"])
-            for _ in range(rng.randrange(1, 3) if kind != "valid" else 0):
-                e = rng.randrange(len(labels))
-                labels[e] = rng.choice([-1, g.d, g.d + 5]) if kind == "out of range" else rng.randrange(g.d)
+            labels = _vizing_color(g)
+            if labels.max() >= g.d:
+                continue
+            colors = list(range(g.d))
+            rng.shuffle(colors)
+            labels = np.array(colors)[labels].tolist()
             expected = rotation_from_coloring_by_loop(g.n, g.d, g.edges().tolist(), labels)
-            if isinstance(expected, str):
-                kinds[expected.split()[2]] += 1
-                with pytest.raises(ValidationError) as exc:
-                    rotation_from_coloring(g, labels)
-                assert str(exc.value) == expected
-            else:
-                kinds["valid"] += 1
-                assert (rotation_from_coloring(g, labels).entries == expected).all()
-        # Every branch is exercised: maps, out-of-range colors and repeats.
-        assert set(kinds) == {"valid", "out", "repeats"}, kinds
-
-    def test_repeat_names_the_vertex_holding_the_color(self):
-        # Edges (1,2) (1,3) (1,4) (2,3) (2,4) (3,4): edge (2,3) repeats
-        # color 1, which vertex 3 already holds through edge (1,3).
-        with pytest.raises(ValidationError, match=r"^color 1 repeats at vertex 3$"):
-            rotation_from_coloring(complete_graph(4), [0, 1, 2, 1, 0, 0])
-        # Edges (1,2) (1,4) (2,3) (3,4): edge (1,4) repeats color 0, which
-        # vertex 1 already holds through edge (1,2).
-        with pytest.raises(ValidationError, match=r"^color 0 repeats at vertex 1$"):
-            rotation_from_coloring(cycle_graph(4), [0, 0, 1, 1])
+            assert (_rotation_from_coloring(g, labels).entries == expected).all()
+            converted += 1
+        assert converted > 200, converted
 
 
 class TestColoringHeuristics:
     def test_greedy_even_cycle(self):
         g = cycle_graph(6)
-        labels = greedy_coloring(g)
+        labels = _greedy_coloring(g)
         assert labels.max() + 1 == 2
         assert is_proper_edge_coloring(g.edges().tolist(), labels, g.n)
 
@@ -349,7 +322,7 @@ class TestColoringHeuristics:
         for g, colors in [(cycle_graph(6), 2), (cycle_graph(5), 3),
                           (complete_graph(4), 3), (hypercube_graph(3), 3),
                           (complete_graph(5), 5)]:
-            labels = vizing_color(g)
+            labels = _vizing_color(g)
             assert labels.dtype == np.int64
             assert labels.max() + 1 == colors
             assert np.unique(labels).tolist() == list(range(colors))  # dense from 0
@@ -363,7 +336,7 @@ class TestColoringHeuristics:
             if (n * d) % 2:
                 n += 1
             g = random_regular_graph(n, d, seed=rng.randrange(10**6))
-            labels = vizing_color(g)
+            labels = _vizing_color(g)
             assert labels.max() + 1 <= d + 1
             assert is_proper_edge_coloring(g.edges().tolist(), labels, g.n)
 
@@ -386,7 +359,7 @@ class TestColoringHeuristics:
         # no conflict left, which is a proper d-coloring.
         cfg = SolverConfig(criterion="involution", method="vizing")
         g = RegularGraph(random_regular_by_pairing(12, 4, seed=11))
-        assert vizing_color(g).max() + 1 == 5
+        assert _vizing_color(g).max() + 1 == 5
         outcome = solve(g, cfg)
         assert outcome.status == "solved"
         assert outcome.stats.best_conflicts == 0

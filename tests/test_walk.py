@@ -30,6 +30,7 @@ from rotwalk import (
     step,
     stream_records,
     uniform_state,
+    unitarity_defect,
 )
 
 from rotwalk.textio import _float_text, _joined_rows, _kernel_tables
@@ -69,6 +70,12 @@ class TestStates:
             assert uniform_state(n, d).amplitudes.tobytes() == init_state(n, d, support).amplitudes.tobytes()
         with pytest.raises(ConfigError):
             uniform_state(0, 2)
+
+    def test_repr_names_shape_and_step(self):
+        state = uniform_state(4, 2)
+        assert repr(state) == "WalkState(n=4, d=2, step=0)"
+        stepped = step(state, build_coin("grover", 2), build_shift(cycle_rotation(4)))
+        assert repr(stepped) == "WalkState(n=4, d=2, step=1)"
 
     def test_empty_support_rejected(self):
         with pytest.raises(ConfigError):
@@ -544,6 +551,8 @@ HANDED_OUT = {
     "shift col_to_row": lambda: build_shift(greedy_rotation(cycle_graph(4))).col_to_row,
     "report violations": lambda: (
         check_permutation_consistent(greedy_rotation(cycle_graph(4))).violations),
+    "unitarity counts": lambda: unitarity_defect(greedy_rotation(cycle_graph(4))).counts,
+    "unitarity product": lambda: unitarity_defect(greedy_rotation(cycle_graph(4))).product,
     "coin matrix": lambda: build_coin("grover", 2).matrix,
     "state amplitudes": lambda: uniform_state(4, 2).amplitudes,
     "record probabilities": lambda: _square_walk(3).records[-1].probabilities,
