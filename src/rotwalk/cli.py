@@ -8,6 +8,9 @@ Exit codes are a stable scripting contract:
 * 3 — solver finished without solving (budget exhausted or proven infeasible)
 * 4 — walk refused an inconsistent rotation map (no --allow-inconsistent)
 
+A command whose output pipe closes (its reader exits, as ``head`` does)
+ends by SIGPIPE, silently, as other writers into a pipe do.
+
 All vertex ids and coin labels on this surface are 1-based.  This module
 lays out every JSON report, and each carries a top-level "version" field.
 All randomness flows from --seed; two invocations with identical
@@ -21,6 +24,7 @@ import argparse
 import itertools
 import json
 import os
+import signal
 import stat
 import sys
 from collections.abc import Iterable, Iterator
@@ -438,6 +442,10 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # A closed output pipe ends the command by SIGPIPE, silently (see the
+    # module docstring); main() keeps Python's BrokenPipeError.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -75,18 +75,26 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 class _FrozenTable:
-    """Graphs, rotation maps and shifts: n, d and the read-only table named
-    by ``_TABLE``, equal when the type, n, d and table are."""
+    """Graphs, rotation maps and shifts: the one read-only table named by
+    ``_TABLE``, equal when the type and the table, shape included, are.
+    n and d are read from the table's shape, n rows of d entries (a shift,
+    whose table is coin-major, reads them the other way round)."""
 
-    __slots__ = ("n", "d")
+    __slots__ = ()
     _TABLE: str
+
+    @property
+    def n(self) -> int:
+        return getattr(self, self._TABLE).shape[0]
+
+    @property
+    def d(self) -> int:
+        return getattr(self, self._TABLE).shape[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.n == other.n and self.d == other.d and np.array_equal(
-            getattr(self, self._TABLE), getattr(other, self._TABLE)
-        )
+        return np.array_equal(getattr(self, self._TABLE), getattr(other, self._TABLE))
 
     def __hash__(self):
         return hash((self.n, self.d, getattr(self, self._TABLE).tobytes()))
@@ -143,7 +151,7 @@ class RegularGraph(_FrozenTable):
         tails = np.repeat(np.arange(n), d)
         if not np.array_equal(tails * n + nbrs.ravel(), np.sort(nbrs.ravel() * n + tails)):
             raise GraphStructureError("adjacency is not symmetric")
-        self.n, self.d, self.neighbors = n, d, _read_only(nbrs)
+        self.neighbors = _read_only(nbrs)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "RegularGraph":

@@ -56,29 +56,43 @@ COIN_KINDS = ("hadamard", "grover", "dft", "identity")
 class ShiftOperator(_FrozenTable):
     """The shift of a rotation map: a (d*n) x (d*n) 0/1 matrix with exactly
     one unit entry per column, at row ``col_to_row[c]`` of column c.
-    Unitary exactly when the map's column counts, the ones the permutation
-    checker reads, are all 1; then ``_row_to_col`` holds the inverse
-    permutation, else None.  That table stays writeable, since take would
-    copy a read-only index on every call (see the module docstring).
+    The shift holds that table once, as a read-only coin-major (d, n)
+    array whose entry (j, v) is j*n + rot(v, j); n and d are read from its
+    shape, and ``col_to_row`` is its flat read-only view.  Unitary exactly
+    when the map's column counts, the ones the permutation checker reads,
+    are all 1; then ``_row_to_col`` holds the inverse permutation, else
+    None.  That table stays writeable, since take would copy a read-only
+    index on every call (see the module docstring).
     """
 
-    __slots__ = ("col_to_row", "_row_to_col")
-    _TABLE = "col_to_row"
+    __slots__ = ("_table", "_row_to_col")
+    _TABLE = "_table"
 
     def __init__(self, rot: RotationMap):
         n, d = rot.n, rot.d
         offsets = (np.arange(d, dtype=np.int64) * n)[:, None]
-        table = _read_only((rot.entries.T + offsets).reshape(-1))
-        self.n, self.d, self.col_to_row = n, d, table
+        self._table = _read_only(np.add(rot.entries.T, offsets, order="C"))
         self._row_to_col = None
         if (_column_counts(rot) == 1).all():
-            inverse = np.empty_like(table)
-            inverse[table] = np.arange(d * n)
+            inverse = np.empty(d * n, dtype=np.int64)
+            inverse[self.col_to_row] = np.arange(d * n)
             self._row_to_col = inverse
 
     @property
+    def n(self) -> int:
+        return self._table.shape[1]
+
+    @property
+    def d(self) -> int:
+        return self._table.shape[0]
+
+    @property
+    def col_to_row(self) -> np.ndarray:
+        return self._table.reshape(-1)
+
+    @property
     def dim(self) -> int:
-        return self.d * self.n
+        return self._table.size
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.dim, self.dim), dtype=np.int64)

@@ -66,7 +66,7 @@ class RotationMap(_FrozenTable):
         if n < 1 or d < 1:
             raise ValidationError("rotation map needs n >= 1 and d >= 1")
         _raise_first(_row_rules(table, n), ValidationError)
-        self.n, self.d, self.entries = n, d, _read_only(table)
+        self.entries = _read_only(table)
 
 
 # The columns of a witness row, the keys of each witness in a report.

@@ -68,12 +68,15 @@ from .textio import csv_chunks
 class WalkState:
     """Amplitudes over (coin label, vertex) pairs plus a step counter.
 
-    Amplitudes a caller supplies must be finite.  A state the evolution
-    produces is data and is never refused: on an inconsistent map its
-    amplitudes may grow until they overflow.
+    The amplitudes are held once, as a read-only coin-major (d, n) array;
+    n and d are read from its shape, and ``amplitudes`` is its flat
+    read-only view, which cannot be rebound.  Amplitudes a caller supplies
+    must be finite.  A state the evolution produces is data and is never
+    refused: on an inconsistent map its amplitudes may grow until they
+    overflow.
     """
 
-    __slots__ = ("n", "d", "amplitudes", "step_index")
+    __slots__ = ("_amplitudes", "step_index")
 
     def __init__(self, n: int, d: int, amplitudes: np.ndarray, step_index: int = 0):
         n, d = _dimensions(n, d)
@@ -83,10 +86,20 @@ class WalkState:
             raise ConfigError(f"amplitude vector must have length d*n = {d * n}")
         if not np.isfinite(amps).all():
             raise ConfigError("amplitudes must be finite")
-        self.n = n
-        self.d = d
-        self.amplitudes = _read_only(amps)
+        self._amplitudes = _read_only(amps.reshape(d, n))
         self.step_index = step_index
+
+    @property
+    def n(self) -> int:
+        return self._amplitudes.shape[1]
+
+    @property
+    def d(self) -> int:
+        return self._amplitudes.shape[0]
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        return self._amplitudes.reshape(-1)
 
     def norm2(self) -> float:
         """Squared norm <psi|psi>."""
@@ -109,8 +122,8 @@ def _evolved(state: WalkState, amps: np.ndarray, step_index: int) -> WalkState:
     """A state of ``state``'s dimensions holding ``amps``, a new array the
     evolution computed; unchecked, so that an overflow stays data."""
     evolved = object.__new__(WalkState)
-    evolved.n, evolved.d, evolved.step_index = state.n, state.d, step_index
-    evolved.amplitudes = _read_only(amps)
+    evolved._amplitudes = _read_only(amps.reshape(state._amplitudes.shape))
+    evolved.step_index = step_index
     return evolved
 
 

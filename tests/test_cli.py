@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
@@ -958,6 +959,24 @@ def test_overflowing_walk_prints_no_warning(tmp_path):
     assert proc.returncode == 0
     assert "Warning" not in proc.stderr
     assert ",inf," in out.read_text() and ",nan," in out.read_text()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_output_pipe_ends_by_sigpipe(square, canonical):
+    # The reader goes away after one line, as ``| head -1`` does: the walk
+    # ends by SIGPIPE, as other writers into a pipe do, with nothing on
+    # stderr (not as a refused input, exit 2 and an 'error:' line).
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-c", "from rotwalk.cli import run; run()",
+         "walk", square, canonical, "--steps", "100000", "--start", "uniform"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert first == b"step,vertex,probability,norm2\n"
+    assert (proc.returncode, stderr) == (-signal.SIGPIPE, b"")
 
 
 class TestTopLevel:

@@ -11,6 +11,7 @@ from rotwalk import (
     ConfigError,
     RegularGraph,
     RotationMap,
+    ShiftOperator,
     WalkState,
     WalkTrajectory,
     build_coin,
@@ -561,6 +562,16 @@ HANDED_OUT = {
 }
 
 
+# Each type that holds one array, which gives its n and d: they, and a
+# state's amplitudes, are read from it and cannot be set.
+HOLDERS = {
+    "graph": lambda: cycle_graph(5),
+    "map": lambda: cycle_rotation(5),
+    "shift": lambda: build_shift(cycle_rotation(5)),
+    "state": lambda: uniform_state(5, 2),
+}
+
+
 class TestReadOnlyArrays:
     @pytest.mark.parametrize("name", list(HANDED_OUT))
     def test_refuses_to_become_writeable(self, name):
@@ -583,6 +594,25 @@ class TestReadOnlyArrays:
         with pytest.raises(ValueError):
             array[0] = 0
         assert hash(table) == before
+
+    @pytest.mark.parametrize("name, attribute", [
+        *((name, attribute) for name in HOLDERS for attribute in ("n", "d")),
+        ("state", "amplitudes"),
+    ])
+    def test_refuses_assignment(self, name, attribute):
+        holder = HOLDERS[name]()
+        before = getattr(holder, attribute)
+        with pytest.raises(AttributeError):
+            setattr(holder, attribute, before * 2)
+        assert (holder.n, holder.d) == (5, 2)
+        assert np.array_equal(getattr(holder, attribute), before)
+
+    def test_slots_hold_the_array_alone(self):
+        assert RegularGraph.__slots__ == ("neighbors",)
+        assert RotationMap.__slots__ == ("entries",)
+        assert ShiftOperator.__slots__ == ("_table", "_row_to_col")
+        assert WalkState.__slots__ == ("_amplitudes", "step_index")
+        assert not any(hasattr(build(), "__dict__") for build in HOLDERS.values())
 
 
 class TestInPlaceLoop:
