@@ -9,13 +9,25 @@ step() and run() share one kernel on raw amplitude vectors: the coin is
 a (d x d) @ (d x n) matrix product and the shift is a gather for a
 consistent map (``np.add.at`` only for an inconsistent one).  step()
 allocates its result.  run() checks the operators once and evolves the
-walk in place in two buffers of the evolution dtype that its record loop
-owns: the state, and the coin's output.  Each step writes the coin
-product into the second (``np.matmul(..., out=)``) and gathers the shift
-back into the first, so no array of size d*n is allocated per step.  The
-loop never writes to the caller's state, and no record shares memory
-with either buffer: a record's probabilities are written to an array of
-their own, and its squared norm is a float.
+walk in three buffers of the evolution dtype that its record loop owns:
+two states, and the coin's output.  Each step writes the coin product
+of one state into the coin buffer (``np.matmul(..., out=)``) and gathers
+the shift into the other state, so no array of size d*n is allocated
+per step.  The loop never writes to the caller's state, and no record
+shares memory with the buffers: a record's probabilities are written to
+an array of their own, and its squared norm is a float.
+
+A record reads only the state it records, so record k is made while
+step k+1 is computed from the same state into the other buffer, and it
+is taken before step k+2 writes that buffer again.  On a walk of at
+least 2^16 arcs, in a process that may run on more than one CPU, the
+record is made on a second thread: the matmul, the gather and the
+record's ufuncs and dot product release the interpreter lock, so a
+Grover step at n=20000, d=8 costs about two thirds of its serial time.
+Below that size the hand-off between the threads costs more than the
+overlap saves, and the same loop makes the record on the caller's
+thread, after the step.  The records are the same either way, bit for
+bit; BLAS keeps the thread count its caller set.
 
 While the coin matrix and the amplitudes are real and finite (a Grover,
 Hadamard or identity coin from a real start), the kernel evolves float64
@@ -25,10 +37,11 @@ on zero imaginary parts does the same real arithmetic plus products
 and the real parts of the amplitudes keep their bits.  Once a value
 overflows, 0 * inf is nan in complex arithmetic, so run() goes on in
 complex arithmetic from the first step whose squared norm (which a
-non-finite amplitude makes non-finite) is not finite.  Squared norms are
-dot products, whose real and complex forms sum in different orders:
-those of real walks may differ from a complex evolution's in the last
-digits.  The probabilities are summed label by label, into their array
+non-finite amplitude makes non-finite) is not finite; the step after it,
+made in real arithmetic while that record was made, is made again.
+Squared norms are dot products, whose real and complex forms sum in
+different orders: those of real walks may differ from a complex
+evolution's in the last digits.  The probabilities are summed label by label, into their array
 through one n-float scratch row, in the order sum(axis=0) adds them,
 so they keep its bits: a row is squared and added while it is in cache,
 where a (d, n) array of squares would be written whole and read back.
@@ -53,6 +66,9 @@ output and is reported as data, never "fixed up" by renormalization.
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from numbers import Number
@@ -204,20 +220,22 @@ def _evolvable(coin: CoinOperator, amplitudes: np.ndarray) -> tuple:
     return matrix, amps.copy() if amps is amplitudes else amps
 
 
-def _step(amps: np.ndarray, matrix: np.ndarray, shift: ShiftOperator, coined: np.ndarray) -> None:
-    """One coin-then-shift step, in place, on a bare amplitude vector: the
-    coin product (with the coin's matrix or its real part) goes into
+def _step(amps: np.ndarray, matrix: np.ndarray, shift: ShiftOperator, coined: np.ndarray,
+          out: np.ndarray) -> None:
+    """One coin-then-shift step on a bare amplitude vector: the coin
+    product (with the coin's matrix or its real part) goes into
     ``coined``, a buffer of the amplitudes' dtype and shape, and the shift
-    gathers it back into ``amps``.  Dimensions are checked by the caller."""
+    gathers it into ``out``, which may be ``amps`` itself.  Dimensions are
+    checked by the caller."""
     np.matmul(matrix, amps.reshape(len(matrix), -1), out=coined.reshape(len(matrix), -1))
-    shift._apply_into(coined, amps)
+    shift._apply_into(coined, out)
 
 
 def step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
     """One evolution step: coin first, then shift."""
     _check_operators(coin, shift, state)
     matrix, amps = _evolvable(coin, state.amplitudes)
-    _step(amps, matrix, shift, np.empty_like(amps))
+    _step(amps, matrix, shift, np.empty_like(amps), amps)
     return _evolved(state, np.asarray(amps, dtype=np.complex128), state.step_index + 1)
 
 
@@ -230,15 +248,16 @@ def distribution(state: WalkState) -> np.ndarray:
     return _probabilities(state.amplitudes, state.d)
 
 
-def _probabilities(amps: np.ndarray, d: int, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Sum over coin labels of |amplitude|^2, as a new array.  Label 0 is
-    squared into it and each further label into ``scratch``, an n-float64
-    row, then added to it: the additions sum(axis=0) makes, in its order,
+def _probabilities(amps: np.ndarray, d: int, scratch: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Sum over coin labels of |amplitude|^2, as a new array or into
+    ``out``, an n-float64 row.  Label 0 is squared into it and each
+    further label into ``scratch``, another such row, then added to it: the additions sum(axis=0) makes, in its order,
     so the sums keep its bits.  Real amplitudes are squared as they are:
     x * x has the bits of |x|^2 for every x but nan, whose sign bit abs
     clears."""
     labels = amps.reshape(d, -1)
-    out = _squares(labels[0], None)
+    out = _squares(labels[0], out)
     if d > 1 and scratch is None:
         scratch = np.empty_like(out)
     for label in labels[1:]:
@@ -300,19 +319,112 @@ class WalkTrajectory:
         return "".join(csv_chunks(self.n, self.records))
 
 
+# The fewest arcs n*d at which a walk makes its records on a second
+# thread: below it the hand-off between the threads costs more than the
+# overlap saves (the measured crossover is in ROADMAP's Dropped list).
+_THREAD_ARCS = 2**16
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Recorder:
+    """Makes the probabilities and squared norm of the state buffer that
+    put() hands it, which take() returns: on a thread of its own when
+    ``threaded``, so that the caller's next step runs meanwhile, else in
+    take() itself.  One buffer is in hand at a time.  Two locks hand it
+    over and the record back, each held while its side has nothing to
+    do; stop() ends the thread."""
+
+    def __init__(self, d: int, n: int, threaded: bool):
+        self._d, self._scratch = d, np.empty(n)
+        self._amps = self._out = self._made = self._thread = None
+        if threaded:
+            self._given, self._done = threading.Lock(), threading.Lock()
+            self._given.acquire()
+            self._done.acquire()
+            self._thread = threading.Thread(target=self._serve, name="rotwalk-records", daemon=True)
+            self._thread.start()
+
+    def _measure(self) -> tuple:
+        probabilities = _probabilities(self._amps, self._d, self._scratch, self._out)
+        return _read_only(probabilities), _norm2(self._amps)
+
+    def _serve(self) -> None:
+        # errstate is per thread: the records of evolved amplitudes carry
+        # their overflows silently here too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                self._given.acquire()
+                if self._amps is None:
+                    return
+                try:
+                    self._made = self._measure()
+                except BaseException as error:  # raised again by take(), on the caller's thread
+                    self._made = error
+                self._done.release()
+
+    def put(self, amps: np.ndarray) -> None:
+        # The record's array is made here, on the caller's thread: freed,
+        # memory that a thread allocated goes back to that thread's malloc
+        # arena, where a later walk's thread may not find it again.
+        self._amps, self._out = amps, np.empty_like(self._scratch)
+        if self._thread is not None:
+            self._given.release()
+
+    def take(self) -> tuple:
+        if self._thread is None:
+            made = self._measure()
+        else:
+            self._done.acquire()
+            made = self._made
+        self._amps = self._out = self._made = None
+        if isinstance(made, BaseException):
+            raise made
+        return made
+
+    def stop(self, _finalizing=sys.is_finalizing) -> None:
+        """End the thread once it has made the record in hand, if any.
+        While the interpreter shuts down, the thread is not waited for,
+        since a daemon thread may not run again then.  A stream never
+        closed is collected then, after the module globals, which is why
+        the check is bound as a default."""
+        if self._thread is not None:
+            if self._amps is not None:
+                self._done.acquire()
+            self._amps = None
+            self._given.release()
+            if not _finalizing():
+                self._thread.join()
+
+
 def stream_records(
     state: WalkState, coin: CoinOperator, shift: ShiftOperator, t: int
 ) -> Iterator[TrajectoryRecord]:
     """The record loop: the records of steps 0..t, each yielded as soon as
     it exists, with a read-only probabilities array of its own.  The
-    generator returns its state buffer as it is, float64 on a real walk:
-    only run() makes a complex128 final state of it.
+    generator returns the buffer that holds the last state as it is,
+    float64 on a real walk: only run() makes a complex128 final state of
+    it.
 
     t and the operators are checked here, before the first record, so a
-    refused walk has produced nothing.  The walk evolves in place in two
-    buffers of the evolution dtype, the state and the coin's output, made
-    once (and once more, as complex128, on a switch to complex
-    arithmetic); see the module docstring.
+    refused walk has produced nothing.  The walk evolves in three buffers
+    of the evolution dtype, made once (and once more, as complex128, on a
+    switch to complex arithmetic): two states and the coin's output.
+    Step k+1 is computed from the buffer that holds state k into the
+    other one while record k is made from state k; record k is taken
+    before it is yielded, and before step k+2 writes its buffer again.
+    On a walk of at least _THREAD_ARCS arcs, in a process that may run on
+    more than one CPU, the record is made on a second thread, overlapping
+    the step; otherwise it is made after the step, on the caller's
+    thread, since a smaller step cannot hide the hand-off between the
+    threads (about 0.04 ms) and one CPU cannot run both at once.  The
+    thread starts with the first record; no thread outlives the
+    generator, and none works while it waits at a yield.
     """
     (t,) = _integers(ConfigError, "step count", (t,))
     if t < 0:
@@ -321,22 +433,30 @@ def stream_records(
 
     def loop(amps: np.ndarray, start: int, d: int):
         matrix, amps = _evolvable(coin, amps)
-        coined = np.empty_like(amps)
-        scratch = np.empty(len(amps) // d)
-        for k in range(t + 1):
-            # Evolved amplitudes are data: on an inconsistent map they may
-            # overflow to inf and nan, which the records carry silently.
-            with np.errstate(over="ignore", invalid="ignore"):
-                if k:
-                    _step(amps, matrix, shift, coined)
-                probabilities = _read_only(_probabilities(amps, d, scratch))
-                record = TrajectoryRecord(start + k, probabilities, _norm2(amps))
-            # A non-finite squared norm means a non-finite amplitude may be
-            # there, and a complex product takes its 0 * inf to nan.
-            if amps.dtype == np.float64 and not np.isfinite(record.norm2):
-                matrix, amps = coin.matrix, amps.astype(np.complex128)
-                coined = np.empty_like(amps)
-            yield record
+        other, coined = np.empty_like(amps), np.empty_like(amps)
+        recorder = _Recorder(d, len(amps) // d, len(amps) >= _THREAD_ARCS and _cpus() > 1)
+        try:
+            for k in range(t + 1):
+                recorder.put(amps)
+                # Evolved amplitudes are data: on an inconsistent map they
+                # may overflow to inf and nan, which the records carry.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if k < t:
+                        _step(amps, matrix, shift, coined, other)
+                    probabilities, norm2 = recorder.take()
+                    # A non-finite squared norm means a non-finite amplitude
+                    # may be there, and a complex product takes its 0 * inf
+                    # to nan: step k+1 is made again in complex arithmetic.
+                    if amps.dtype == np.float64 and not np.isfinite(norm2):
+                        matrix, amps = coin.matrix, amps.astype(np.complex128)
+                        other, coined = np.empty_like(amps), np.empty_like(amps)
+                        if k < t:
+                            _step(amps, matrix, shift, coined, other)
+                if k < t:
+                    amps, other = other, amps
+                yield TrajectoryRecord(start + k, probabilities, norm2)
+        finally:
+            recorder.stop()
         return amps
 
     return loop(state.amplitudes, state.step_index, state.d)

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import tempfile
 
@@ -36,3 +37,13 @@ def cli_solve(tmp_path):
         return code, json.loads(stats.read_text()), rot
 
     return solve
+
+
+@pytest.fixture
+def record_thread(monkeypatch):
+    """Every walk makes its records on a second thread: the arc floor is
+    0, and the process may run on two CPUs."""
+    from rotwalk import walk
+
+    monkeypatch.setattr(walk, "_THREAD_ARCS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

@@ -769,19 +769,21 @@ class TestWalkStreams:
         assert cli.main(["walk", str(graph), str(rot), "--out", str(out)]) == 4
         assert not out.exists()
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("earlier", [None, b"an earlier output\n"], ids=["new", "existing"])
-    def test_failed_walk_leaves_no_partial_output(self, inputs, tmp_path, capsys, monkeypatch, fmt, earlier):
-        # The walk runs out of memory after a few records have been written.
-        step, calls = rotwalk.walk._step, []
+    @staticmethod
+    def assert_failed_walk_leaves_no_partial_output(inputs, tmp_path, capsys, monkeypatch, name, fmt, earlier):
+        """A 10-step walk whose ``rotwalk.walk.<name>`` raises MemoryError on
+        its 4th call, after a few records have been written, exits 2 with
+        one line, leaves no partial output and no temporary file, and
+        leaves no thread running."""
+        real, calls, threads = getattr(rotwalk.walk, name), [], threading.active_count()
 
         def exhausted(*args):
             calls.append(None)
             if len(calls) == 4:
                 raise MemoryError("")
-            return step(*args)
+            return real(*args)
 
-        monkeypatch.setattr(rotwalk.walk, "_step", exhausted)
+        monkeypatch.setattr(rotwalk.walk, name, exhausted)
         out = tmp_path / "walk.out"
         if earlier is not None:
             out.write_bytes(earlier)
@@ -792,9 +794,28 @@ class TestWalkStreams:
         assert captured.out == ""
         assert captured.err == "error: out of memory: an allocation failed\n"
         assert len(calls) == 4
+        assert threading.active_count() == threads
         assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["walk.out"])
         if earlier is not None:
             assert out.read_bytes() == earlier
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("earlier", [None, b"an earlier output\n"], ids=["new", "existing"])
+    def test_failed_walk_leaves_no_partial_output(self, inputs, tmp_path, capsys, monkeypatch, fmt, earlier):
+        # The walk runs out of memory in its 4th step.
+        self.assert_failed_walk_leaves_no_partial_output(
+            inputs, tmp_path, capsys, monkeypatch, "_step", fmt, earlier)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("earlier", [None, b"an earlier output\n"], ids=["new", "existing"])
+    @pytest.mark.parametrize("name", ["_probabilities", "_step"])
+    def test_failed_walk_on_the_record_thread(self, inputs, tmp_path, capsys, monkeypatch, record_thread,
+                                              name, fmt, earlier):
+        # The record thread runs out of memory making record 3, and the
+        # error is raised on the caller's thread; or the caller runs out
+        # while the thread makes a record.
+        self.assert_failed_walk_leaves_no_partial_output(
+            inputs, tmp_path, capsys, monkeypatch, name, fmt, earlier)
 
     def test_existing_output_replaced_whole(self, inputs, tmp_path):
         # Written through a symlink, the file it names is replaced, with
@@ -1154,3 +1175,8 @@ def test_random_regular_chain_golden_digests(tmp_path):
         lines = Path(path[name]).read_bytes().splitlines(keepends=True)
         digests[name] = hashlib.sha256(b"".join(l for l in lines if b'"wall_ms"' not in l)).hexdigest()
     assert digests == CHAIN_DIGESTS
+
+
+def test_random_regular_chain_golden_digests_on_the_record_thread(tmp_path, record_thread):
+    # The walks of the chain, with their records made on a second thread.
+    test_random_regular_chain_golden_digests(tmp_path)

@@ -1,6 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +39,7 @@ from rotwalk import (
     unitarity_defect,
 )
 
+from rotwalk import walk
 from rotwalk.textio import _float_text, _joined_rows, _kernel_tables
 from rotwalk.walk import _exactly_real, _probabilities
 
@@ -813,3 +819,156 @@ class TestCsvOracle:
         text = traj.to_csv_text()
         assert ",inf," in text and ",nan," in text
         assert text == csv_by_fstring(traj.records)
+
+
+# The walks above again, with their records made on a second thread: each
+# class runs every test of the class it derives from.
+@pytest.mark.usefixtures("record_thread")
+class TestKernelOnTheRecordThread(TestKernel):
+    pass
+
+
+@pytest.mark.usefixtures("record_thread")
+class TestRealArithmeticOnTheRecordThread(TestRealArithmetic):
+    pass
+
+
+@pytest.mark.usefixtures("record_thread")
+class TestRecordBlockOnTheRecordThread(TestRecordBlock):
+    pass
+
+
+@pytest.mark.usefixtures("record_thread")
+class TestInPlaceLoopOnTheRecordThread(TestInPlaceLoop):
+    pass
+
+
+@pytest.mark.usefixtures("record_thread")
+class TestCsvOracleOnTheRecordThread(TestCsvOracle):
+    test_csv_golden = TestTrajectories.test_csv_golden
+
+
+def _records_by_steps(state, coin, shift, t):
+    """The probabilities and squared norm of each state of step(), chained."""
+    records = []
+    for k in range(t + 1):
+        if k:
+            state = step(state, coin, shift)
+        records.append((distribution(state).tobytes(), state.norm2()))
+    return records
+
+
+class TestRecordThread:
+    """A walk of at least walk._THREAD_ARCS arcs, in a process that may run
+    on more than one CPU, makes its records on one more thread, which
+    runs only while the walk does."""
+
+    @staticmethod
+    def operators(n=64, d=4, amplitude=-0.5):
+        rot = solve_permutation(random_regular_graph(n, d, seed=2)).rotation_map
+        return init_state(n, d, [(0, 1, 1.0), (1, 5, amplitude)]), build_coin("grover", d), build_shift(rot)
+
+    @pytest.mark.parametrize("below, affinity, cpu_count, threads", [
+        (0, {0, 1}, None, 1), (2, {0, 1}, None, 0), (0, {0}, None, 0), (0, None, 2, 1), (0, None, 1, 0),
+    ], ids=["at the floor", "below the floor", "one CPU", "no affinity, two CPUs", "no affinity, one CPU"])
+    def test_thread_only_from_the_floor_on_more_than_one_cpu(self, monkeypatch, below, affinity, cpu_count,
+                                                              threads):
+        if affinity is None:
+            # Where the platform cannot say which CPUs the process may
+            # run on, every CPU counts.
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(walk, "_THREAD_ARCS", 64)
+        n = (64 - below) // 2
+        before = threading.active_count()
+        records = stream_records(uniform_state(n, 2), build_coin("grover", 2), build_shift(cycle_rotation(n)), 3)
+        assert threading.active_count() == before
+        assert next(records).step == 0
+        assert threading.active_count() == before + threads
+        assert [rec.step for rec in records] == [1, 2, 3]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("end", ["run", "read whole", "closed half-read", "raised on the thread",
+                                     "raised on the caller"])
+    def test_no_thread_outlives_a_walk(self, record_thread, monkeypatch, end):
+        state, coin, shift = self.operators()
+        before = threading.active_count()
+        if end.startswith("raised"):
+            name = "_probabilities" if end.endswith("thread") else "_step"
+            real, calls = getattr(walk, name), []
+
+            def failing(*args):
+                calls.append(None)
+                if len(calls) == 4:
+                    raise MemoryError("")
+                return real(*args)
+
+            monkeypatch.setattr(walk, name, failing)
+            with pytest.raises(MemoryError):
+                run(state, coin, shift, 10)
+        elif end == "run":
+            assert len(run(state, coin, shift, 10).records) == 11
+        else:
+            records = stream_records(state, coin, shift, 10)
+            if end == "read whole":
+                assert len(list(records)) == 11
+            else:
+                assert [next(records).step for _ in range(4)] == [0, 1, 2, 3]
+                assert threading.active_count() == before + 1
+                records.close()
+        assert threading.active_count() == before
+
+    def test_unclosed_stream_lets_the_process_exit(self):
+        # A stream read once and never closed: its thread waits for the
+        # next state and must not hold the interpreter open at exit.
+        code = (
+            "import os, threading\n"
+            "from rotwalk import build_coin, build_shift, cycle_rotation, uniform_state, walk\n"
+            "walk._THREAD_ARCS = 0\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "records = walk.stream_records(uniform_state(6, 2), build_coin('grover', 2),"
+            " build_shift(cycle_rotation(6)), 100)\n"
+            "print(next(records).step, threading.active_count())\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 2\n", "")
+
+    def test_switch_to_complex_on_the_last_step(self, record_thread):
+        # The overflowing walk of TestRealArithmetic, ended at the first
+        # step whose squared norm is not finite: no step is made again.
+        rot = greedy_rotation(RegularGraph(random_regular_by_pairing(6, 3, seed=10)))
+        state, coin = init_state(6, 3, [(0, 0, 1.0)]), build_coin("grover", 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = run(state, coin, build_shift(rot), 1500).norms()
+            last = next(k for k, norm2 in enumerate(norms) if not np.isfinite(norm2))
+            traj = run(state, coin, build_shift(rot), last)
+            _, _, final = complex_walk(state.amplitudes, coin.matrix, rot.entries, last)
+        assert traj.norms() == norms[:last + 1]
+        assert traj.final_state.amplitudes.tobytes() == final.tobytes()
+
+    def test_concurrent_walks_keep_their_records(self, record_thread):
+        # More walks at once than CPUs, each with its own record thread,
+        # under a short switch interval: each records its own walk.
+        walks = [self.operators(amplitude=a) for a in (-0.5, 0.5j, 0.25, 1.5)]
+        expected = [_records_by_steps(*w, 30) for w in walks]
+        got = [None] * len(walks)
+
+        def walk_one(i):
+            got[i] = [(rec.probabilities.tobytes(), rec.norm2) for rec in run(*walks[i], 30).records]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=walk_one, args=(i,)) for i in range(len(walks))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
