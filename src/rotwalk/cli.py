@@ -70,15 +70,17 @@ def _read(path: str) -> bytes:
 def _write(path: str | None, chunks: Iterable[str]) -> None:
     """Write each chunk as soon as it exists, to ``path`` or to stdout.
 
-    A regular file, or a path where there is no file yet, is written
-    through a temporary file beside it that replaces it only once every
-    chunk is written, and is removed on any failure: a command that fails
-    midway leaves no truncated output, and a file it would have replaced
-    keeps its bytes.  Any other file (/dev/null, a FIFO, /dev/stdout onto
-    a pipe) is written in place, since replacing it would swap it for a
-    plain file; so is a regular file reached through a /proc/self/fd link
-    (/dev/fd/N) whose resolved path names another file or none, as a
-    deleted file's does.
+    A path that leads to one of this process's descriptors
+    (/proc/self/fd/N, which /dev/stdout, /dev/stderr and /dev/fd/N lead
+    to) is written through a duplicate of that descriptor: at its offset,
+    in its mode (appending, if it appends), and to the file it holds open
+    even if that file is deleted.  A regular file, or a path where there
+    is no file yet, is written through a temporary file beside it that
+    replaces it only once every chunk is written, and is removed on any
+    failure: a command that fails midway leaves no truncated output, and
+    a file it would have replaced keeps its bytes.  Any other file
+    (/dev/null, a FIFO) is written in place, since replacing it would
+    swap it for a plain file.
 
     The temporary file of NAME is ``.NAME.PID.N.tmp``, N the first number
     whose name is free.  Only a run that is killed (SIGKILL, the kernel's
@@ -88,15 +90,24 @@ def _write(path: str | None, chunks: Iterable[str]) -> None:
     if path is None or path == "-":
         sys.stdout.writelines(chunks)
         return
+    fd = _descriptor(path)
+    if fd is not None:
+        try:
+            fd = os.dup(fd)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        with open(fd, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
+        return
     try:
         found = os.stat(path)
     except FileNotFoundError:
         found = None
-    target = os.path.realpath(path)
-    if found is not None and not (stat.S_ISREG(found.st_mode) and _is_file(target, found)):
+    if found is not None and not stat.S_ISREG(found.st_mode):
         with open(path, "w", encoding="utf-8") as out:
             out.writelines(chunks)
         return
+    target = os.path.realpath(path)
     directory, name = os.path.split(target)
     for n in itertools.count():
         temporary = os.path.join(directory, f".{name}.{os.getpid()}.{n}.tmp")
@@ -118,12 +129,21 @@ def _write(path: str | None, chunks: Iterable[str]) -> None:
         raise
 
 
-def _is_file(path: str, found: os.stat_result) -> bool:
-    """Whether ``path`` names the file whose stat is ``found``."""
-    try:
-        return os.path.samestat(os.stat(path), found)
-    except OSError:
-        return False
+def _descriptor(path: str) -> int | None:
+    """N when ``path`` leads, through symbolic links, to this process's
+    /proc/self/fd/N; else None.  The link /proc/self/fd/N itself is not
+    followed: it names whatever the descriptor holds, a pipe or a deleted
+    file among them."""
+    fds = os.path.realpath("/proc/self/fd")
+    for _ in range(40):  # the most links the kernel follows in one path
+        head, tail = os.path.split(path)
+        if tail.isascii() and tail.isdigit() and os.path.realpath(head) == fds:
+            return int(tail)
+        try:
+            path = os.path.join(head, os.readlink(path))
+        except OSError:  # not a link, or no such file
+            return None
+    return None
 
 
 def _write_json(path: str | None, payload: dict) -> None:

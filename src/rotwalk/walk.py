@@ -21,9 +21,11 @@ A record reads only the state it records, so record k is made while
 step k+1 is computed from the same state into the other buffer, and it
 is taken before step k+2 writes that buffer again.  On a walk of at
 least 2^16 arcs, in a process that may run on more than one CPU, the
-record is made on a second thread: the matmul, the gather and the
-record's ufuncs and dot product release the interpreter lock, so a
-Grover step at n=20000, d=8 costs about two thirds of its serial time.
+record is made on a second thread, a queue worker: the loop puts each
+state on one queue and gets its record from another.  The matmul, the
+gather and the record's ufuncs and dot product release the interpreter
+lock, so a Grover step at n=20000, d=8 costs about two thirds of its
+serial time.
 Below that size the hand-off between the threads costs more than the
 overlap saves, and the same loop makes the record on the caller's
 thread, after the step.  The records are the same either way, bit for
@@ -72,6 +74,7 @@ import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from numbers import Number
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -243,7 +246,9 @@ def distribution(state: WalkState) -> np.ndarray:
     """Per-vertex probabilities: sum over coin labels of |amplitude|^2.
 
     The sum over vertices equals the squared norm of the state (1 only
-    under unitary evolution).
+    under unitary evolution).  Amplitudes that overflowed on an
+    inconsistent map give inf and nan probabilities silently, as the
+    records of run() do.
     """
     return _probabilities(state.amplitudes, state.d)
 
@@ -255,13 +260,19 @@ def _probabilities(amps: np.ndarray, d: int, scratch: np.ndarray | None = None,
     further label into ``scratch``, another such row, then added to it: the additions sum(axis=0) makes, in its order,
     so the sums keep its bits.  Real amplitudes are squared as they are:
     x * x has the bits of |x|^2 for every x but nan, whose sign bit abs
-    clears."""
+    clears.
+
+    Evolved amplitudes are data: on an inconsistent map they may overflow
+    to inf and nan, which the probabilities carry silently.  errstate is
+    per thread, so it is set here, for each of the record thread, the
+    loop on the caller's thread and distribution()."""
     labels = amps.reshape(d, -1)
-    out = _squares(labels[0], out)
-    if d > 1 and scratch is None:
-        scratch = np.empty_like(out)
-    for label in labels[1:]:
-        np.add(out, _squares(label, scratch), out=out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _squares(labels[0], out)
+        if d > 1 and scratch is None:
+            scratch = np.empty_like(out)
+        for label in labels[1:]:
+            np.add(out, _squares(label, scratch), out=out)
     return out
 
 
@@ -332,74 +343,21 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _Recorder:
-    """Makes the probabilities and squared norm of the state buffer that
-    put() hands it, which take() returns: on a thread of its own when
-    ``threaded``, so that the caller's next step runs meanwhile, else in
-    take() itself.  One buffer is in hand at a time.  Two locks hand it
-    over and the record back, each held while its side has nothing to
-    do; stop() ends the thread."""
+def _record(amps: np.ndarray, d: int, scratch: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, float]:
+    """The record of the amplitudes ``amps``: their probabilities, written
+    into ``out`` and handed out read-only, and their squared norm."""
+    return _read_only(_probabilities(amps, d, scratch, out)), _norm2(amps)
 
-    def __init__(self, d: int, n: int, threaded: bool):
-        self._d, self._scratch = d, np.empty(n)
-        self._amps = self._out = self._made = self._thread = None
-        if threaded:
-            self._given, self._done = threading.Lock(), threading.Lock()
-            self._given.acquire()
-            self._done.acquire()
-            self._thread = threading.Thread(target=self._serve, name="rotwalk-records", daemon=True)
-            self._thread.start()
 
-    def _measure(self) -> tuple:
-        probabilities = _probabilities(self._amps, self._d, self._scratch, self._out)
-        return _read_only(probabilities), _norm2(self._amps)
-
-    def _serve(self) -> None:
-        # errstate is per thread: the records of evolved amplitudes carry
-        # their overflows silently here too.
-        with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                self._given.acquire()
-                if self._amps is None:
-                    return
-                try:
-                    self._made = self._measure()
-                except BaseException as error:  # raised again by take(), on the caller's thread
-                    self._made = error
-                self._done.release()
-
-    def put(self, amps: np.ndarray) -> None:
-        # The record's array is made here, on the caller's thread: freed,
-        # memory that a thread allocated goes back to that thread's malloc
-        # arena, where a later walk's thread may not find it again.
-        self._amps, self._out = amps, np.empty_like(self._scratch)
-        if self._thread is not None:
-            self._given.release()
-
-    def take(self) -> tuple:
-        if self._thread is None:
-            made = self._measure()
-        else:
-            self._done.acquire()
-            made = self._made
-        self._amps = self._out = self._made = None
-        if isinstance(made, BaseException):
-            raise made
-        return made
-
-    def stop(self, _finalizing=sys.is_finalizing) -> None:
-        """End the thread once it has made the record in hand, if any.
-        While the interpreter shuts down, the thread is not waited for,
-        since a daemon thread may not run again then.  A stream never
-        closed is collected then, after the module globals, which is why
-        the check is bound as a default."""
-        if self._thread is not None:
-            if self._amps is not None:
-                self._done.acquire()
-            self._amps = None
-            self._given.release()
-            if not _finalizing():
-                self._thread.join()
+def _serve(jobs: SimpleQueue, made: SimpleQueue, d: int, scratch: np.ndarray) -> None:
+    """The record thread: makes the record of each (amplitudes, out) job
+    it reads from ``jobs`` until it reads None, and puts each record, or
+    the error that making it raised, on ``made``."""
+    for amps, out in iter(jobs.get, None):
+        try:
+            made.put(_record(amps, d, scratch, out))
+        except BaseException as error:  # raised again on the caller's thread
+            made.put(error)
 
 
 def stream_records(
@@ -420,30 +378,49 @@ def stream_records(
     before it is yielded, and before step k+2 writes its buffer again.
     On a walk of at least _THREAD_ARCS arcs, in a process that may run on
     more than one CPU, the record is made on a second thread, overlapping
-    the step; otherwise it is made after the step, on the caller's
-    thread, since a smaller step cannot hide the hand-off between the
-    threads (about 0.04 ms) and one CPU cannot run both at once.  The
-    thread starts with the first record; no thread outlives the
-    generator, and none works while it waits at a yield.
+    the step: the loop puts the state buffer and the record's array on
+    one queue, computes the step, and gets the record back from another.
+    Otherwise it is made after the step, on the caller's thread, since a
+    smaller step cannot hide the hand-off between the threads and one
+    CPU cannot run both at once.  The thread starts with the first
+    record; no thread outlives the generator, and none works while it
+    waits at a yield.
     """
     (t,) = _integers(ConfigError, "step count", (t,))
     if t < 0:
         raise ConfigError(f"step count must be >= 0, got {t}")
     _check_operators(coin, shift, state)
 
-    def loop(amps: np.ndarray, start: int, d: int):
+    # A stream never closed is collected while the interpreter shuts down,
+    # after the module globals: the check is bound as a default, and the
+    # thread is not waited for then, since a daemon thread may not run again.
+    def loop(amps: np.ndarray, start: int, d: int, finalizing=sys.is_finalizing):
         matrix, amps = _evolvable(coin, amps)
         other, coined = np.empty_like(amps), np.empty_like(amps)
-        recorder = _Recorder(d, len(amps) // d, len(amps) >= _THREAD_ARCS and _cpus() > 1)
+        scratch, thread = np.empty(len(amps) // d), None
+        if len(amps) >= _THREAD_ARCS and _cpus() > 1:
+            jobs, made = SimpleQueue(), SimpleQueue()
+            thread = threading.Thread(target=_serve, args=(jobs, made, d, scratch), name="rotwalk-records",
+                                      daemon=True)
+            thread.start()
         try:
             for k in range(t + 1):
-                recorder.put(amps)
+                # The record's array is made here, on the caller's thread:
+                # freed, memory that a thread allocated goes back to that
+                # thread's malloc arena, where a later walk's thread may
+                # not find it again.
+                out = np.empty_like(scratch)
+                if thread is not None:
+                    jobs.put((amps, out))
                 # Evolved amplitudes are data: on an inconsistent map they
                 # may overflow to inf and nan, which the records carry.
                 with np.errstate(over="ignore", invalid="ignore"):
                     if k < t:
                         _step(amps, matrix, shift, coined, other)
-                    probabilities, norm2 = recorder.take()
+                    record = made.get() if thread is not None else _record(amps, d, scratch, out)
+                    if isinstance(record, BaseException):
+                        raise record
+                    probabilities, norm2 = record
                     # A non-finite squared norm means a non-finite amplitude
                     # may be there, and a complex product takes its 0 * inf
                     # to nan: step k+1 is made again in complex arithmetic.
@@ -456,7 +433,12 @@ def stream_records(
                     amps, other = other, amps
                 yield TrajectoryRecord(start + k, probabilities, norm2)
         finally:
-            recorder.stop()
+            if thread is not None:
+                # The jobs are read in order: the thread makes the record
+                # in hand, if any, before it reads the None.
+                jobs.put(None)
+                if not finalizing():
+                    thread.join()
         return amps
 
     return loop(state.amplitudes, state.step_index, state.d)

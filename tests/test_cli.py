@@ -849,18 +849,57 @@ class TestWalkStreams:
         assert [p.name for p in tmp_path.iterdir()] == ["walk.fifo"]
 
     def test_stdout_pipe_output_written_in_place(self, inputs):
-        # /dev/stdout onto a pipe resolves to no path ("pipe:[N]"); it is
-        # written where it is, as a process substitution's /dev/fd/N is.
+        # /dev/stdout onto a pipe is written through the descriptor, as a
+        # process substitution's /dev/fd/N is.
         graph, rot = inputs / "g.edges", inputs / "solved.rot"
         proc = run_cli_process("walk", str(graph), str(rot), "--steps", "2", "--out", "/dev/stdout")
         assert (proc.returncode, proc.stderr) == (0, "")
         expected = reference_walk(graph.read_text(), rot.read_text(), "grover", 2, (0, 0, 1.0))
         assert proc.stdout == expected.to_csv_text()
 
+    @staticmethod
+    def gen_square(tmp_path, out, **descriptors):
+        """``rotwalk gen cycle 4 --out OUT`` in a fresh interpreter, with
+        ``descriptors`` (stdout=, pass_fds=) handed to it; returns the
+        square's text, as a file output holds it."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", "from rotwalk.cli import run; run()", "gen", "cycle", "4",
+                               "--out", out], stderr=subprocess.PIPE, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src}, **descriptors)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert cli.main(["gen", "cycle", "4", "--out", str(tmp_path / "square.edges")]) == 0
+        return (tmp_path / "square.edges").read_text()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd here")
+    def test_stdout_file_appended_to(self, tmp_path):
+        # echo earlier > f; rotwalk gen cycle 4 --out /dev/stdout >> f
+        # appends to f, as a command writing to its stdout does.
+        out = tmp_path / "f"
+        out.write_text("earlier\n")
+        with out.open("a") as stdout:
+            square = self.gen_square(tmp_path, "/dev/stdout", stdout=stdout)
+        assert out.read_text() == "earlier\n" + square
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd here")
+    def test_descriptor_output_written_at_its_offset(self, tmp_path):
+        # { echo before; rotwalk gen cycle 4 --out /dev/fd/N; echo after; } > f
+        # leaves all three in f: the output goes through the descriptor,
+        # which still holds f, not a file put in its place.
+        out = tmp_path / "f"
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+        try:
+            os.write(fd, b"before\n")
+            square = self.gen_square(tmp_path, f"/dev/fd/{fd}", pass_fds=(fd,))
+            os.write(fd, b"after\n")
+        finally:
+            os.close(fd)
+        assert out.read_text() == "before\n" + square + "after\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "square.edges"]
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd here")
     def test_deleted_file_output_written_in_place(self, inputs, tmp_path):
-        # /dev/fd/N of a deleted file resolves to a path ("NAME (deleted)")
-        # that is not that file: the open file is written, no file is made.
+        # /dev/fd/N of a deleted file is written through the descriptor:
+        # the open file is written, no file is made.
         gone = tmp_path / "gone.csv"
         fd = os.open(gone, os.O_RDWR | os.O_CREAT)
         try:

@@ -171,6 +171,17 @@ class TestDistribution:
             expected = distribution_by_loop(state.amplitudes, 4, 3)
             assert np.abs(distribution(state) - expected).max() < 1e-12
 
+    def test_overflowed_state_as_silent_as_its_record(self):
+        # On the greedy map of random-regular 300x6 the amplitudes grow
+        # until their squares overflow: distribution() of the final state
+        # carries that as data, with no warning, as run()'s last record
+        # does, and with its bits.
+        rot = greedy_rotation(random_regular_graph(300, 6, seed=4))
+        traj = run(init_state(300, 6, [(0, 0, 1.0)]), build_coin("grover", 6), build_shift(rot), 2000)
+        probabilities = distribution(traj.final_state)
+        assert np.isinf(probabilities).any()
+        assert probabilities.tobytes() == traj.records[-1].probabilities.tobytes()
+
 
 class TestSingleSteps:
     def test_hadamard_step_canonical_square(self):
@@ -920,22 +931,43 @@ class TestRecordThread:
                 records.close()
         assert threading.active_count() == before
 
-    def test_unclosed_stream_lets_the_process_exit(self):
-        # A stream read once and never closed: its thread waits for the
-        # next state and must not hold the interpreter open at exit.
+    @staticmethod
+    def walk_process(code):
+        """``code`` run in a fresh interpreter, with a deadline, after the
+        lines that put every walk of the cycle C6 on the record thread."""
         code = (
             "import os, threading\n"
             "from rotwalk import build_coin, build_shift, cycle_rotation, uniform_state, walk\n"
             "walk._THREAD_ARCS = 0\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "records = walk.stream_records(uniform_state(6, 2), build_coin('grover', 2),"
-            " build_shift(cycle_rotation(6)), 100)\n"
-            "print(next(records).step, threading.active_count())\n"
-        )
+            "operators = uniform_state(6, 2), build_coin('grover', 2), build_shift(cycle_rotation(6))\n"
+        ) + code
         src = str(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": src})
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 2\n", "")
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_unclosed_stream_lets_the_process_exit(self):
+        # A stream read once and never closed: its thread waits for the
+        # next state and must not hold the interpreter open at exit.
+        code = (
+            "records = walk.stream_records(*operators, 100)\n"
+            "print(next(records).step, threading.active_count())\n"
+        )
+        assert self.walk_process(code) == (0, "0 2\n", "")
+
+    def test_walk_ends_with_its_records(self):
+        # A stop the thread never reads, or an error it never hands back,
+        # would leave the walk waiting for it: the deadline fails that.
+        assert self.walk_process("print(len(walk.run(*operators, 10).records))\n") == (0, "11\n", "")
+        code = (
+            "def failing(*args):\n"
+            "    raise MemoryError('on the record thread')\n"
+            "walk._probabilities = failing\n"
+            "walk.run(*operators, 10)\n"
+        )
+        status, out, err = self.walk_process(code)
+        assert (status, out, err.splitlines()[-1]) == (1, "", "MemoryError: on the record thread")
 
     def test_switch_to_complex_on_the_last_step(self, record_thread):
         # The overflowing walk of TestRealArithmetic, ended at the first
