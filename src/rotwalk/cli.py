@@ -31,6 +31,8 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .errors import ConfigError, FormatError, RotwalkError
 from .graphs import FAMILIES, generate_graph, parse_graph, serialize_graph
 from .rotmap import (
@@ -300,7 +302,7 @@ def cmd_shift(args) -> int:
         "n": rot.n,
         "d": rot.d,
         "ordering": "coin-major",
-        "matrix": [[[int(x), 0] for x in row] for row in dense],
+        "matrix": np.stack([dense, np.zeros_like(dense)], axis=-1).tolist(),
     }
     _write_json(args.out, payload)
     return 0

@@ -491,7 +491,7 @@ def _color(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
         labels, counts = _least_damage(
             graph.n, d, graph.edges().tolist(), labels.tolist(), range(len(labels))
         )
-        best = sum(map(_excess, counts))
+        best = int(np.maximum(np.array(counts) - 1, 0).sum())
     rot = _rotation_from_coloring(graph, labels) if best == 0 else None
     stats = SolverStats(len(labels), 0, (time.perf_counter() - start) * 1000.0, best)
     return _outcome(graph, config, stats, rot)
@@ -535,7 +535,7 @@ def _local_search(graph: RegularGraph, config: SolverConfig) -> SolverOutcome:
         order = list(range(m))
         rng.shuffle(order)
         labels, counts = _least_damage(n, d, edges, [d] * m, order)
-        score = np.array([_excess(row) for row in counts], dtype=np.int64)
+        score = np.maximum(np.array(counts) - 1, 0).sum(axis=1)
         conflicts = int(score.sum())
 
         iterations = 0

@@ -159,14 +159,17 @@ def csv_chunks(n: int, records: Iterable) -> Iterator[str]:
     """The CSV header, then the rows of each record (a walk's
     TrajectoryRecord, on n vertices) as one string."""
     yield "step,vertex,probability,norm2\n"
-    vertices = np.array([f",{v + 1}," for v in range(n)], dtype=bytes).view(np.uint8).reshape(n, -1)
+    digits = np.arange(1, n + 1).astype(f"S{len(str(n))}").view(np.uint8).reshape(n, -1)
+    # The commas around each number are laid out here, once per walk:
+    # each further block of a row costs every record another copy.
+    vertices = np.hstack([_repeated(",", n), digits, _repeated(",", n)])
     for rec in records:
         yield _joined_rows(
             [str(rec.step), vertices, _float_text(rec.probabilities), f",{rec.norm2!r}\n"]
         )
 
 
-def joined_floats(values: np.ndarray, separator: str, fallback=repr) -> str:
+def joined_floats(values: np.ndarray, separator: str, fallback) -> str:
     """The floats of a nonempty 1-d array as repr writes them (those outside
     the kernel's range as ``fallback`` does), joined by ``separator``."""
     return _joined_rows([_float_text(values, fallback), separator])[: -len(separator)]

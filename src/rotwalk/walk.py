@@ -24,8 +24,10 @@ least 2^16 arcs, in a process that may run on more than one CPU, the
 record is made on a second thread, a queue worker: the loop puts each
 state on one queue and gets its record from another.  The matmul, the
 gather and the record's ufuncs and dot product release the interpreter
-lock, so a Grover step at n=20000, d=8 costs about two thirds of its
-serial time.
+lock, so the two overlap, but only while BLAS runs on one thread: a
+1000-step Grover walk at n=20000, d=8 on a 2-vCPU host took 0.478 ms a
+step against 0.683 ms inline with BLAS on one thread, and 0.775 against
+0.790 ms at BLAS's default thread count.
 Below that size the hand-off between the threads costs more than the
 overlap saves, and the same loop makes the record on the caller's
 thread, after the step.  The records are the same either way, bit for

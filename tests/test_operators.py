@@ -137,8 +137,10 @@ class TestShiftOperator:
         assert not shift.col_to_row.flags.writeable
         # take(mode="clip") would clamp a bad index silently: the private
         # inverse table must be an exact permutation, the inverse of col_to_row.
+        # It stays writeable: np.take copies a read-only index on every call.
         if kind == "solved":
             assert np.array_equal(shift._row_to_col, np.argsort(shift.col_to_row))
+            assert shift._row_to_col.flags.writeable
         else:
             assert shift._row_to_col is None
 

@@ -831,6 +831,13 @@ class TestCsvOracle:
         assert ",inf," in text and ",nan," in text
         assert text == csv_by_fstring(traj.records)
 
+    @pytest.mark.parametrize("n", [9, 10, 99, 100])
+    def test_vertex_numbers_of_every_width(self, n):
+        # The vertex column is one fixed-width block, NUL-padded: at n = 10
+        # and 100 only the last vertex's number has the full width.
+        traj = run(uniform_state(n, 2), build_coin("hadamard", 2), build_shift(cycle_rotation(n)), 3)
+        assert traj.to_csv_text() == csv_by_fstring(traj.records)
+
 
 # The walks above again, with their records made on a second thread: each
 # class runs every test of the class it derives from.
