@@ -66,6 +66,11 @@ and the squared norm.  For a consistent rotation map the squared norm
 stays at 1 (up to accumulated rounding, tolerance 1e-9 over <= 1e3
 steps); for inconsistent maps the squared-norm drift is the interesting
 output and is reported as data, never "fixed up" by renormalization.
+On such a map the amplitudes may grow until they overflow to inf and
+nan.  The two kernels where that happens own the overflow policy:
+_step and _probabilities each ignore overflow and invalid values in
+numpy's errstate, which is per thread, so step(), distribution(), the
+record loop and its record thread all carry the overflow silently.
 """
 
 from __future__ import annotations
@@ -231,9 +236,13 @@ def _step(amps: np.ndarray, matrix: np.ndarray, shift: ShiftOperator, coined: np
     product (with the coin's matrix or its real part) goes into
     ``coined``, a buffer of the amplitudes' dtype and shape, and the shift
     gathers it into ``out``, which may be ``amps`` itself.  Dimensions are
-    checked by the caller."""
-    np.matmul(matrix, amps.reshape(len(matrix), -1), out=coined.reshape(len(matrix), -1))
-    shift._apply_into(coined, out)
+    checked by the caller.
+
+    The overflow policy is set here, as in _probabilities, for every
+    caller (see the module docstring)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(matrix, amps.reshape(len(matrix), -1), out=coined.reshape(len(matrix), -1))
+        shift._apply_into(coined, out)
 
 
 def step(state: WalkState, coin: CoinOperator, shift: ShiftOperator) -> WalkState:
@@ -264,10 +273,8 @@ def _probabilities(amps: np.ndarray, d: int, scratch: np.ndarray | None = None,
     x * x has the bits of |x|^2 for every x but nan, whose sign bit abs
     clears.
 
-    Evolved amplitudes are data: on an inconsistent map they may overflow
-    to inf and nan, which the probabilities carry silently.  errstate is
-    per thread, so it is set here, for each of the record thread, the
-    loop on the caller's thread and distribution()."""
+    The overflow policy is set here, as in _step, for every caller (see
+    the module docstring)."""
     labels = amps.reshape(d, -1)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _squares(labels[0], out)
@@ -414,23 +421,20 @@ def stream_records(
                 out = np.empty_like(scratch)
                 if thread is not None:
                     jobs.put((amps, out))
-                # Evolved amplitudes are data: on an inconsistent map they
-                # may overflow to inf and nan, which the records carry.
-                with np.errstate(over="ignore", invalid="ignore"):
+                if k < t:
+                    _step(amps, matrix, shift, coined, other)
+                record = made.get() if thread is not None else _record(amps, d, scratch, out)
+                if isinstance(record, BaseException):
+                    raise record
+                probabilities, norm2 = record
+                # A non-finite squared norm means a non-finite amplitude
+                # may be there, and a complex product takes its 0 * inf
+                # to nan: step k+1 is made again in complex arithmetic.
+                if amps.dtype == np.float64 and not np.isfinite(norm2):
+                    matrix, amps = coin.matrix, amps.astype(np.complex128)
+                    other, coined = np.empty_like(amps), np.empty_like(amps)
                     if k < t:
                         _step(amps, matrix, shift, coined, other)
-                    record = made.get() if thread is not None else _record(amps, d, scratch, out)
-                    if isinstance(record, BaseException):
-                        raise record
-                    probabilities, norm2 = record
-                    # A non-finite squared norm means a non-finite amplitude
-                    # may be there, and a complex product takes its 0 * inf
-                    # to nan: step k+1 is made again in complex arithmetic.
-                    if amps.dtype == np.float64 and not np.isfinite(norm2):
-                        matrix, amps = coin.matrix, amps.astype(np.complex128)
-                        other, coined = np.empty_like(amps), np.empty_like(amps)
-                        if k < t:
-                            _step(amps, matrix, shift, coined, other)
                 if k < t:
                     amps, other = other, amps
                 yield TrajectoryRecord(start + k, probabilities, norm2)
