@@ -31,7 +31,10 @@ step against 0.683 ms inline with BLAS on one thread, and 0.775 against
 Below that size the hand-off between the threads costs more than the
 overlap saves, and the same loop makes the record on the caller's
 thread, after the step.  The records are the same either way, bit for
-bit; BLAS keeps the thread count its caller set.
+bit; BLAS keeps the thread count its caller set.  The overlap needs the
+two threads on two CPUs at once, and the scheduler decides that: there
+is none where it keeps both on one CPU or another process holds the
+second (see README).
 
 While the coin matrix and the amplitudes are real and finite (a Grover,
 Hadamard or identity coin from a real start), the kernel evolves float64

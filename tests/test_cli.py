@@ -801,10 +801,12 @@ class TestWalkStreams:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("earlier", [None, b"an earlier output\n"], ids=["new", "existing"])
-    def test_failed_walk_leaves_no_partial_output(self, inputs, tmp_path, capsys, monkeypatch, fmt, earlier):
-        # The walk runs out of memory in its 4th step.
+    @pytest.mark.parametrize("name", ["_probabilities", "_step"])
+    def test_failed_walk_leaves_no_partial_output(self, inputs, tmp_path, capsys, monkeypatch, name, fmt,
+                                                  earlier):
+        # The walk runs out of memory making record 3, or in its 4th step.
         self.assert_failed_walk_leaves_no_partial_output(
-            inputs, tmp_path, capsys, monkeypatch, "_step", fmt, earlier)
+            inputs, tmp_path, capsys, monkeypatch, name, fmt, earlier)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("earlier", [None, b"an earlier output\n"], ids=["new", "existing"])

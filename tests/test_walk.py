@@ -502,7 +502,7 @@ class TestRealArithmetic:
         assert np.isinf(norms).any() and np.isnan(norms).any()
 
 
-class TestRecordBlock:
+class TestRecords:
     """The record loop squares real amplitudes without an abs pass, and
     run() collects its records; they must be the streamed records and
     those of a complex evolution, bit for bit."""
@@ -655,7 +655,7 @@ class TestReadOnlyArrays:
 
 
 class TestInPlaceLoop:
-    """The record loop evolves the walk in two buffers it owns: a step
+    """The record loop evolves the walk in buffers it owns: a step
     allocates no array of the state's size, no record shares memory with
     the buffers, and the caller's state is never written."""
 
@@ -874,7 +874,7 @@ class TestRealArithmeticOnTheRecordThread(TestRealArithmetic):
 
 
 @pytest.mark.usefixtures("record_thread")
-class TestRecordBlockOnTheRecordThread(TestRecordBlock):
+class TestRecordsOnTheRecordThread(TestRecords):
     pass
 
 
@@ -901,7 +901,9 @@ def _records_by_steps(state, coin, shift, t):
 class TestRecordThread:
     """A walk of at least walk._THREAD_ARCS arcs, in a process that may run
     on more than one CPU, makes its records on one more thread, which
-    runs only while the walk does."""
+    runs only while the walk does.  The last two tests, on the complex
+    switch and on walks run at once, check both record paths: inline and
+    on the record thread."""
 
     @staticmethod
     def operators(n=64, d=4, amplitude=-0.5):
@@ -998,9 +1000,12 @@ class TestRecordThread:
         status, out, err = self.walk_process(code)
         assert (status, out, err.splitlines()[-1]) == (1, "", "MemoryError: on the record thread")
 
-    def test_switch_to_complex_on_the_last_step(self, record_thread):
+    @pytest.mark.parametrize("thread", [False, True], ids=["inline", "record-thread"])
+    def test_switch_to_complex_on_the_last_step(self, request, thread):
         # The overflowing walk of TestRealArithmetic, ended at the first
         # step whose squared norm is not finite: no step is made again.
+        if thread:
+            request.getfixturevalue("record_thread")
         rot = greedy_rotation(RegularGraph(random_regular_by_pairing(6, 3, seed=10)))
         state, coin = init_state(6, 3, [(0, 0, 1.0)]), build_coin("grover", 3)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -1011,9 +1016,13 @@ class TestRecordThread:
         assert traj.norms() == norms[:last + 1]
         assert traj.final_state.amplitudes.tobytes() == final.tobytes()
 
-    def test_concurrent_walks_keep_their_records(self, record_thread):
-        # More walks at once than CPUs, each with its own record thread,
-        # under a short switch interval: each records its own walk.
+    @pytest.mark.parametrize("thread", [False, True], ids=["inline", "record-thread"])
+    def test_concurrent_walks_keep_their_records(self, request, thread):
+        # More walks at once than CPUs, each on a thread of its own and,
+        # on the record thread, with one more for its records, under a
+        # short switch interval: each records its own walk.
+        if thread:
+            request.getfixturevalue("record_thread")
         walks = [self.operators(amplitude=a) for a in (-0.5, 0.5j, 0.25, 1.5)]
         expected = [_records_by_steps(*w, 30) for w in walks]
         got = [None] * len(walks)
@@ -1024,12 +1033,12 @@ class TestRecordThread:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=walk_one, args=(i,)) for i in range(len(walks))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
+            workers = [threading.Thread(target=walk_one, args=(i,)) for i in range(len(walks))]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        assert not any(worker.is_alive() for worker in workers)
         assert got == expected
